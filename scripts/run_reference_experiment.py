@@ -54,16 +54,14 @@ def main(argv=None) -> int:
     for run, cm in enumerate(result.confusions):
         (out / f"confusion_run{run}.csv").write_text(evaluation.confusion_csv(cm))
     if result.pso_result is not None:
-        with open(out / "pso_trace.csv", "w") as fh:
-            fh.write("iteration,particle,c,gamma,fitness,global_best_fitness\n")
-            for row in result.pso_result.trace:
-                fh.write(
-                    f"{row[0]},{row[1]},{fmt_float(row[2])},{fmt_float(row[3])},"
-                    f"{fmt_float(row[4])},{fmt_float(row[5])}\n"
-                )
+        (out / "pso_trace.csv").write_text(evaluation.pso_trace_csv(result.pso_result))
         print(
             f"tuned: c={fmt_float(result.tuned[0])} gamma={fmt_float(result.tuned[1])} "
             f"cv_fitness={fmt_float(result.pso_result.fitness)}"
+        )
+        print(
+            f"pso duals: {result.pso_result.solves} solved, "
+            f"{result.pso_result.capped} at the step cap, {result.pso_result.stalled} stalled"
         )
 
     print(evaluation.report_text(result.report), end="")

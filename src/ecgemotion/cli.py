@@ -106,12 +106,7 @@ def cmd_tune(args) -> int:
     dataset = Dataset(vectors, [], len(vectors[0]))
     result = evaluation.tune_svm(dataset.train_arrays(), cfg, cfg.seed)
     with open(args.trace_out, "w") as fh:
-        fh.write("iteration,particle,c,gamma,fitness,global_best_fitness\n")
-        for row in result.trace:
-            fh.write(
-                f"{row[0]},{row[1]},{fmt_float(row[2])},{fmt_float(row[3])},"
-                f"{fmt_float(row[4])},{fmt_float(row[5])}\n"
-            )
+        fh.write(evaluation.pso_trace_csv(result))
     if args.params_out:
         with open(args.params_out, "w") as fh:
             fh.write(f"svm_c={fmt_float(result.c)}\n")

@@ -527,6 +527,18 @@ def curve_csv(parameter: str, points) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pso_trace_csv(result: pso.PsoResult) -> str:
+    """One row per fitness evaluation: iteration, particle, (C, gamma), its
+    fitness and the swarm's best fitness after that iteration."""
+    lines = ["iteration,particle,c,gamma,fitness,global_best_fitness"]
+    for iteration, particle, c, gamma, fitness, best in result.trace:
+        lines.append(
+            f"{iteration},{particle},{fmt_float(c)},{fmt_float(gamma)},"
+            f"{fmt_float(fitness)},{fmt_float(best)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def ge_curve_csv(points) -> str:
     lines = ["trees,mean_generalization_error"]
     for value, ge in points:

@@ -12,8 +12,12 @@ the velocity zeroed on any clamped axis.
 
 Fitness is the mean k-fold cross-validation accuracy of a one-vs-one SVM
 trained at the particle's (C, gamma) on the training split only. The fold
-geometry and all kernel-independent distance matrices are precomputed once,
-so each fitness call only exponentiates and runs the dual solver.
+geometry and all kernel-independent distance matrices are precomputed once.
+Fitness is evaluated one generation at a time: the initial swarm, then each
+moved swarm, has all of its particles' fold-and-pair duals (20 particles x
+5 folds x 6 pairs = 600 by default) solved together by
+``svm.solve_dual_batch``, which gives every dual the result ``solve_dual``
+would.
 """
 
 from __future__ import annotations
@@ -84,6 +88,11 @@ class PsoResult:
     fitness: float
     history: list[float] = field(default_factory=list)
     trace: list[tuple] = field(default_factory=list)
+    # dual solves made by the cross-validation fitness, and how many of them
+    # stopped at the step cap or on a pair that could not move
+    solves: int = 0
+    capped: int = 0
+    stalled: int = 0
 
 
 def step(swarm: list[Particle], global_best: np.ndarray, config: PsoConfig, rng) -> list[Particle]:
@@ -156,25 +165,67 @@ class CvSvmFitness:
                     d2_val = svm.pairwise_sq_dists(x[val], x[rows])
                     pairs.append((a, b, y_pair, d2_fit, d2_val))
             self.folds.append((codes[val], pairs))
+        self._smo_seeds = [
+            derive_seed(seed, "smo", fold, a, b)
+            for fold, (_, pairs) in enumerate(self.folds)
+            for a, b, *_ in pairs
+        ]
 
     def __call__(self, position: np.ndarray) -> float:
-        c = 10.0 ** float(position[0])
-        gamma = 10.0 ** float(position[1])
-        accuracies = []
-        for fold_index, (val_codes, pairs) in enumerate(self.folds):
-            votes = np.zeros((len(val_codes), NUM_CLASSES), dtype=np.int64)
-            for a, b, y_pair, d2_fit, d2_val in pairs:
-                kmat = np.exp(-gamma * d2_fit)
-                rng = np.random.default_rng(derive_seed(self.seed, "smo", fold_index, a, b))
-                alpha, bias = svm.solve_dual(
-                    kmat, y_pair, c, self.tolerance, 10 * len(y_pair), rng
-                )
-                decisions = np.exp(-gamma * d2_val) @ (alpha * y_pair) + bias
-                votes[:, a] += decisions >= 0
-                votes[:, b] += decisions < 0
-            predicted = votes.argmax(axis=1)
-            accuracies.append(float(np.mean(predicted == val_codes)))
-        return float(np.mean(accuracies))
+        return self.evaluate([position])[0][0]
+
+    def evaluate(self, positions) -> tuple[list[float], np.ndarray]:
+        """Fitness of every position, all their duals solved in one batch.
+
+        Returns the fitness values and the number of duals that stopped for
+        each reason (indexed by ``svm.CONVERGED``, ``CAPPED``, ``STALLED``).
+        """
+        params = [(10.0 ** float(p[0]), 10.0 ** float(p[1])) for p in positions]
+        problems = [pair for _, pairs in self.folds for pair in pairs]
+        batch = [
+            (c, gamma, y_pair, d2_fit, seed)
+            for c, gamma in params
+            for (_, _, y_pair, d2_fit, _), seed in zip(problems, self._smo_seeds)
+        ]
+        width = max(len(pair[2]) for pair in problems)
+        kmats = np.zeros((len(batch), width, width))
+        y = np.zeros((len(batch), width))
+        for k, (_, gamma, y_pair, d2_fit, _) in enumerate(batch):
+            n = len(y_pair)
+            kmats[k, :n, :n] = np.exp(-gamma * d2_fit)
+            y[k, :n] = y_pair
+        alpha, bias, _, stops = svm.solve_dual_batch(
+            kmats,
+            y,
+            [c for c, *_ in batch],
+            self.tolerance,
+            [10 * len(y_pair) for _, _, y_pair, _, _ in batch],
+            [np.random.default_rng(seed) for *_, seed in batch],
+        )
+
+        solved = zip(alpha, bias)
+        values = []
+        for _, gamma in params:
+            accuracies = []
+            for val_codes, pairs in self.folds:
+                votes = np.zeros((len(val_codes), NUM_CLASSES), dtype=np.int64)
+                for a, b, y_pair, _, d2_val in pairs:
+                    pair_alpha, pair_bias = next(solved)
+                    weights = pair_alpha[: len(y_pair)] * y_pair
+                    decisions = np.exp(-gamma * d2_val) @ weights + float(pair_bias)
+                    votes[:, a] += decisions >= 0
+                    votes[:, b] += decisions < 0
+                predicted = votes.argmax(axis=1)
+                accuracies.append(float(np.mean(predicted == val_codes)))
+            values.append(float(np.mean(accuracies)))
+        return values, np.bincount(stops, minlength=3)
+
+
+def _generation_scorer(fitness_fn):
+    """positions -> (fitness values, duals per stop reason) for one generation."""
+    if isinstance(fitness_fn, CvSvmFitness):
+        return fitness_fn.evaluate
+    return lambda positions: ([float(fitness_fn(p)) for p in positions], np.zeros(3, dtype=np.int64))
 
 
 def optimize(train, config: PsoConfig, fitness_fn=None) -> PsoResult:
@@ -192,14 +243,16 @@ def optimize(train, config: PsoConfig, fitness_fn=None) -> PsoResult:
         else:
             x, codes = train
         fitness_fn = CvSvmFitness(x, codes, config.cv_folds, config.seed)
+    score = _generation_scorer(fitness_fn)
 
     rng = np.random.default_rng(derive_seed(config.seed, "swarm"))
     lower, upper = config.lower, config.upper
-    swarm = []
-    for _ in range(config.swarm_size):
-        position = lower + rng.random(2) * (upper - lower)
-        fitness = float(fitness_fn(position))
-        swarm.append(Particle(position.copy(), np.zeros(2), position.copy(), fitness))
+    positions = [lower + rng.random(2) * (upper - lower) for _ in range(config.swarm_size)]
+    values, stops = score(positions)
+    swarm = [
+        Particle(position.copy(), np.zeros(2), position.copy(), fitness)
+        for position, fitness in zip(positions, values)
+    ]
 
     best_index = int(np.argmax([p.best_fitness for p in swarm]))
     g_best = swarm[best_index].best_position.copy()
@@ -213,8 +266,9 @@ def optimize(train, config: PsoConfig, fitness_fn=None) -> PsoResult:
 
     for iteration in range(1, config.iterations + 1):
         swarm = step(swarm, g_best, config, rng)
-        for idx, particle in enumerate(swarm):
-            fitness = float(fitness_fn(particle.position))
+        values, moved_stops = score([particle.position for particle in swarm])
+        stops = stops + moved_stops
+        for idx, (particle, fitness) in enumerate(zip(swarm, values)):
             if fitness > particle.best_fitness:
                 particle.best_fitness = fitness
                 particle.best_position = particle.position.copy()
@@ -243,4 +297,7 @@ def optimize(train, config: PsoConfig, fitness_fn=None) -> PsoResult:
         fitness=g_fitness,
         history=history,
         trace=trace,
+        solves=int(stops.sum()),
+        capped=int(stops[svm.CAPPED]),
+        stalled=int(stops[svm.STALLED]),
     )

@@ -86,6 +86,35 @@ def _masked_argmax(values: np.ndarray, mask: np.ndarray, rng: np.random.Generato
     return int(rng.choice(candidates))
 
 
+def _movable(y, alpha, c):
+    """(can_up, can_dn): which multipliers may rise or fall along y without
+    leaving the box. Entries with y == 0 are in neither set."""
+    below_c = alpha < c - _EPS
+    above_0 = alpha > _EPS
+    can_up = ((y > 0) & below_c) | ((y < 0) & above_0)
+    can_dn = ((y < 0) & below_c) | ((y > 0) & above_0)
+    return can_up, can_dn
+
+
+def _bias(alpha: np.ndarray, e: np.ndarray, y: np.ndarray, c: float) -> float:
+    """Bias of a finished solve: the mean of y - f over the free multipliers,
+    or the midpoint of the feasible interval when none is free."""
+    free = (alpha > _EPS) & (alpha < c - _EPS)
+    if free.any():
+        return float(np.mean(-e[free]))  # y - f == -e
+    can_up, can_dn = _movable(y, alpha, c)
+    neg_e = -e
+    lo_bound = neg_e[can_up].max() if can_up.any() else None
+    hi_bound = neg_e[can_dn].min() if can_dn.any() else None
+    if lo_bound is not None and hi_bound is not None:
+        return float(0.5 * (lo_bound + hi_bound))
+    if lo_bound is not None:
+        return float(lo_bound)
+    if hi_bound is not None:
+        return float(hi_bound)
+    return 0.0
+
+
 def solve_dual(
     kmat: np.ndarray,
     y: np.ndarray,
@@ -105,8 +134,7 @@ def solve_dual(
     e = -y.astype(np.float64)
 
     for _ in range(max_steps):
-        can_up = ((y > 0) & (alpha < c - _EPS)) | ((y < 0) & (alpha > _EPS))
-        can_dn = ((y < 0) & (alpha < c - _EPS)) | ((y > 0) & (alpha > _EPS))
+        can_up, can_dn = _movable(y, alpha, c)
         i = _masked_argmax(-e, can_up, rng)
         j = _masked_argmax(e, can_dn, rng)
         if i < 0 or j < 0 or e[j] - e[i] <= tolerance:
@@ -145,24 +173,112 @@ def solve_dual(
         alpha[i] = a1_new
         alpha[j] = a2_new
 
-    free = (alpha > _EPS) & (alpha < c - _EPS)
-    if free.any():
-        bias = float(np.mean(-e[free]))  # y - f == -e
-    else:
-        can_up = ((y > 0) & (alpha < c - _EPS)) | ((y < 0) & (alpha > _EPS))
-        can_dn = ((y < 0) & (alpha < c - _EPS)) | ((y > 0) & (alpha > _EPS))
-        neg_e = -e
-        lo_bound = neg_e[can_up].max() if can_up.any() else None
-        hi_bound = neg_e[can_dn].min() if can_dn.any() else None
-        if lo_bound is not None and hi_bound is not None:
-            bias = float(0.5 * (lo_bound + hi_bound))
-        elif lo_bound is not None:
-            bias = float(lo_bound)
-        elif hi_bound is not None:
-            bias = float(hi_bound)
-        else:
-            bias = 0.0
-    return alpha, bias
+    return alpha, _bias(alpha, e, y, c)
+
+
+# Why a dual solve stopped: no pair violates by more than the tolerance,
+# the step cap ran out, or the chosen pair could not move.
+CONVERGED, CAPPED, STALLED = 0, 1, 2
+
+
+def _pick_rows(values, mask, rngs, owners) -> np.ndarray:
+    """Row-wise ``_masked_argmax``: exact ties draw from the row owner's rng."""
+    scores = np.where(mask, values, -np.inf)
+    best = scores.max(axis=1)
+    ties = scores == best[:, None]
+    picks = ties.argmax(axis=1)
+    picks[best == -np.inf] = -1
+    for r in np.flatnonzero(ties.sum(axis=1) > 1):
+        if best[r] != -np.inf:
+            picks[r] = rngs[owners[r]].choice(np.flatnonzero(ties[r]))
+    return picks
+
+
+def _snap(a, c):
+    return np.where(a < _EPS, 0.0, np.where(a > c - _EPS, c, a))
+
+
+def solve_dual_batch(kmats, y, c, tolerance: float, max_steps, rngs):
+    """Solve many small duals in lockstep, each exactly as ``solve_dual`` would.
+
+    ``kmats`` is (B, n, n) and ``y`` (B, n); a problem smaller than n is
+    padded with y == 0, which keeps the padding out of every working set.
+    ``c`` and ``max_steps`` give one value per problem and ``rngs`` one
+    generator per problem for its tie-breaks. Every step applies the scalar
+    pair update to all unfinished problems at once; a problem leaves the
+    batch when it converges, reaches its cap or stalls.
+
+    Returns (alpha (B, n), bias (B,), steps (B,), stop (B,)) where ``stop``
+    holds CONVERGED, CAPPED or STALLED. Row b's alpha, bias and step count
+    equal those of ``solve_dual`` on problem b bit for bit.
+    """
+    kmats = np.asarray(kmats, dtype=np.float64)
+    y_all = np.asarray(y, dtype=np.float64)
+    count, n = y_all.shape
+    c_all = np.broadcast_to(np.asarray(c, dtype=np.float64), (count,))
+    caps = np.broadcast_to(np.asarray(max_steps, dtype=np.int64), (count,))
+
+    alpha_out = np.zeros((count, n))
+    e_out = -y_all
+    steps_out = np.zeros(count, dtype=np.int64)
+    stop_out = np.zeros(count, dtype=np.int64)
+
+    # state of the unfinished problems; owner maps a row to its problem
+    owner = np.arange(count)
+    yb, cb, capb = y_all.copy(), c_all.copy(), caps.copy()
+    alpha = np.zeros((count, n))
+    e = -y_all
+    can_up, can_dn = _movable(yb, alpha, cb[:, None])
+    step = 0
+    while len(owner):
+        rows = np.arange(len(owner))
+        i = _pick_rows(-e, can_up, rngs, owner)
+        j = _pick_rows(e, can_dn, rngs, owner)
+        e_i, e_j = e[rows, i], e[rows, j]
+        y1, y2 = yb[rows, i], yb[rows, j]
+        a1, a2 = alpha[rows, i], alpha[rows, j]
+        same = y1 == y2
+        low = np.where(same, np.maximum(0.0, a1 + a2 - cb), np.maximum(0.0, a2 - a1))
+        high = np.where(same, np.minimum(cb, a1 + a2), np.minimum(cb, cb + a2 - a1))
+        eta = kmats[owner, i, i] + kmats[owner, j, j] - 2.0 * kmats[owner, i, j]
+        eta = np.where(eta < _EPS, _EPS, eta)
+        a2_new = np.clip(a2 + y2 * (e_i - e_j) / eta, low, high)
+
+        # later assignments win: the scalar loop tests the cap first, then
+        # convergence, then the two stalls
+        stop = np.full(len(owner), -1)
+        stop[a2_new == a2] = STALLED
+        stop[high - low < _EPS] = STALLED
+        stop[(i < 0) | (j < 0) | (e_j - e_i <= tolerance)] = CONVERGED
+        stop[capb <= step] = CAPPED
+        done = stop >= 0
+        if done.any():
+            gone = owner[done]
+            alpha_out[gone] = alpha[done]
+            e_out[gone] = e[done]
+            steps_out[gone] = step
+            stop_out[gone] = stop[done]
+            keep = ~done
+            owner, yb, cb, capb = owner[keep], yb[keep], cb[keep], capb[keep]
+            alpha, e, can_up, can_dn = alpha[keep], e[keep], can_up[keep], can_dn[keep]
+            i, j, y1, y2, a1, a2 = i[keep], j[keep], y1[keep], y2[keep], a1[keep], a2[keep]
+            a2_new = a2_new[keep]
+            rows = np.arange(len(owner))
+
+        a1_new = _snap(a1 + y1 * y2 * (a2 - a2_new), cb)
+        a2_new = _snap(a2_new, cb)
+        d1 = (a1_new - a1) * y1
+        d2 = (a2_new - a2) * y2
+        e += d1[:, None] * kmats[owner, i] + d2[:, None] * kmats[owner, j]
+        alpha[rows, i] = a1_new
+        alpha[rows, j] = a2_new
+        for col, y_col, a_col in ((i, y1, a1_new), (j, y2, a2_new)):
+            can_up[rows, col], can_dn[rows, col] = _movable(y_col, a_col, cb)
+        step += 1
+
+    bias = np.array([_bias(a, e_row, y_row, c_row)
+                     for a, e_row, y_row, c_row in zip(alpha_out, e_out, y_all, c_all)])
+    return alpha_out, bias, steps_out, stop_out
 
 
 @dataclass(eq=False)
@@ -237,19 +353,14 @@ def kkt_max_violation(model: BinarySvmModel, x, y) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(x) != len(model.alpha):
         raise ParameterError("x does not match the model's training set size")
-    g = decision_values(model, x)
-    yg = y * g
+    margin = y * decision_values(model, x)
     c = model.params.c
-    worst = 0.0
-    for alpha_i, margin in zip(model.alpha, yg):
-        if alpha_i <= _EPS:
-            residual = max(0.0, 1.0 - margin)
-        elif alpha_i >= c - _EPS:
-            residual = max(0.0, margin - 1.0)
-        else:
-            residual = abs(margin - 1.0)
-        worst = max(worst, residual)
-    return worst
+    residual = np.where(
+        model.alpha <= _EPS,
+        np.maximum(0.0, 1.0 - margin),
+        np.where(model.alpha >= c - _EPS, np.maximum(0.0, margin - 1.0), np.abs(margin - 1.0)),
+    )
+    return float(residual.max(initial=0.0))
 
 
 @dataclass(eq=False)

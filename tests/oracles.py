@@ -129,6 +129,22 @@ def maximize_dual(kmat, y, c: float, steps: int = 8000, lr: float = 0.05) -> np.
     return alpha
 
 
+def kkt_residual_loop(alpha, margins, c: float, eps: float = 1e-12) -> float:
+    """Largest KKT residual, one multiplier at a time: 1 - margin below the
+    margin for alpha == 0, margin - 1 above it for alpha == C, and
+    |margin - 1| for a free multiplier."""
+    worst = 0.0
+    for alpha_i, margin in zip(alpha, margins):
+        if alpha_i <= eps:
+            residual = max(0.0, 1.0 - margin)
+        elif alpha_i >= c - eps:
+            residual = max(0.0, margin - 1.0)
+        else:
+            residual = abs(margin - 1.0)
+        worst = max(worst, residual)
+    return worst
+
+
 def make_blobs(rng, points_per_class: int, std: float = 0.1, test_points: int = 0):
     """Four Gaussian blobs at unit-spaced centers (the corners of a unit
     square)."""
@@ -140,3 +156,35 @@ def make_blobs(rng, points_per_class: int, std: float = 0.1, test_points: int = 
     x_test = np.vstack([rng.normal(c, std, (test_points, 2)) for c in centers])
     y_test = np.repeat(np.arange(4), test_points)
     return x_train, y_train, x_test, y_test
+
+
+def per_pair_cv_fitness(fitness, position) -> float:
+    """A ``CvSvmFitness`` value computed one dual at a time.
+
+    This is the fitness loop as it stood before duals were batched: it reads
+    the fitness object's precomputed folds and solves each (fold, pair) dual
+    on its own with the scalar ``svm.solve_dual``, so it checks the batched
+    path against the scalar solver rather than against an independent
+    method.
+    """
+    from ecgemotion import svm
+    from ecgemotion.types import NUM_CLASSES
+    from ecgemotion.utils import derive_seed
+
+    c = 10.0 ** float(position[0])
+    gamma = 10.0 ** float(position[1])
+    accuracies = []
+    for fold_index, (val_codes, pairs) in enumerate(fitness.folds):
+        votes = np.zeros((len(val_codes), NUM_CLASSES), dtype=np.int64)
+        for a, b, y_pair, d2_fit, d2_val in pairs:
+            kmat = np.exp(-gamma * d2_fit)
+            rng = np.random.default_rng(derive_seed(fitness.seed, "smo", fold_index, a, b))
+            alpha, bias = svm.solve_dual(
+                kmat, y_pair, c, fitness.tolerance, 10 * len(y_pair), rng
+            )
+            decisions = np.exp(-gamma * d2_val) @ (alpha * y_pair) + bias
+            votes[:, a] += decisions >= 0
+            votes[:, b] += decisions < 0
+        predicted = votes.argmax(axis=1)
+        accuracies.append(float(np.mean(predicted == val_codes)))
+    return float(np.mean(accuracies))

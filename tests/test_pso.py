@@ -4,7 +4,7 @@ import pytest
 from ecgemotion.pso import CvSvmFitness, Particle, PsoConfig, optimize, step
 from ecgemotion.types import ParameterError
 
-from oracles import make_blobs
+from oracles import make_blobs, per_pair_cv_fitness
 
 WIDE = dict(log10_c_bounds=(-5.0, 5.0), log10_gamma_bounds=(-5.0, 5.0))
 
@@ -174,6 +174,32 @@ def test_cv_fitness_on_blobs():
     good = fitness(np.array([1.0, 0.0]))  # C = 10, gamma = 1
     assert good >= 0.9
     assert fitness(np.array([1.0, 0.0])) == good  # pure function of position
+
+
+def test_cv_fitness_batch_matches_per_pair_oracle():
+    rng = np.random.default_rng(8)
+    x, y = make_blobs(rng, 12, std=0.35)
+    fitness = CvSvmFitness(x, y, folds=3, seed=2)
+    positions = [np.array([rng.uniform(-1.0, 3.0), rng.uniform(-4.0, 1.0)]) for _ in range(12)]
+    values, stops = fitness.evaluate(positions)
+    assert values == [per_pair_cv_fitness(fitness, p) for p in positions]
+    assert fitness(positions[3]) == values[3]
+    assert stops.sum() == len(positions) * 3 * 6
+
+
+def test_optimize_matches_per_pair_oracle():
+    rng = np.random.default_rng(13)
+    x, y = make_blobs(rng, 12, std=0.35)
+    cfg = PsoConfig(swarm_size=6, iterations=3, seed=7, cv_folds=3)
+    result = optimize((x, y), cfg)
+    oracle = CvSvmFitness(x, y, cfg.cv_folds, cfg.seed)
+    expected = optimize(None, cfg, fitness_fn=lambda p: per_pair_cv_fitness(oracle, p))
+    assert (result.c, result.gamma, result.fitness) == (expected.c, expected.gamma, expected.fitness)
+    assert result.history == expected.history
+    assert result.trace == expected.trace
+    assert result.solves == 4 * 6 * 3 * 6
+    assert 0 <= result.capped + result.stalled <= result.solves
+    assert expected.solves == 0  # a plain callable reports no duals
 
 
 def test_cv_fitness_requires_enough_samples():

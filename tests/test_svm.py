@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ecgemotion import svm
 from ecgemotion.svm import (
     BinarySvmModel,
     MulticlassSvmModel,
@@ -19,7 +20,7 @@ from ecgemotion.svm import (
 )
 from ecgemotion.types import Emotion, ParameterError
 
-from oracles import dual_objective, maximize_dual, rbf_matrix
+from oracles import dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix
 
 
 def test_rbf_identity():
@@ -273,3 +274,88 @@ def test_model_file_roundtrip(tmp_path, blob_data):
         assert np.array_equal(loaded.models[pair].support_vectors, binary.support_vectors)
         assert np.array_equal(loaded.models[pair].dual_coefs, binary.dual_coefs)
         assert loaded.models[pair].bias == binary.bias
+
+
+def _batch_problems(rng, count):
+    """Duals of mixed sizes: every third has duplicated rows (exact ties in
+    the working-set choice), every fifth a cap of a few steps, every fourth
+    a C small enough to put multipliers on the box."""
+    problems = []
+    for b in range(count):
+        n = int(rng.integers(2, 25))
+        x = rng.normal(size=(n, 3))
+        if b % 3 == 0:
+            x[n // 2 :] = x[: n - n // 2]
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        c = 0.02 if b % 4 == 0 else 10.0 ** rng.uniform(-1.0, 3.0)
+        cap = int(rng.integers(1, 6)) if b % 5 == 0 else 10 * n
+        kmat = rbf_kernel_matrix(x, x, 10.0 ** rng.uniform(-2.0, 1.0))
+        problems.append((kmat, y, c, cap, 1000 + b))
+    return problems
+
+
+def _solve_padded(problems, tolerance):
+    width = max(len(y) for _, y, _, _, _ in problems)
+    kmats = np.zeros((len(problems), width, width))
+    ys = np.zeros((len(problems), width))
+    for b, (kmat, y, _, _, _) in enumerate(problems):
+        kmats[b, : len(y), : len(y)] = kmat
+        ys[b, : len(y)] = y
+    return svm.solve_dual_batch(
+        kmats,
+        ys,
+        [c for _, _, c, _, _ in problems],
+        tolerance,
+        [cap for _, _, _, cap, _ in problems],
+        [np.random.default_rng(seed) for *_, seed in problems],
+    )
+
+
+@pytest.mark.parametrize("tolerance", [1e-3, 1e-15])
+def test_batch_dual_bit_identical_to_scalar(tolerance):
+    # 1e-15 runs the duals until a pair update no longer moves, so the
+    # stalled stop is exercised as well as convergence and the cap
+    problems = _batch_problems(np.random.default_rng(21), 90)
+    alpha, bias, steps, stops = _solve_padded(problems, tolerance)
+    for b, (kmat, y, c, cap, seed) in enumerate(problems):
+        n = len(y)
+        ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, tolerance, cap, np.random.default_rng(seed))
+        assert np.array_equal(alpha[b, :n], ref_alpha)
+        assert (alpha[b, n:] == 0.0).all()
+        assert bias[b] == ref_bias
+        # the step count is the shortest cap that reproduces the solve
+        again, again_bias = svm.solve_dual(
+            kmat, y, c, tolerance, int(steps[b]), np.random.default_rng(seed)
+        )
+        assert np.array_equal(again, ref_alpha) and again_bias == ref_bias
+        if steps[b] > 0:
+            shorter, _ = svm.solve_dual(
+                kmat, y, c, tolerance, int(steps[b]) - 1, np.random.default_rng(seed)
+            )
+            assert not np.array_equal(shorter, ref_alpha)
+        assert (steps[b] == cap) == (stops[b] == svm.CAPPED)
+    covered = {svm.CONVERGED, svm.CAPPED} | ({svm.STALLED} if tolerance < 1e-12 else set())
+    assert covered <= set(stops)
+    assert any((alpha[b] == c).any() for b, (_, _, c, _, _) in enumerate(problems))
+
+
+def test_batch_dual_zero_cap_and_single_problem():
+    kmat, y, c, _, seed = _batch_problems(np.random.default_rng(4), 1)[0]
+    alpha, bias, steps, stops = svm.solve_dual_batch(
+        kmat[None], y[None], c, 1e-3, 0, [np.random.default_rng(seed)]
+    )
+    ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, 1e-3, 0, np.random.default_rng(seed))
+    assert np.array_equal(alpha[0], ref_alpha) and bias[0] == ref_bias
+    assert steps[0] == 0 and stops[0] == svm.CAPPED
+
+
+def test_kkt_max_violation_matches_loop(blob_data):
+    x_train, y_train, _, _ = blob_data
+    mask = (y_train == 1) | (y_train == 2)
+    x, y = x_train[mask], np.where(y_train[mask] == 1, 1.0, -1.0)
+    for c, gamma, tolerance in ((10.0, 1.0, 1e-3), (0.05, 0.5, 1e-3), (100.0, 3.0, 0.5)):
+        model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=tolerance), seed=2)
+        assert kkt_max_violation(model, x, y) == kkt_residual_loop(
+            model.alpha, y * decision_values(model, x), c
+        )
