@@ -168,8 +168,8 @@ def load_taps(path) -> FirFilter:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise DataFormatError(f"{path}: missing filter header")
-        fields = dict(item.split("=", 1) for item in header[2:].split(","))
         try:
+            fields = dict(item.split("=", 1) for item in header[2:].split(","))
             fs = float(fields["fs"])
             low = float(fields["low"])
             high = float(fields["high"])

@@ -415,8 +415,12 @@ def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
 
 
 def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepCurve:
-    """Mean recognition rate per neighbor count; neighbor order is sorted
-    once per run and shared across all k."""
+    """Mean recognition rate per neighbor count.
+
+    Each run computes one test-by-train distance matrix, ranks each test
+    row's nearest ``max(values)`` training rows once and votes the labels
+    for every k in one pass (``knn.classify``).
+    """
     values = list(values) if values is not None else cfg.sweep_k_values()
     if not values or any(v < 1 for v in values):
         raise ParameterError("k sweep range must contain positive counts")
@@ -432,17 +436,8 @@ def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepC
         x_train, y_train = dataset.train_arrays()
         x_test, y_test = dataset.test_arrays()
         dists = knn._distance_matrix(cfg.knn_metric, x_test, x_train, cfg.knn_minkowski_p)
-        order = np.argsort(dists, axis=1, kind="stable")
-        rates = []
-        for k in values:
-            predicted = np.array(
-                [
-                    knn._vote(y_train[order[row]], dists[row][order[row]], k)
-                    for row in range(len(x_test))
-                ]
-            )
-            rates.append(_rates_or_fail(confusion(y_test, predicted)).mean())
-        rate_rows.append(rates)
+        predicted = knn.classify(dists, y_train, values)
+        rate_rows.append([_rates_or_fail(confusion(y_test, labels)).mean() for labels in predicted])
 
     mean_rates = np.mean(rate_rows, axis=0)
     points = [(int(v), float(r)) for v, r in zip(values, mean_rates)]

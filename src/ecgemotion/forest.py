@@ -302,8 +302,8 @@ def load_model(path) -> ForestModel:
         header = fh.readline().split()
         if len(header) < 2 or header[0] != "forest" or header[1] != "v1":
             raise DataFormatError(f"{path}: not a forest v1 model file")
-        fields = dict(item.split("=", 1) for item in header[2:])
         try:
+            fields = dict(item.split("=", 1) for item in header[2:])
             num_trees = int(fields["trees"])
             features_per_split = int(fields["features_per_split"])
             dim = int(fields["dim"])

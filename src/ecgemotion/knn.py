@@ -22,7 +22,6 @@ from .utils import fmt_float
 
 METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
-_BATCH_ROWS = 128  # chunk size for broadcasting metrics
 
 
 def distance(metric: str, x, y, p: float = 2.0) -> float:
@@ -61,21 +60,39 @@ def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: flo
         if np.any(qn == 0.0) or np.any(tn == 0.0):
             raise ParameterError("cosine distance is undefined for zero vectors")
         return 1.0 - (queries @ train.T) / np.outer(qn, tn)
-    # broadcasting metrics: chunk the query rows to bound memory
+    if metric == "minkowski":
+        if p < 1:
+            raise ParameterError("minkowski order p must be >= 1")
+    elif metric != "chisquare":
+        raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    # Elementwise metrics: one query row at a time through an (n_train, d)
+    # buffer. Each element and each row sum is computed in the same order as
+    # by broadcasting over all rows, so the matrix is the same to the bit.
     out = np.empty((len(queries), len(train)))
-    for start in range(0, len(queries), _BATCH_ROWS):
-        q = queries[start : start + _BATCH_ROWS, None, :]
-        diff = q - train[None, :, :]
-        if metric == "minkowski":
-            if p < 1:
-                raise ParameterError("minkowski order p must be >= 1")
-            out[start : start + _BATCH_ROWS] = np.sum(np.abs(diff) ** p, axis=2) ** (1.0 / p)
-        elif metric == "chisquare":
-            denom = np.abs(q) + np.abs(train[None, :, :]) + CHI_SQUARE_EPS
-            out[start : start + _BATCH_ROWS] = np.sum(diff**2 / denom, axis=2)
-        else:
-            raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    buf = np.empty(train.shape)
+    if metric == "minkowski":
+        for i, q in enumerate(queries):
+            np.subtract(q, train, out=buf)
+            np.abs(buf, out=buf)
+            np.power(buf, p, out=buf)
+            np.sum(buf, axis=1, out=out[i])
+        np.power(out, 1.0 / p, out=out)
+        return out
+    abs_train = np.abs(train)
+    denom = np.empty(train.shape)
+    for i, q in enumerate(queries):
+        np.subtract(q, train, out=buf)
+        np.square(buf, out=buf)
+        np.add(np.abs(q), abs_train, out=denom)
+        denom += CHI_SQUARE_EPS
+        np.divide(buf, denom, out=buf)
+        np.sum(buf, axis=1, out=out[i])
     return out
+
+
+def _check_finite(x: np.ndarray, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise ParameterError(f"{what} contain non-finite values")
 
 
 @dataclass(eq=False)
@@ -91,12 +108,34 @@ class KnnModel:
         self.train_y = np.asarray(self.train_y, dtype=np.int64).ravel()
         if self.train_x.ndim != 2 or len(self.train_x) != len(self.train_y):
             raise ParameterError("training data must be (n, d) with one label per row")
+        _check_finite(self.train_x, "training rows")
         if not 1 <= self.k <= len(self.train_y):
             raise ParameterError(f"k must lie in [1, {len(self.train_y)}]")
         if self.metric not in METRICS:
             raise ParameterError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
         if self.metric == "minkowski" and self.p < 1:
             raise ParameterError("minkowski order p must be >= 1")
+
+
+def nearest(dists: np.ndarray, kmax: int) -> np.ndarray:
+    """Column indices of each row's ``kmax`` smallest distances, nearest
+    first, equal distances in index order: the first ``kmax`` columns of
+    ``np.argsort(dists, axis=1, kind="stable")``, without sorting the rest.
+
+    A partition finds each row's ``kmax``-th smallest value; every entry up
+    to it (ties at that rank included) is a candidate, and only the
+    candidates are sorted, stably, by row and distance.
+    """
+    rows_n, cols_n = dists.shape
+    kmax = min(kmax, cols_n)
+    kth = np.partition(dists, kmax - 1, axis=1)[:, kmax - 1, None]
+    rows, cols = np.nonzero(dists <= kth)
+    per_row = np.bincount(rows, minlength=rows_n)
+    if per_row.min(initial=kmax) < kmax:  # NaN distances compare false
+        return np.argsort(dists, axis=1, kind="stable")[:, :kmax]
+    order = np.lexsort((dists[rows, cols], rows))  # candidates come in column order
+    first = np.cumsum(per_row) - per_row
+    return cols[order][first[:, None] + np.arange(kmax)]
 
 
 def _vote(sorted_labels: np.ndarray, sorted_dists: np.ndarray, k: int) -> int:
@@ -111,18 +150,56 @@ def _vote(sorted_labels: np.ndarray, sorted_dists: np.ndarray, k: int) -> int:
     return int(tied[sums.argmin()])  # argmin keeps the lowest code on equal sums
 
 
+# np.sum adds fewer terms than this one after another; from this many on it
+# sums in pairs, which a running sum does not reproduce.
+_SEQUENTIAL_SUM_TERMS = 8
+
+
+def votes(sorted_labels: np.ndarray, sorted_dists: np.ndarray, ks) -> np.ndarray:
+    """The ``_vote`` rule for every k in ``ks`` at once.
+
+    Row i's neighbors, nearest first, have labels ``sorted_labels[i]`` and
+    distances ``sorted_dists[i]``. Returns a (len(ks), rows) array of class
+    codes. Per-class counts and distance sums are running totals over the
+    neighbor order, so every k reads them off one prefix. Ties on the count
+    go to the smaller sum, then to the lower code. A running sum is
+    ``_vote``'s sum while the tied count is under 8; rows tied at a count
+    of 8 or more are decided by ``_vote`` itself.
+    """
+    rows_n, kmax = sorted_labels.shape
+    onehot = sorted_labels[:, :, None] == np.arange(NUM_CLASSES)
+    counts = np.cumsum(onehot, axis=1)
+    sums = np.cumsum(np.where(onehot, sorted_dists[:, :, None], 0.0), axis=1)
+    out = np.empty((len(ks), rows_n), dtype=np.int64)
+    for j, k in enumerate(ks):
+        col = min(k, kmax) - 1
+        count, total = counts[:, col], sums[:, col]
+        top = count.max(axis=1, keepdims=True)
+        tied = count == top
+        least = np.where(tied, total, np.inf).min(axis=1, keepdims=True)
+        out[j] = np.argmax(tied & (total == least), axis=1)
+        long_ties = (tied.sum(axis=1) > 1) & (top[:, 0] >= _SEQUENTIAL_SUM_TERMS)
+        for row in np.flatnonzero(long_ties):
+            out[j, row] = _vote(sorted_labels[row], sorted_dists[row], k)
+    return out
+
+
+def classify(dists: np.ndarray, train_y: np.ndarray, ks) -> np.ndarray:
+    """Class codes of every query row (rows of ``dists``) for every k in
+    ``ks``, shape (len(ks), rows): one neighbor ranking serves all k."""
+    order = nearest(dists, max(ks))
+    return votes(train_y[order], np.take_along_axis(dists, order, axis=1), ks)
+
+
 def predict_knn_batch(model: KnnModel, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.train_x.shape[1]:
         raise ParameterError(
             f"input dimension {x.shape[1]} != training dimension {model.train_x.shape[1]}"
         )
+    _check_finite(x, "query rows")
     dists = _distance_matrix(model.metric, x, model.train_x, model.p)
-    order = np.argsort(dists, axis=1, kind="stable")  # equal distances -> lower index
-    out = np.empty(len(x), dtype=np.int64)
-    for row in range(len(x)):
-        out[row] = _vote(model.train_y[order[row]], dists[row][order[row]], model.k)
-    return out
+    return classify(dists, model.train_y, [model.k])[0]
 
 
 def predict_knn(model: KnnModel, x) -> Emotion:
@@ -154,6 +231,7 @@ def select_k(
         raise ParameterError("folds must be >= 2")
     if len(y) < folds:
         raise ParameterError("need at least one sample per fold")
+    _check_finite(x, "rows")
 
     rng = np.random.default_rng(seed)
     assignment = rng.permutation(len(y)) % folds
@@ -161,16 +239,12 @@ def select_k(
     for fold in range(folds):
         val = np.flatnonzero(assignment == fold)
         fit = np.flatnonzero(assignment != fold)
+        ks = [k for k in k_values if k <= len(fit)]
+        if not ks:
+            continue
         dists = _distance_matrix(metric, x[val], x[fit], p)
-        order = np.argsort(dists, axis=1, kind="stable")
-        for k in k_values:
-            if k > len(fit):
-                continue
-            wrong = 0
-            for row in range(len(val)):
-                label = _vote(y[fit][order[row]], dists[row][order[row]], k)
-                wrong += label != y[val][row]
-            errors[k].append(wrong / len(val))
+        for k, predicted in zip(ks, classify(dists, y[fit], ks)):
+            errors[k].append(np.count_nonzero(predicted != y[val]) / len(val))
 
     curve = []
     for k in k_values:
@@ -201,8 +275,8 @@ def load_model(path) -> KnnModel:
         header = fh.readline().split()
         if len(header) < 2 or header[0] != "knn" or header[1] != "v1":
             raise DataFormatError(f"{path}: not a knn v1 model file")
-        fields = dict(item.split("=", 1) for item in header[2:])
         try:
+            fields = dict(item.split("=", 1) for item in header[2:])
             k = int(fields["k"])
             metric = fields["metric"]
             p = float(fields.get("p", 2.0))

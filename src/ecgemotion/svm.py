@@ -431,8 +431,8 @@ def load_model(path) -> MulticlassSvmModel:
         header = fh.readline().split()
         if len(header) < 2 or header[0] != "svm" or header[1] != "v1":
             raise DataFormatError(f"{path}: not an svm v1 model file")
-        fields = dict(item.split("=", 1) for item in header[2:])
         try:
+            fields = dict(item.split("=", 1) for item in header[2:])
             gamma = float(fields["gamma"])
             c = float(fields["c"])
             feature_count = int(fields["features"])

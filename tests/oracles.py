@@ -188,3 +188,70 @@ def per_pair_cv_fitness(fitness, position) -> float:
         predicted = votes.argmax(axis=1)
         accuracies.append(float(np.mean(predicted == val_codes)))
     return float(np.mean(accuracies))
+
+
+def chunked_distance_matrix(metric: str, queries, train, p: float = 2.0, batch_rows: int = 128):
+    """Query-by-train distances as ``knn`` computed them with the elementwise
+    metrics broadcast over blocks of ``batch_rows`` query rows at a time."""
+    if metric == "euclidean":
+        qq = np.sum(queries * queries, axis=1)[:, None]
+        tt = np.sum(train * train, axis=1)[None, :]
+        d2 = qq + tt - 2.0 * (queries @ train.T)
+        np.maximum(d2, 0.0, out=d2)
+        return np.sqrt(d2)
+    if metric == "cosine":
+        qn = np.linalg.norm(queries, axis=1)
+        tn = np.linalg.norm(train, axis=1)
+        return 1.0 - (queries @ train.T) / np.outer(qn, tn)
+    out = np.empty((len(queries), len(train)))
+    for start in range(0, len(queries), batch_rows):
+        q = queries[start : start + batch_rows, None, :]
+        diff = q - train[None, :, :]
+        if metric == "minkowski":
+            out[start : start + batch_rows] = np.sum(np.abs(diff) ** p, axis=2) ** (1.0 / p)
+        else:
+            denom = np.abs(q) + np.abs(train[None, :, :]) + 1e-12
+            out[start : start + batch_rows] = np.sum(diff**2 / denom, axis=2)
+    return out
+
+
+def vote(sorted_labels, sorted_dists, k: int) -> int:
+    """Majority of the first k labels; count ties go to the smaller summed
+    distance (``np.sum`` of the class's distances), then the lower code."""
+    labels = np.asarray(sorted_labels)[:k]
+    dists = np.asarray(sorted_dists)[:k]
+    counts = np.bincount(labels, minlength=4)
+    tied = [c for c in range(len(counts)) if counts[c] == counts.max()]
+    best = tied[0]
+    for c in tied[1:]:
+        if dists[labels == c].sum() < dists[labels == best].sum():
+            best = c
+    return best
+
+
+def knn_labels_loop(dists, train_y, k: int) -> np.ndarray:
+    """K-NN labels one query row at a time: a full stable sort of the row's
+    distances, then ``vote``."""
+    out = np.empty(len(dists), dtype=np.int64)
+    for row, d in enumerate(dists):
+        order = np.argsort(d, kind="stable")
+        out[row] = vote(train_y[order], d[order], k)
+    return out
+
+
+def select_k_curve_loop(x, y, k_values, folds: int, seed: int, metric: str, p: float = 2.0):
+    """``knn.select_k``'s (k, loss) curve, every fold and k voted row by row."""
+    assignment = np.random.default_rng(seed).permutation(len(y)) % folds
+    errors = {k: [] for k in k_values}
+    for fold in range(folds):
+        val = np.flatnonzero(assignment == fold)
+        fit = np.flatnonzero(assignment != fold)
+        dists = chunked_distance_matrix(metric, x[val], x[fit], p)
+        for k in k_values:
+            if k <= len(fit):
+                wrong = sum(
+                    int(label != truth)
+                    for label, truth in zip(knn_labels_loop(dists, y[fit], k), y[val])
+                )
+                errors[k].append(wrong / len(val))
+    return [(k, float(np.mean(errors[k]))) for k in k_values if errors[k]]

@@ -308,6 +308,9 @@ def test_exit_codes(tmp_path, mini_cfg_file):
     model = tmp_path / "m.knn"
     model.write_text("knn v1 k=1 metric=euclidean\nlabel,f1\n0,1.0\n")
     assert cli.main(["predict", "--model", str(model), "--features", str(bad_csv), "--out", str(tmp_path / "p.csv")]) == 3
+    bad_model = tmp_path / "bad.knn"
+    bad_model.write_text("knn v1 k=3 metricX\nlabel,f1\n0,1.0\n")
+    assert cli.main(["predict", "--model", str(bad_model), "--features", str(bad_csv), "--out", str(tmp_path / "p.csv")]) == 3
     # 1: usage error
     assert cli.main(["synth"]) == 1
     assert cli.main(["not-a-command"]) == 1

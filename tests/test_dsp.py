@@ -11,7 +11,7 @@ from ecgemotion.dsp import (
     window_taps,
 )
 from ecgemotion.synthgen import EmotionProfile, generate_clean
-from ecgemotion.types import Emotion, ParameterError, SignalRecord
+from ecgemotion.types import DataFormatError, Emotion, ParameterError, SignalRecord
 
 from oracles import dft_magnitude, find_peaks
 
@@ -171,3 +171,10 @@ def test_taps_csv_roundtrip(tmp_path):
     assert loaded.low_cut_hz == fir.low_cut_hz
     assert loaded.high_cut_hz == fir.high_cut_hz
     assert loaded.sample_rate_hz == 128.0
+
+
+def test_malformed_taps_header_token_is_a_data_error(tmp_path):
+    path = tmp_path / "taps.csv"
+    path.write_text("# fs=128,low=3,high=40,hamming\n0.5\n")
+    with pytest.raises(DataFormatError):
+        load_taps(path)

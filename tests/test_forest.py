@@ -15,7 +15,7 @@ from ecgemotion.forest import (
     train_forest,
     vote_counts,
 )
-from ecgemotion.types import Emotion, ParameterError
+from ecgemotion.types import DataFormatError, Emotion, ParameterError
 
 
 def test_single_perfect_split():
@@ -212,3 +212,10 @@ def test_model_file_roundtrip(tmp_path, blob_data):
         margins(loaded, x_test, np.zeros(len(x_test), dtype=int)),
         margins(model, x_test, np.zeros(len(x_test), dtype=int)),
     )
+
+
+def test_malformed_header_token_is_a_data_error(tmp_path):
+    path = tmp_path / "model.forest"
+    path.write_text("forest v1 trees=1 features_per_split=1 dim=2 oobX\n")
+    with pytest.raises(DataFormatError):
+        load_model(path)

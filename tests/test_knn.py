@@ -4,16 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ecgemotion import knn
 from ecgemotion.knn import (
     KnnModel,
     distance,
     load_model,
+    nearest,
     predict_knn,
     predict_knn_batch,
     save_model,
     select_k,
+    votes,
 )
-from ecgemotion.types import Emotion, ParameterError
+from ecgemotion.types import DataFormatError, Emotion, ParameterError
+
+import oracles
 
 
 def test_euclidean_3_4_5():
@@ -173,3 +178,117 @@ def test_model_file_roundtrip(tmp_path, blob_data):
     assert np.array_equal(
         predict_knn_batch(loaded, x_test), predict_knn_batch(model, x_test)
     )
+
+
+def test_malformed_header_token_is_a_data_error(tmp_path):
+    path = tmp_path / "model.knn"
+    path.write_text("knn v1 k=3 metricX\nlabel,f1\n0,1.0\n")
+    with pytest.raises(DataFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(bad):
+    x = np.arange(12, dtype=float).reshape(6, 2)
+    y = np.array([0, 1, 2, 3, 0, 1])
+    poisoned = x.copy()
+    poisoned[2, 1] = bad
+    with pytest.raises(ParameterError):
+        KnnModel(poisoned, y, 1)
+    model = KnnModel(x, y, 3)
+    with pytest.raises(ParameterError):
+        predict_knn_batch(model, poisoned)
+    with pytest.raises(ParameterError):
+        select_k(poisoned, y, [1, 2], folds=2)
+
+
+def _features(rng, rows, dim=75):
+    return rng.normal(0.0, 3.0, (rows, dim))
+
+
+@pytest.mark.parametrize(
+    "metric,p",
+    [("euclidean", 2.0), ("cosine", 2.0), ("chisquare", 2.0)]
+    + [("minkowski", p) for p in (1.0, 1.5, 2.0, 3.0)],
+)
+@pytest.mark.parametrize("queries", [1, 129])
+def test_distance_matrix_equals_chunked_broadcast(metric, p, queries):
+    rng = np.random.default_rng(queries)
+    x, train = _features(rng, queries), _features(rng, 300)
+    assert np.array_equal(
+        knn._distance_matrix(metric, x, train, p),
+        oracles.chunked_distance_matrix(metric, x, train, p),
+    )
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 7, 30, 59, 60, 100])
+def test_nearest_equals_stable_argsort_with_ties(kmax):
+    # few distinct values: many rows tie at the k-th rank
+    dists = np.random.default_rng(kmax).integers(0, 6, (40, 60)).astype(float)
+    expected = np.argsort(dists, axis=1, kind="stable")[:, :kmax]
+    assert np.array_equal(nearest(dists, kmax), expected)
+
+
+def test_nearest_with_nan_distances_equals_stable_argsort():
+    dists = np.random.default_rng(2).random((5, 8))
+    dists[1, :6] = np.nan
+    dists[3, 2] = np.nan
+    expected = np.argsort(dists, axis=1, kind="stable")[:, :4]
+    assert np.array_equal(nearest(dists, 4), expected)
+
+
+def test_votes_equal_per_row_vote_with_long_ties():
+    # two classes; the first 16 and the next 24 neighbors each split evenly,
+    # the two classes' distances being the same values in another order:
+    # at k = 16 and k = 40 the tied sums (8 and 20 terms) are equal but for
+    # rounding, which np.sum's pairwise order decides
+    rng = np.random.default_rng(0)
+    rows = 300
+    labels = np.empty((rows, 40), dtype=np.int64)
+    dists = np.empty((rows, 40))
+    for row in range(rows):
+        for block in (slice(0, 16), slice(16, 40)):
+            size = block.stop - block.start
+            block_labels = rng.permutation(np.arange(size) % 2)
+            shared = rng.uniform(0.1, 10.0, size // 2)
+            block_dists = np.empty(size)
+            block_dists[block_labels == 0] = rng.permutation(shared)
+            block_dists[block_labels == 1] = rng.permutation(shared)
+            labels[row, block] = block_labels
+            dists[row, block] = block_dists
+    ks = list(range(1, 41))
+    expected = [[oracles.vote(labels[r], dists[r], k) for r in range(rows)] for k in ks]
+    assert np.array_equal(votes(labels, dists, ks), expected)
+
+
+def test_votes_k_beyond_neighbors_uses_all():
+    labels = np.array([[1, 0, 0]])
+    dists = np.array([[0.1, 0.5, 0.6]])
+    assert votes(labels, dists, [1, 3, 10]).tolist() == [[1], [0], [0]]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "minkowski", "chisquare"])
+def test_predict_batch_equals_row_loop(metric):
+    # integer features put many training rows at equal distances
+    rng = np.random.default_rng(5)
+    x_train = rng.integers(-2, 3, (200, 3)).astype(float)
+    y_train = rng.integers(0, 4, 200)
+    x_test = rng.integers(-2, 3, (60, 3)).astype(float)
+    x_train[np.all(x_train == 0, axis=1)] = 1.0  # cosine needs nonzero vectors
+    x_test[np.all(x_test == 0, axis=1)] = 1.0
+    for k in (1, 4, 9, 20, 200):
+        model = KnnModel(x_train, y_train, k, metric=metric, p=3.0)
+        dists = oracles.chunked_distance_matrix(metric, x_test, x_train, 3.0)
+        assert np.array_equal(
+            predict_knn_batch(model, x_test), oracles.knn_labels_loop(dists, y_train, k)
+        )
+
+
+@pytest.mark.parametrize("metric,p", [("euclidean", 2.0), ("minkowski", 1.5), ("chisquare", 2.0)])
+def test_select_k_equals_row_loop(metric, p):
+    rng = np.random.default_rng(11)
+    x = rng.integers(-3, 4, (90, 4)).astype(float)
+    y = rng.integers(0, 4, 90)
+    k_values = list(range(1, 41))
+    _, curve = select_k(x, y, k_values, folds=4, seed=7, metric=metric, p=p)
+    assert curve == oracles.select_k_curve_loop(x, y, k_values, 4, 7, metric, p)

@@ -18,7 +18,7 @@ from ecgemotion.svm import (
     train_binary,
     train_multiclass,
 )
-from ecgemotion.types import Emotion, ParameterError
+from ecgemotion.types import DataFormatError, Emotion, ParameterError
 
 from oracles import dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix
 
@@ -359,3 +359,10 @@ def test_kkt_max_violation_matches_loop(blob_data):
         assert kkt_max_violation(model, x, y) == kkt_residual_loop(
             model.alpha, y * decision_values(model, x), c
         )
+
+
+def test_malformed_header_token_is_a_data_error(tmp_path):
+    path = tmp_path / "model.svm"
+    path.write_text("svm v1 gamma=1 c=1 features\n")
+    with pytest.raises(DataFormatError):
+        load_model(path)
