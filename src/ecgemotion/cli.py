@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dsp, evaluation, features, forest, knn, svm, synthgen
 from .config import PipelineConfig
-from .types import ConfigError, Dataset, DataFormatError, ParameterError
+from .types import ConfigError, DataFormatError, ParameterError
 from .utils import derive_seed, fmt_float
 
 
@@ -42,7 +42,10 @@ def _signal_files(directory: Path) -> list:
 
 
 def _load_corpus(directory: Path) -> list:
-    return [synthgen.load_record(path) for path in _signal_files(directory)]
+    """Signal records in the order ``evaluation.synth_corpus`` makes them:
+    by subject, then emotion code."""
+    records = [synthgen.load_record(path) for path in _signal_files(directory)]
+    return sorted(records, key=lambda r: (r.subject_id, int(r.label)))
 
 
 def cmd_synth(args) -> int:
@@ -77,22 +80,10 @@ def cmd_filter(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
-    records = _load_corpus(Path(args.input))
-    dataset = features.assemble(
-        records,
-        cfg.segment_len,
-        cfg.segment_stride,
-        cfg.feature_count,
-        cfg.train_subjects,
-        cfg.test_subjects,
-        cfg.train_size,
-        cfg.test_size,
-        derive_seed(cfg.seed, "run", args.run),
-    )
-    if cfg.zscore:
-        dataset = features.standardize(dataset)
-    features.save_features(dataset.train, args.train_out)
-    features.save_features(dataset.test, args.test_out)
+    cache = evaluation.FeatureCache(_load_corpus(Path(args.input)), cfg)
+    dataset = cache.dataset(cfg.feature_count, derive_seed(cfg.seed, "run", args.run))
+    features.save_features(*dataset.train_arrays(), args.train_out)
+    features.save_features(*dataset.test_arrays(), args.test_out)
     print(
         f"wrote {len(dataset.train)} train and {len(dataset.test)} test vectors "
         f"({cfg.feature_count} features)"
@@ -102,9 +93,7 @@ def cmd_extract(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
-    vectors = features.load_features(args.features)
-    dataset = Dataset(vectors, [], len(vectors[0]))
-    result = evaluation.tune_svm(dataset.train_arrays(), cfg, cfg.seed)
+    result = evaluation.tune_svm(features.load_features(args.features), cfg, cfg.seed)
     with open(args.trace_out, "w") as fh:
         fh.write(evaluation.pso_trace_csv(result))
     if args.params_out:
@@ -119,16 +108,15 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     if args.classifier:
         cfg = cfg.replace(classifier=args.classifier)
-    vectors = features.load_features(args.features)
-    dataset = Dataset(vectors, [], len(vectors[0]))
-    model, _ = evaluation.train_classifier(dataset, cfg, derive_seed(cfg.seed, "train"))
+    x, codes = features.load_features(args.features)
+    model, _ = evaluation.train_classifier((x, codes), cfg, derive_seed(cfg.seed, "train"))
     if cfg.classifier == "svm":
         svm.save_model(model, args.model)
     elif cfg.classifier == "forest":
         forest.save_model(model, args.model)
     else:
         knn.save_model(model, args.model)
-    print(f"trained {cfg.classifier} on {len(vectors)} vectors -> {args.model}")
+    print(f"trained {cfg.classifier} on {len(codes)} vectors -> {args.model}")
     return 0
 
 
@@ -146,8 +134,7 @@ def _load_any_model(path):
 
 def cmd_predict(args) -> int:
     model, predict = _load_any_model(args.model)
-    vectors = features.load_features(args.features)
-    x = np.stack([fv.values for fv in vectors])
+    x, _ = features.load_features(args.features)
     codes = predict(model, x)
     with open(args.out, "w") as fh:
         fh.write("label\n")
@@ -169,13 +156,12 @@ def _load_predictions(path) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
-    vectors = features.load_features(args.features)
-    truth = np.array([int(fv.label) for fv in vectors], dtype=np.int64)
+    x, truth = features.load_features(args.features)
     if args.predictions:
         predicted = _load_predictions(args.predictions)
     elif args.model:
         model, predict = _load_any_model(args.model)
-        predicted = predict(model, np.stack([fv.values for fv in vectors]))
+        predicted = predict(model, x)
     else:
         raise ParameterError("evaluate needs --predictions or --model")
     cm = evaluation.confusion(truth, predicted)
@@ -192,17 +178,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_records(args, cfg):
-    if args.signals:
-        return _load_corpus(Path(args.signals))
-    records = evaluation.synth_corpus(cfg)
-    filtered, _ = evaluation.filter_corpus(records, cfg)
-    return filtered
+def _sweep_records(args):
+    """The records under ``--signals``, or None for the synthesized corpus."""
+    return _load_corpus(Path(args.signals)) if args.signals else None
 
 
 def cmd_sweep_features(args) -> int:
     cfg = _load_config(args)
-    curve = evaluation.sweep_features(cfg, records=_sweep_records(args, cfg))
+    curve = evaluation.sweep_features(cfg, records=_sweep_records(args))
     with open(args.out, "w") as fh:
         fh.write(evaluation.curve_csv("features", curve.points))
     print(f"best features={curve.best}")
@@ -211,7 +194,7 @@ def cmd_sweep_features(args) -> int:
 
 def cmd_sweep_trees(args) -> int:
     cfg = _load_config(args)
-    curve, ge_points = evaluation.sweep_trees(cfg, records=_sweep_records(args, cfg))
+    curve, ge_points = evaluation.sweep_trees(cfg, records=_sweep_records(args))
     with open(args.out, "w") as fh:
         fh.write(evaluation.curve_csv("trees", curve.points))
     if args.ge_out:
@@ -223,7 +206,7 @@ def cmd_sweep_trees(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     cfg = _load_config(args)
-    curve = evaluation.sweep_k(cfg, records=_sweep_records(args, cfg))
+    curve = evaluation.sweep_k(cfg, records=_sweep_records(args))
     with open(args.out, "w") as fh:
         fh.write(evaluation.curve_csv("k", curve.points))
     print(f"best k={curve.best}")

@@ -122,6 +122,8 @@ class PipelineConfig:
             raise ConfigError(f"classifier must be svm, forest, or knn, not {self.classifier!r}")
         if set(self.train_subjects) & set(self.test_subjects):
             raise ConfigError("train_subjects and test_subjects must be disjoint")
+        if self.train_size < 1 or self.test_size < 1:
+            raise ConfigError("train_size and test_size must be >= 1")
 
     # -- derived views -----------------------------------------------------
 

@@ -18,8 +18,8 @@ from .config import PipelineConfig
 from .types import (
     Dataset,
     DataFormatError,
-    Emotion,
     EMOTIONS,
+    FeatureVector,
     NUM_CLASSES,
     ParameterError,
 )
@@ -172,9 +172,10 @@ def filter_corpus(records, cfg: PipelineConfig):
 class FeatureCache:
     """Full-width DCT coefficients for every segment of a corpus.
 
-    Feature extraction at width n is a prefix slice, and each run's dataset
-    is just a fresh balanced sample, so sweeps and repeated runs share all
-    of the transform work.
+    This is the one path from records to a train/test split. Feature
+    extraction at width n is a prefix slice, and each run's dataset is just
+    a fresh balanced sample of row indices, so sweeps and repeated runs
+    share all of the transform work.
     """
 
     def __init__(self, records, cfg: PipelineConfig):
@@ -192,44 +193,31 @@ class FeatureCache:
         self.labels = np.array([m[0] for m in meta], dtype=np.int64)
         self.subjects = np.array([m[1] for m in meta], dtype=np.int64)
         self.starts = np.array([m[2] for m in meta], dtype=np.int64)
-        self._pools: dict[int, tuple[dict, dict]] = {}
+        # per side, one array of row indices per emotion, in corpus order
+        self.pools = {}
+        for side, subjects in (("train", cfg.train_subjects), ("test", cfg.test_subjects)):
+            on_side = np.isin(self.subjects, subjects)
+            self.pools[side] = [np.flatnonzero(on_side & (self.labels == int(e))) for e in EMOTIONS]
 
-    def _pools_at(self, n: int):
-        cached = self._pools.get(n)
-        if cached is not None:
-            return cached
-        train_set = set(self.cfg.train_subjects)
-        test_set = set(self.cfg.test_subjects)
-        train_pools: dict[Emotion, list] = {e: [] for e in EMOTIONS}
-        test_pools: dict[Emotion, list] = {e: [] for e in EMOTIONS}
-        for row in range(len(self.labels)):
-            subject = int(self.subjects[row])
-            if subject in train_set:
-                pools = train_pools
-            elif subject in test_set:
-                pools = test_pools
-            else:
-                continue
-            emotion = Emotion(int(self.labels[row]))
-            pools[emotion].append(
-                features.FeatureVector(
-                    self.coeffs[row, :n].copy(), emotion, (subject, int(self.starts[row]))
-                )
-            )
-        self._pools[n] = (train_pools, test_pools)
-        return self._pools[n]
-
-    def dataset(self, n: int, run_seed: int, train_size=None, test_size=None) -> Dataset:
-        train_pools, test_pools = self._pools_at(n)
+    def dataset(self, n: int, run_seed: int) -> Dataset:
+        """The first n coefficients of a class-balanced train/test sample."""
+        if not 1 <= n <= self.cfg.segment_len:
+            raise ParameterError(f"feature count {n} outside [1, {self.cfg.segment_len}]")
         rng = np.random.default_rng(run_seed)
-        train = features.sample_balanced(
-            train_pools, train_size or self.cfg.train_size, rng, "train"
-        )
-        test = features.sample_balanced(test_pools, test_size or self.cfg.test_size, rng, "test")
-        dataset = Dataset(train, test, n)
+        train = features.sample_balanced(self.pools["train"], self.cfg.train_size, rng, "train")
+        test = features.sample_balanced(self.pools["test"], self.cfg.test_size, rng, "test")
+        x = self.coeffs[:, :n]
         if self.cfg.zscore:
-            dataset = features.standardize(dataset)
-        return dataset
+            # every cached row, scaled by the training sample's statistics
+            _, x = features.standardize(x[train], x)
+        return Dataset(self._vectors(x, train), self._vectors(x, test), n)
+
+    def _vectors(self, x, rows) -> list:
+        """One row view of x per drawn row index, with its provenance."""
+        return [
+            FeatureVector(x[row], self.labels[row], (self.subjects[row], self.starts[row]))
+            for row in rows
+        ]
 
 
 def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
@@ -256,9 +244,10 @@ def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
     return pso.optimize((x, codes), config)
 
 
-def train_classifier(dataset: Dataset, cfg: PipelineConfig, seed: int, tuned=None):
-    """Train the configured classifier; returns (model, batch predictor)."""
-    x, y = dataset.train_arrays()
+def train_classifier(train, cfg: PipelineConfig, seed: int, tuned=None):
+    """Train the configured classifier on ``(x, codes)``; returns (model,
+    batch predictor)."""
+    x, y = train
     if cfg.classifier == "svm":
         c, gamma = tuned if tuned else (cfg.svm_c, cfg.svm_gamma)
         params = svm.SvmParams(
@@ -267,7 +256,7 @@ def train_classifier(dataset: Dataset, cfg: PipelineConfig, seed: int, tuned=Non
             tolerance=cfg.svm_tolerance,
             max_passes=cfg.svm_max_passes or None,
         )
-        model = svm.train_multiclass((x, y), params, derive_seed(seed, "svm"))
+        model = svm.train_multiclass(train, params, derive_seed(seed, "svm"))
         return model, lambda q: svm.predict_multiclass_batch(model, q)
     if cfg.classifier == "forest":
         model = forest.train_forest(
@@ -294,26 +283,32 @@ class ProtocolResult:
     pso_result: pso.PsoResult | None = None
 
 
+def _feature_cache(cfg: PipelineConfig, records=None) -> FeatureCache:
+    """Feature cache of the given records, or of the synthesized and
+    filtered corpus when none are given."""
+    if records is None:
+        records, _ = filter_corpus(synth_corpus(cfg), cfg)
+    return FeatureCache(records, cfg)
+
+
 def run_protocol(cfg: PipelineConfig, records=None) -> ProtocolResult:
     """The full reference experiment: synth -> filter -> features -> tune ->
     repeated train/score runs."""
-    if records is None:
-        records = synth_corpus(cfg)
-        records, _ = filter_corpus(records, cfg)
-    cache = FeatureCache(records, cfg)
+    cache = _feature_cache(cfg, records)
 
     tuned = None
     pso_result = None
     if cfg.classifier == "svm" and cfg.svm_tune:
         first = cache.dataset(cfg.feature_count, derive_seed(cfg.seed, "run", 0))
         pso_result = tune_svm(first.train_arrays(), cfg, cfg.seed)
+        del first  # held through the runs' training, where memory peaks, it raises the peak
         tuned = (pso_result.c, pso_result.gamma)
 
     def factory(run_seed):
         return cache.dataset(cfg.feature_count, run_seed)
 
     def trainer(dataset, run_seed):
-        _, predictor = train_classifier(dataset, cfg, run_seed, tuned)
+        _, predictor = train_classifier(dataset.train_arrays(), cfg, run_seed, tuned)
         return predictor
 
     report, confusions = run_repeated(trainer, factory, cfg.runs, cfg.seed)
@@ -348,12 +343,8 @@ def sweep_features(cfg: PipelineConfig, records=None, values=None, runs=None) ->
     values = list(values) if values is not None else cfg.sweep_features_values()
     if not values or any(v < 1 for v in values):
         raise ParameterError("feature sweep range must contain positive counts")
-    if max(values) > cfg.segment_len:
-        raise ParameterError("feature count cannot exceed segment length")
     runs = runs or cfg.runs
-    if records is None:
-        records, _ = filter_corpus(synth_corpus(cfg), cfg)
-    cache = FeatureCache(records, cfg)
+    cache = _feature_cache(cfg, records)
 
     points = []
     for n in values:
@@ -361,7 +352,7 @@ def sweep_features(cfg: PipelineConfig, records=None, values=None, runs=None) ->
             return cache.dataset(n, run_seed)
 
         def trainer(dataset, run_seed):
-            _, predictor = train_classifier(dataset, cfg, run_seed)
+            _, predictor = train_classifier(dataset.train_arrays(), cfg, run_seed)
             return predictor
 
         report, _ = run_repeated(trainer, factory, runs, derive_seed(cfg.seed, "sweep-features", n))
@@ -378,9 +369,7 @@ def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
     if not values or any(v < 1 for v in values):
         raise ParameterError("tree sweep range must contain positive counts")
     runs = runs or cfg.runs
-    if records is None:
-        records, _ = filter_corpus(synth_corpus(cfg), cfg)
-    cache = FeatureCache(records, cfg)
+    cache = _feature_cache(cfg, records)
 
     rate_rows = []
     ge_rows = []
@@ -425,9 +414,7 @@ def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepC
     if not values or any(v < 1 for v in values):
         raise ParameterError("k sweep range must contain positive counts")
     runs = runs or cfg.runs
-    if records is None:
-        records, _ = filter_corpus(synth_corpus(cfg), cfg)
-    cache = FeatureCache(records, cfg)
+    cache = _feature_cache(cfg, records)
 
     rate_rows = []
     for run in range(runs):

@@ -1,4 +1,4 @@
-"""DCT feature extraction and dataset assembly.
+"""DCT features, class-balanced sampling and the feature CSV format.
 
 The transform is the orthonormal DCT-II:
 
@@ -17,18 +17,8 @@ import warnings
 
 import numpy as np
 
-from .types import (
-    DataFormatError,
-    Dataset,
-    Emotion,
-    EMOTIONS,
-    FeatureVector,
-    ParameterError,
-    Segment,
-)
+from .types import DataFormatError, Emotion, EMOTIONS, ParameterError
 from .utils import fmt_float
-
-from . import dsp
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 
@@ -64,25 +54,12 @@ def idct(y) -> np.ndarray:
     return dct_matrix(len(y)).T @ y
 
 
-def extract(seg: Segment, n: int) -> FeatureVector:
-    """First n DCT coefficients of a segment, in natural index order."""
-    if not 1 <= n <= len(seg):
-        raise ParameterError(f"feature count {n} outside [1, {len(seg)}]")
-    coeffs = dct_matrix(len(seg))[:n] @ seg.samples
-    return FeatureVector(coeffs, seg.label, seg.source)
-
-
-def standardize(dataset: Dataset) -> Dataset:
+def standardize(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z-score both splits using per-feature statistics of the training split."""
-    x_train, _ = dataset.train_arrays()
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0)
     std[std == 0.0] = 1.0
-
-    def scale(vectors):
-        return [FeatureVector((fv.values - mean) / std, fv.label, fv.source) for fv in vectors]
-
-    return Dataset(scale(dataset.train), scale(dataset.test), dataset.feature_count)
+    return (x_train - mean) / std, (x_test - mean) / std
 
 
 def balanced_counts(total: int, classes: int = len(EMOTIONS)) -> list[int]:
@@ -91,20 +68,17 @@ def balanced_counts(total: int, classes: int = len(EMOTIONS)) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(classes)]
 
 
-def sample_balanced(
-    pools: dict[Emotion, list[FeatureVector]],
-    total: int,
-    rng: np.random.Generator,
-    side: str,
-) -> list[FeatureVector]:
-    """Class-balanced sample; resamples with replacement when a pool is short."""
-    counts = balanced_counts(total)
-    chosen: list[FeatureVector] = []
-    for emotion, want in zip(EMOTIONS, counts):
-        pool = pools.get(emotion, [])
+def sample_balanced(pools, total: int, rng: np.random.Generator, side: str) -> np.ndarray:
+    """Class-balanced sample of pool entries, shuffled.
+
+    ``pools`` holds one array of row indices per emotion, in code order. A
+    pool shorter than its share is resampled with replacement.
+    """
+    chosen = []
+    for emotion, want, pool in zip(EMOTIONS, balanced_counts(total), pools):
         if want == 0:
             continue
-        if not pool:
+        if len(pool) == 0:
             raise ParameterError(f"no {side} segments available for emotion {emotion.name}")
         replace = len(pool) < want
         if replace:
@@ -113,73 +87,30 @@ def sample_balanced(
                 f"sampling {want} with replacement",
                 stacklevel=2,
             )
-        idx = rng.choice(len(pool), size=want, replace=replace)
-        chosen.extend(pool[i] for i in idx)
-    order = rng.permutation(len(chosen))
-    return [chosen[i] for i in order]
+        chosen.append(pool[rng.choice(len(pool), size=want, replace=replace)])
+    chosen = np.concatenate(chosen)
+    return chosen[rng.permutation(len(chosen))]
 
 
-def assemble(
-    records,
-    segment_len: int,
-    stride: int,
-    n: int,
-    train_subjects,
-    test_subjects,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> Dataset:
-    """Segment records, extract features, and draw a balanced train/test split.
-
-    Subject groups must be disjoint so train and test never share segment
-    provenance. Deterministic for a fixed seed.
-    """
-    train_set = set(int(s) for s in train_subjects)
-    test_set = set(int(s) for s in test_subjects)
-    overlap = train_set & test_set
-    if overlap:
-        raise ParameterError(f"train/test subject sets overlap: {sorted(overlap)}")
-    if train_size < 1 or test_size < 1:
-        raise ParameterError("train_size and test_size must be >= 1")
-
-    train_pools: dict[Emotion, list[FeatureVector]] = {e: [] for e in EMOTIONS}
-    test_pools: dict[Emotion, list[FeatureVector]] = {e: [] for e in EMOTIONS}
-    for record in records:
-        if record.subject_id in train_set:
-            pools = train_pools
-        elif record.subject_id in test_set:
-            pools = test_pools
-        else:
-            continue
-        for seg in dsp.segment(record, segment_len, stride):
-            pools[seg.label].append(extract(seg, n))
-
-    rng = np.random.default_rng(seed)
-    train = sample_balanced(train_pools, train_size, rng, "train")
-    test = sample_balanced(test_pools, test_size, rng, "test")
-    return Dataset(train, test, n)
-
-
-def save_features(vectors, path) -> None:
-    """Write feature vectors as CSV: header label,f1..fn then one row per vector."""
-    vectors = list(vectors)
-    if not vectors:
+def save_features(x, codes, path) -> None:
+    """Write feature rows as CSV: header label,f1..fn then one row per vector."""
+    if len(x) == 0:
         raise ParameterError("no feature vectors to write")
-    n = len(vectors[0])
     with open(path, "w") as fh:
-        fh.write("label," + ",".join(f"f{i}" for i in range(1, n + 1)) + "\n")
-        for fv in vectors:
-            fh.write(str(int(fv.label)) + "," + ",".join(fmt_float(v) for v in fv.values) + "\n")
+        fh.write("label," + ",".join(f"f{i}" for i in range(1, x.shape[1] + 1)) + "\n")
+        for values, code in zip(x, codes):
+            fh.write(str(int(code)) + "," + ",".join(fmt_float(v) for v in values) + "\n")
 
 
-def load_features(path) -> list[FeatureVector]:
+def load_features(path) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and emotion codes of a CSV written by ``save_features``."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if len(header) < 2 or header[0] != "label" or header[1] != "f1":
             raise DataFormatError(f"{path}: expected feature header 'label,f1..fn'")
         n = len(header) - 1
-        vectors = []
+        rows = []
+        codes = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -187,11 +118,10 @@ def load_features(path) -> list[FeatureVector]:
             if len(parts) != n + 1:
                 raise DataFormatError(f"{path}:{lineno}: expected {n + 1} columns, got {len(parts)}")
             try:
-                label = Emotion.from_code(int(parts[0]))
-                values = np.array([float(p) for p in parts[1:]])
+                codes.append(int(Emotion.from_code(int(parts[0]))))
+                rows.append([float(p) for p in parts[1:]])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            vectors.append(FeatureVector(values, label, (-1, lineno)))
-    if not vectors:
+    if not rows:
         raise DataFormatError(f"{path}: no feature rows")
-    return vectors
+    return np.array(rows), np.array(codes, dtype=np.int64)

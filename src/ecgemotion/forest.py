@@ -316,27 +316,30 @@ def load_model(path) -> ForestModel:
             tree_line = fh.readline().split()
             if len(tree_line) != 3 or tree_line[0] != "tree":
                 raise DataFormatError(f"{path}: malformed tree header")
-            nodes = int(tree_line[2].split("=", 1)[1])
-            feature = np.empty(nodes, dtype=np.int64)
-            threshold = np.empty(nodes, dtype=np.float64)
-            left = np.empty(nodes, dtype=np.int64)
-            right = np.empty(nodes, dtype=np.int64)
-            counts = np.zeros((nodes, NUM_CLASSES), dtype=np.int64)
-            for node in range(nodes):
-                parts = fh.readline().strip().split(",")
-                if parts[0] == "n" and len(parts) == 5:
-                    feature[node] = int(parts[1])
-                    threshold[node] = float(parts[2])
-                    left[node] = int(parts[3])
-                    right[node] = int(parts[4])
-                elif parts[0] == "l" and len(parts) == NUM_CLASSES + 1:
-                    feature[node] = -1
-                    threshold[node] = np.nan
-                    left[node] = -1
-                    right[node] = -1
-                    counts[node] = [int(c) for c in parts[1:]]
-                else:
-                    raise DataFormatError(f"{path}: malformed node line {parts!r}")
+            try:
+                nodes = int(tree_line[2].split("=", 1)[1])
+                feature = np.empty(nodes, dtype=np.int64)
+                threshold = np.empty(nodes, dtype=np.float64)
+                left = np.empty(nodes, dtype=np.int64)
+                right = np.empty(nodes, dtype=np.int64)
+                counts = np.zeros((nodes, NUM_CLASSES), dtype=np.int64)
+                for node in range(nodes):
+                    parts = fh.readline().strip().split(",")
+                    if parts[0] == "n" and len(parts) == 5:
+                        feature[node] = int(parts[1])
+                        threshold[node] = float(parts[2])
+                        left[node] = int(parts[3])
+                        right[node] = int(parts[4])
+                    elif parts[0] == "l" and len(parts) == NUM_CLASSES + 1:
+                        feature[node] = -1
+                        threshold[node] = np.nan
+                        left[node] = -1
+                        right[node] = -1
+                        counts[node] = [int(c) for c in parts[1:]]
+                    else:
+                        raise DataFormatError(f"malformed node line {parts!r}")
+            except (IndexError, ValueError) as exc:
+                raise DataFormatError(f"{path}: malformed tree {' '.join(tree_line)!r}: {exc}") from exc
             trees.append(DecisionTree(feature, threshold, left, right, counts))
 
     return ForestModel(trees, features_per_split, dim, oob)

@@ -294,8 +294,11 @@ def load_model(path) -> KnnModel:
             parts = line.strip().split(",")
             if len(parts) != n + 1:
                 raise DataFormatError(f"{path}: bad training row")
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                labels.append(int(parts[0]))
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: bad training row {line.strip()!r}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: no training rows")
     return KnnModel(np.array(rows), np.array(labels), k, metric, p)

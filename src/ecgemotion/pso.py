@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import svm
-from .types import Dataset, NUM_CLASSES, ParameterError
+from .types import NUM_CLASSES, ParameterError
 from .utils import derive_seed
 
 DEFAULT_LOG10_C_BOUNDS = (-1.0, 3.0)
@@ -139,31 +139,29 @@ class CvSvmFitness:
             raise ParameterError(
                 f"classes {short} have fewer samples than cv_folds={folds}"
             )
-        present = list(range(NUM_CLASSES))
         self.tolerance = tolerance
         self.seed = seed
 
         rng = np.random.default_rng(derive_seed(seed, "cv-folds"))
         fold_of = np.empty(len(codes), dtype=np.int64)
-        for c in present:
+        for c in range(NUM_CLASSES):
             idx = np.flatnonzero(codes == c)
             idx = idx[rng.permutation(len(idx))]
             fold_of[idx] = np.arange(len(idx)) % folds
 
+        # every class has at least ``folds`` rows, so every fit fold holds
+        # every class and every pair has rows of both classes
         self.folds = []
         for fold in range(folds):
             val = np.flatnonzero(fold_of == fold)
             fit = np.flatnonzero(fold_of != fold)
             pairs = []
-            for a in range(NUM_CLASSES):
-                for b in range(a + 1, NUM_CLASSES):
-                    rows = fit[(codes[fit] == a) | (codes[fit] == b)]
-                    if len(rows) == 0:
-                        continue
-                    y_pair = np.where(codes[rows] == a, 1.0, -1.0)
-                    d2_fit = svm.pairwise_sq_dists(x[rows], x[rows])
-                    d2_val = svm.pairwise_sq_dists(x[val], x[rows])
-                    pairs.append((a, b, y_pair, d2_fit, d2_val))
+            for a, b in svm.PAIRS:
+                rows, y_pair = svm.pair_labels(codes[fit], a, b)
+                rows = fit[rows]
+                d2_fit = svm.pairwise_sq_dists(x[rows], x[rows])
+                d2_val = svm.pairwise_sq_dists(x[val], x[rows])
+                pairs.append((a, b, y_pair, d2_fit, d2_val))
             self.folds.append((codes[val], pairs))
         self._smo_seeds = [
             derive_seed(seed, "smo", fold, a, b)
@@ -208,14 +206,12 @@ class CvSvmFitness:
         for _, gamma in params:
             accuracies = []
             for val_codes, pairs in self.folds:
-                votes = np.zeros((len(val_codes), NUM_CLASSES), dtype=np.int64)
-                for a, b, y_pair, _, d2_val in pairs:
+                decisions = []
+                for _, _, y_pair, _, d2_val in pairs:
                     pair_alpha, pair_bias = next(solved)
                     weights = pair_alpha[: len(y_pair)] * y_pair
-                    decisions = np.exp(-gamma * d2_val) @ weights + float(pair_bias)
-                    votes[:, a] += decisions >= 0
-                    votes[:, b] += decisions < 0
-                predicted = votes.argmax(axis=1)
+                    decisions.append(np.exp(-gamma * d2_val) @ weights + float(pair_bias))
+                predicted = svm.vote(decisions)
                 accuracies.append(float(np.mean(predicted == val_codes)))
             values.append(float(np.mean(accuracies)))
         return values, np.bincount(stops, minlength=3)
@@ -238,10 +234,7 @@ def optimize(train, config: PsoConfig, fitness_fn=None) -> PsoResult:
     if fitness_fn is None:
         if train is None:
             raise ParameterError("either training data or a fitness function is required")
-        if isinstance(train, Dataset):
-            x, codes = train.train_arrays()
-        else:
-            x, codes = train
+        x, codes = train
         fitness_fn = CvSvmFitness(x, codes, config.cv_folds, config.seed)
     score = _generation_scorer(fitness_fn)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import (
-    Dataset,
     DataFormatError,
     Emotion,
     EMOTIONS,
@@ -372,41 +371,53 @@ class MulticlassSvmModel:
     params: SvmParams
 
 
-def _as_arrays(train) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(train, Dataset):
-        return train.train_arrays()
-    x, y = train
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+# The one-vs-one pairs (a, b), a < b: the order in which pair models are
+# trained, solved for PSO fitness, saved and voted.
+PAIRS = tuple((a, b) for a in range(NUM_CLASSES) for b in range(a + 1, NUM_CLASSES))
+
+
+def pair_labels(codes: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows of class a or b, and their binary labels: +1 for
+    a, -1 for b."""
+    rows = np.flatnonzero((codes == a) | (codes == b))
+    return rows, np.where(codes[rows] == a, 1.0, -1.0)
+
+
+def vote(decisions) -> np.ndarray:
+    """Emotion codes by one-vs-one majority vote (ties -> lowest code).
+
+    ``decisions`` holds one array of decision values per pair, in ``PAIRS``
+    order; a value >= 0 votes for a, below 0 for b.
+    """
+    votes = np.zeros((len(decisions[0]), NUM_CLASSES), dtype=np.int64)
+    for (a, b), values in zip(PAIRS, decisions, strict=True):
+        votes[:, a] += values >= 0
+        votes[:, b] += values < 0
+    return votes.argmax(axis=1)
 
 
 def train_multiclass(train, params: SvmParams, seed: int = 0) -> MulticlassSvmModel:
-    """Train all six pairwise models on the pair-restricted subsets."""
-    x, codes = _as_arrays(train)
+    """Train all six pairwise models on the pair-restricted subsets of
+    ``(x, codes)``."""
+    x, codes = train
+    x = np.asarray(x, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.int64)
     present = set(int(c) for c in np.unique(codes))
     missing = [e.name for e in EMOTIONS if int(e) not in present]
     if missing:
         raise ParameterError(f"training data lacks emotions: {', '.join(missing)}")
 
     models = {}
-    for a in range(NUM_CLASSES):
-        for b in range(a + 1, NUM_CLASSES):
-            mask = (codes == a) | (codes == b)
-            y_pair = np.where(codes[mask] == a, 1.0, -1.0)
-            models[(a, b)] = train_binary(
-                x[mask], y_pair, params, derive_seed(seed, "pair", a, b)
-            )
+    for a, b in PAIRS:
+        rows, y_pair = pair_labels(codes, a, b)
+        models[(a, b)] = train_binary(x[rows], y_pair, params, derive_seed(seed, "pair", a, b))
     return MulticlassSvmModel(models, x.shape[1], params)
 
 
 def predict_multiclass_batch(model: MulticlassSvmModel, x) -> np.ndarray:
     """Predicted emotion codes by one-vs-one majority vote (ties -> lowest code)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    votes = np.zeros((len(x), NUM_CLASSES), dtype=np.int64)
-    for (a, b), binary in model.models.items():
-        decisions = decision_values(binary, x)
-        votes[:, a] += decisions >= 0
-        votes[:, b] += decisions < 0
-    return votes.argmax(axis=1)
+    return vote([decision_values(model.models[pair], x) for pair in PAIRS])
 
 
 def predict_multiclass(model: MulticlassSvmModel, x) -> Emotion:
@@ -446,21 +457,23 @@ def load_model(path) -> MulticlassSvmModel:
             parts = line.split()
             if len(parts) != 5 or parts[0] != "pair":
                 raise DataFormatError(f"{path}: malformed pair line: {line.strip()!r}")
-            a, b = int(parts[1]), int(parts[2])
-            bias = float(parts[3].split("=", 1)[1])
-            nsv = int(parts[4].split("=", 1)[1])
-            coefs = np.empty(nsv)
-            vectors = np.empty((nsv, feature_count))
-            for row in range(nsv):
-                values = fh.readline().strip().split(",")
-                if len(values) != feature_count + 1:
-                    raise DataFormatError(f"{path}: bad support vector row for pair {a},{b}")
-                coefs[row] = float(values[0])
-                vectors[row] = [float(v) for v in values[1:]]
+            try:
+                a, b = int(parts[1]), int(parts[2])
+                bias = float(parts[3].split("=", 1)[1])
+                nsv = int(parts[4].split("=", 1)[1])
+                coefs = np.empty(nsv)
+                vectors = np.empty((nsv, feature_count))
+                for row in range(nsv):
+                    values = fh.readline().strip().split(",")
+                    if len(values) != feature_count + 1:
+                        raise DataFormatError(f"bad support vector row for pair {a},{b}")
+                    coefs[row] = float(values[0])
+                    vectors[row] = [float(v) for v in values[1:]]
+            except (IndexError, ValueError) as exc:
+                raise DataFormatError(f"{path}: malformed pair {line.strip()!r}: {exc}") from exc
             models[(a, b)] = BinarySvmModel(vectors, coefs, bias, params)
             line = fh.readline()
 
-    expected = NUM_CLASSES * (NUM_CLASSES - 1) // 2
-    if len(models) != expected:
-        raise DataFormatError(f"{path}: expected {expected} pairwise models, found {len(models)}")
+    if sorted(models) != list(PAIRS):
+        raise DataFormatError(f"{path}: expected the pairwise models {PAIRS}, found {sorted(models)}")
     return MulticlassSvmModel(models, feature_count, params)

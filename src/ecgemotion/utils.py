@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master: int, *tags) -> int:
     """Derive a child seed from a master seed and a tag path.
@@ -20,10 +18,6 @@ def derive_seed(master: int, *tags) -> int:
         h.update(b"/")
         h.update(str(tag).encode())
     return int.from_bytes(h.digest()[:8], "little")
-
-
-def rng_from(master: int, *tags) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, *tags))
 
 
 def fmt_float(x: float) -> str:

@@ -6,6 +6,7 @@ import pytest
 from ecgemotion import cli
 from ecgemotion.config import PipelineConfig
 from ecgemotion.types import ConfigError
+from ecgemotion.utils import derive_seed
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +45,9 @@ def test_bad_value_rejected():
         PipelineConfig.from_text("zscore=maybe\n")
     with pytest.raises(ConfigError):
         PipelineConfig.from_text("classifier=tree\n")
+    for text in ("train_size=0\n", "train_size=-4\n", "test_size=0\n"):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_text(text)
 
 
 def test_overlapping_subjects_rejected():
@@ -302,6 +306,9 @@ def test_exit_codes(tmp_path, mini_cfg_file):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("nonsense=1\n")
     assert cli.main(["synth", "--config", str(bad_cfg), "--out", str(tmp_path / "o")]) == 4
+    empty_split = tmp_path / "empty_split.cfg"
+    empty_split.write_text("train_size=0\n")
+    assert cli.main(["synth", "--config", str(empty_split), "--out", str(tmp_path / "o")]) == 4
     # 3: malformed data file
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("wrong,header\n1,2\n")
@@ -311,6 +318,20 @@ def test_exit_codes(tmp_path, mini_cfg_file):
     bad_model = tmp_path / "bad.knn"
     bad_model.write_text("knn v1 k=3 metricX\nlabel,f1\n0,1.0\n")
     assert cli.main(["predict", "--model", str(bad_model), "--features", str(bad_csv), "--out", str(tmp_path / "p.csv")]) == 3
+    # malformed model body lines, and an svm model whose pairs are not the six
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("label,f1\n0,1.0\n")
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]
+    wrong_pairs = "".join(f"pair {a} {b} bias=0.0 nsv=1\n1.0,0.5\n" for a, b in pairs)
+    for name, text in (
+        ("body.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\npair 0 1 bias nsv=0\n"),
+        ("pairs.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + wrong_pairs),
+        ("body.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=\ntree 0 nodes\n"),
+        ("body.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\nx,1.0\n"),
+    ):
+        (tmp_path / name).write_text(text)
+        out = str(tmp_path / "p.csv")
+        assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]) == 3
     # 1: usage error
     assert cli.main(["synth"]) == 1
     assert cli.main(["not-a-command"]) == 1
@@ -338,3 +359,30 @@ def test_seed_flag_overrides_config(pipeline_dirs, mini_cfg_file, tmp_path):
         )
         outs.append(train_csv.read_text())
     assert outs[0] != outs[1]
+
+
+def test_extract_writes_the_protocol_split(tmp_path):
+    # eleven subjects, so file-name order (s10 before s2) differs from the
+    # corpus order of the in-process protocol
+    from ecgemotion import evaluation, features
+
+    text = (
+        "record_duration_s=12\ntrain_subjects=1,2,3,4,5,6,7,8,9,10\ntest_subjects=11\n"
+        "train_size=200\ntest_size=40\nfeature_count=30\nseed=5\n"
+    )
+    cfg_file = tmp_path / "eleven.cfg"
+    cfg_file.write_text(text)
+    cfg = PipelineConfig.from_text(text)
+    raw, filtered = tmp_path / "raw", tmp_path / "filtered"
+    assert cli.main(["synth", "--config", str(cfg_file), "--out", str(raw)]) == 0
+    assert cli.main(["filter", "--config", str(cfg_file), "--in", str(raw), "--out", str(filtered)]) == 0
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    argv = ["extract", "--config", str(cfg_file), "--in", str(filtered), "--run", "2"]
+    assert cli.main(argv + ["--train-out", str(train_csv), "--test-out", str(test_csv)]) == 0
+
+    records, _ = evaluation.filter_corpus(evaluation.synth_corpus(cfg), cfg)
+    run_seed = derive_seed(cfg.seed, "run", 2)
+    dataset = evaluation.FeatureCache(records, cfg).dataset(cfg.feature_count, run_seed)
+    for path, (x, codes) in ((train_csv, dataset.train_arrays()), (test_csv, dataset.test_arrays())):
+        loaded_x, loaded_codes = features.load_features(path)
+        assert np.array_equal(loaded_x, x) and np.array_equal(loaded_codes, codes)

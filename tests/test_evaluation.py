@@ -157,25 +157,36 @@ def test_run_repeated_requires_runs():
         run_repeated(lambda d, s: None, lambda s: None, runs=0, seed=1)
 
 
-def test_feature_cache_matches_assemble(mini_config, mini_corpus):
-    from ecgemotion import features
+def test_feature_cache_rows_are_dct_prefix(mini_config, mini_corpus):
+    from ecgemotion.features import dct
 
-    cache = FeatureCache(mini_corpus, mini_config)
-    via_cache = cache.dataset(mini_config.feature_count, 777)
-    via_assemble = features.assemble(
-        mini_corpus,
-        mini_config.segment_len,
-        mini_config.segment_stride,
-        mini_config.feature_count,
-        mini_config.train_subjects,
-        mini_config.test_subjects,
-        mini_config.train_size,
-        mini_config.test_size,
-        777,
-    )
-    xa, ya = via_cache.train_arrays()
-    xb, yb = via_assemble.train_arrays()
-    assert np.allclose(xa, xb, rtol=0, atol=1e-12) and np.array_equal(ya, yb)
+    records = {(r.subject_id, r.label): r.samples for r in mini_corpus}
+    length = mini_config.segment_len
+    n = mini_config.feature_count
+    dataset = FeatureCache(mini_corpus, mini_config).dataset(n, 777)
+    assert len(dataset.train) == mini_config.train_size
+    assert len(dataset.test) == mini_config.test_size
+    for side, subjects in ((dataset.train, mini_config.train_subjects),
+                           (dataset.test, mini_config.test_subjects)):
+        for fv in side:
+            subject, start = fv.source
+            assert subject in subjects and start % mini_config.segment_stride == 0
+            segment = records[(subject, fv.label)][start : start + length]
+            assert len(segment) == length
+            assert np.allclose(fv.values, dct(segment)[:n], rtol=0, atol=1e-12)
+
+
+def test_feature_cache_zscore_scales_by_training_sample(mini_config, mini_corpus):
+    from ecgemotion.features import standardize
+
+    plain = FeatureCache(mini_corpus, mini_config).dataset(30, 5)
+    scaled = FeatureCache(mini_corpus, mini_config.replace(zscore=True)).dataset(30, 5)
+    x_train, x_test = standardize(plain.train_arrays()[0], plain.test_arrays()[0])
+    assert np.array_equal(scaled.train_arrays()[0], x_train)
+    assert np.array_equal(scaled.test_arrays()[0], x_test)
+    assert np.allclose(x_train.mean(axis=0), 0.0) and np.allclose(x_train.std(axis=0), 1.0)
+    for a, b in ((plain.train, scaled.train), (plain.test, scaled.test)):
+        assert [(fv.label, fv.source) for fv in a] == [(fv.label, fv.source) for fv in b]
 
 
 def test_sweep_features_points_and_determinism(mini_config, mini_corpus):

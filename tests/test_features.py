@@ -6,18 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ecgemotion.config import PipelineConfig
+from ecgemotion.evaluation import FeatureCache
 from ecgemotion.features import (
-    assemble,
     balanced_counts,
     dct,
-    extract,
     idct,
     load_features,
     save_features,
     standardize,
 )
 from ecgemotion.synthgen import EmotionProfile, generate_clean
-from ecgemotion.types import Dataset, Emotion, FeatureVector, ParameterError, Segment
+from ecgemotion.types import (
+    ConfigError,
+    Dataset,
+    Emotion,
+    FeatureVector,
+    ParameterError,
+    SignalRecord,
+)
 
 from oracles import naive_dct
 
@@ -61,45 +68,85 @@ def test_dct_errors():
         dct(np.zeros((3, 3)))
 
 
-def make_segment(samples, label=Emotion.CALM, source=(1, 0)):
-    return Segment(np.asarray(samples, dtype=float), label, source)
+def split_config(**overrides) -> PipelineConfig:
+    """Split settings for the 128 Hz test corpora: 256-sample segments,
+    subjects 1-4 for training and 5 for testing."""
+    settings = dict(
+        segment_len=256,
+        segment_stride=256,
+        train_subjects=(1, 2, 3, 4),
+        test_subjects=(5,),
+        train_size=40,
+        test_size=20,
+    )
+    settings.update(overrides)
+    return PipelineConfig(**settings)
+
+
+def random_corpus(rng, length):
+    """White-noise records for subjects 1-5, one per emotion."""
+    return [
+        SignalRecord(rng.normal(size=length), 128.0, emotion, subject)
+        for subject in range(1, 6)
+        for emotion in Emotion
+    ]
+
+
+def segment_of(records, fv, length):
+    """The samples of the segment a feature vector's (label, subject, start) names."""
+    subject, start = fv.source
+    (record,) = [r for r in records if r.subject_id == subject and r.label is fv.label]
+    assert start % length == 0 and start + length <= len(record)
+    return record.samples[start : start + length]
 
 
 def test_extract_constant():
-    seg = make_segment(np.full(100, 3.0))
-    fv = extract(seg, 5)
-    assert fv.values[0] == pytest.approx(3.0 * 10.0)
-    assert np.abs(fv.values[1:]).max() <= 1e-12
+    records = [
+        SignalRecord(np.full(400, 3.0), 128.0, emotion, subject)
+        for subject in range(1, 6)
+        for emotion in Emotion
+    ]
+    cfg = split_config(segment_len=100, segment_stride=100, train_size=8, test_size=4)
+    dataset = FeatureCache(records, cfg).dataset(5, 0)
+    x, _ = dataset.train_arrays()
+    assert np.allclose(x[:, 0], 3.0 * 10.0, rtol=0, atol=1e-12)
+    assert np.abs(x[:, 1:]).max() <= 1e-12
 
 
 def test_extract_full_invertible():
-    rng = np.random.default_rng(1)
-    seg = make_segment(rng.normal(size=128))
-    fv = extract(seg, 128)
-    assert np.allclose(idct(fv.values), seg.samples, rtol=1e-9, atol=1e-12)
+    records = random_corpus(np.random.default_rng(1), 512)
+    cfg = split_config(segment_len=128, segment_stride=128)
+    dataset = FeatureCache(records, cfg).dataset(128, 4)
+    for fv in dataset.train + dataset.test:
+        assert np.allclose(idct(fv.values), segment_of(records, fv, 128), rtol=1e-9, atol=1e-12)
 
 
 def test_extract_prefix_of_full_transform():
-    rng = np.random.default_rng(2)
-    seg = make_segment(rng.normal(size=256))
-    fv = extract(seg, 75)
-    assert len(fv) == 75
-    assert np.allclose(fv.values, naive_dct(seg.samples)[:75], rtol=1e-9, atol=1e-12)
+    records = random_corpus(np.random.default_rng(2), 768)
+    dataset = FeatureCache(records, split_config()).dataset(75, 9)
+    for fv in dataset.train[:4] + dataset.test[:4]:
+        assert len(fv) == 75
+        expected = naive_dct(segment_of(records, fv, 256))[:75]
+        assert np.allclose(fv.values, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_extract_preserves_label_and_source():
-    seg = make_segment(np.ones(90), Emotion.EXCITING, (4, 512))
-    fv = extract(seg, 10)
-    assert fv.label is Emotion.EXCITING
-    assert fv.source == (4, 512)
+    records = random_corpus(np.random.default_rng(3), 1024)
+    dataset = FeatureCache(records, split_config()).dataset(10, 2)
+    for side, subjects in ((dataset.train, {1, 2, 3, 4}), (dataset.test, {5})):
+        assert all(isinstance(fv.label, Emotion) for fv in side)
+        assert {fv.source[0] for fv in side} <= subjects
+        for fv in side:
+            assert np.allclose(fv.values, dct(segment_of(records, fv, 256))[:10], rtol=0, atol=1e-12)
 
 
 def test_extract_errors():
-    seg = make_segment(np.ones(90))
+    cache = FeatureCache(corpus(), split_config())
     with pytest.raises(ParameterError):
-        extract(seg, 0)
+        cache.dataset(0, 1)
     with pytest.raises(ParameterError):
-        extract(seg, 91)
+        cache.dataset(257, 1)
+    assert len(cache.dataset(256, 1).train[0]) == 256
 
 
 def test_truncation_error_monotone():
@@ -132,10 +179,10 @@ def corpus(duration_s=24.0):
 
 
 def test_assemble_paper_sizes_balanced():
-    records = corpus()
+    cache = FeatureCache(corpus(), split_config(train_size=4000, test_size=1200))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # pools are short, replacement expected
-        dataset = assemble(records, 256, 256, 75, (1, 2, 3, 4), (5,), 4000, 1200, seed=11)
+        dataset = cache.dataset(75, 11)
     assert len(dataset.train) == 4000
     assert len(dataset.test) == 1200
     for group, size in ((dataset.train, 1000), (dataset.test, 300)):
@@ -150,26 +197,32 @@ def test_assemble_paper_sizes_balanced():
 
 
 def test_assemble_minimum_one_per_emotion():
-    records = corpus()
-    dataset = assemble(records, 256, 256, 20, (1, 2, 3, 4), (5,), 4, 4, seed=0)
+    cache = FeatureCache(corpus(), split_config(train_size=4, test_size=4))
+    dataset = cache.dataset(20, 0)
     assert sorted(fv.label for fv in dataset.train) == list(Emotion)
 
 
 def test_assemble_deterministic():
-    records = corpus()
-    a = assemble(records, 256, 256, 30, (1, 2), (5,), 40, 20, seed=5)
-    b = assemble(records, 256, 256, 30, (1, 2), (5,), 40, 20, seed=5)
+    cfg = split_config(train_subjects=(1, 2))
+    a = FeatureCache(corpus(), cfg).dataset(30, 5)
+    b = FeatureCache(corpus(), cfg).dataset(30, 5)
     xa, ya = a.train_arrays()
     xb, yb = b.train_arrays()
     assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
     xa, ya = a.test_arrays()
     xb, yb = b.test_arrays()
     assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
+    assert [fv.source for fv in a.train] == [fv.source for fv in b.train]
+    assert {fv.source[0] for fv in a.train} <= {1, 2}  # subjects 3 and 4 sit out
 
 
 def test_assemble_rejects_overlapping_subjects():
-    with pytest.raises(ParameterError):
-        assemble(corpus(), 256, 256, 20, (1, 2, 5), (5,), 8, 8, seed=0)
+    # a split's subject groups come from its PipelineConfig, which refuses
+    # overlapping groups however it is built
+    with pytest.raises(ConfigError):
+        split_config(train_subjects=(1, 2, 5))
+    with pytest.raises(ConfigError):
+        split_config().replace(test_subjects=(4, 5))
 
 
 def test_balanced_counts():
@@ -186,28 +239,22 @@ def test_dataset_rejects_mixed_lengths():
 
 
 def test_standardize_uses_train_statistics():
-    train = [FeatureVector(np.array([v, 10.0 * v]), Emotion.HAPPY, (1, i)) for i, v in enumerate((1.0, 3.0))]
-    test = [FeatureVector(np.array([2.0, 20.0]), Emotion.CALM, (5, 0))]
-    scaled = standardize(Dataset(train, test, 2))
-    x_train, _ = scaled.train_arrays()
-    assert np.allclose(x_train.mean(axis=0), 0.0)
-    assert np.allclose(x_train.std(axis=0), 1.0)
-    x_test, _ = scaled.test_arrays()
-    assert np.allclose(x_test, 0.0)  # test point sits at the train mean
+    x_train = np.array([[1.0, 10.0], [3.0, 30.0]])
+    x_test = np.array([[2.0, 20.0]])
+    scaled_train, scaled_test = standardize(x_train, x_test)
+    assert np.allclose(scaled_train.mean(axis=0), 0.0)
+    assert np.allclose(scaled_train.std(axis=0), 1.0)
+    assert np.allclose(scaled_test, 0.0)  # test point sits at the train mean
 
 
 def test_features_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
-    vectors = [
-        FeatureVector(rng.normal(size=7) * 10.0 ** rng.integers(-6, 6), e, (1, i))
-        for i, e in enumerate(Emotion)
-    ]
+    x = rng.normal(size=(4, 7)) * 10.0 ** rng.integers(-6, 6, size=(4, 1))
+    codes = np.array([int(e) for e in Emotion])
     path = tmp_path / "features.csv"
-    save_features(vectors, path)
-    loaded = load_features(path)
-    assert len(loaded) == len(vectors)
-    for original, parsed in zip(vectors, loaded):
-        assert np.array_equal(parsed.values, original.values)
-        assert parsed.label is original.label
+    save_features(x, codes, path)
+    loaded_x, loaded_codes = load_features(path)
+    assert np.array_equal(loaded_x, x)
+    assert np.array_equal(loaded_codes, codes) and loaded_codes.dtype == np.int64
     header = path.read_text().splitlines()[0]
     assert header == "label,f1,f2,f3,f4,f5,f6,f7"

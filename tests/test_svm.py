@@ -259,6 +259,10 @@ def test_vote_tie_returns_lowest_code():
     models = {pair: _stub_binary(bias) for pair, bias in outcomes.items()}
     model = MulticlassSvmModel(models, 2, SvmParams(c=1.0, gamma=1.0))
     assert predict_multiclass(model, np.zeros(2)) is Emotion.HAPPY
+    # a decision value of exactly 0 votes for the pair's first class: here
+    # (0, 1) at 0.0 makes 0 tie 1 and 3 at two votes; without it 1 would win
+    decisions = [0.0, 1.0, -1.0, 1.0, 1.0, -1.0]  # in svm.PAIRS order
+    assert svm.vote([np.array([d]) for d in decisions]).tolist() == [0]
 
 
 def test_model_file_roundtrip(tmp_path, blob_data):
