@@ -364,7 +364,8 @@ def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
     """Rate and generalization-error curves over the learning-cycle counts.
 
     One forest per run is grown at the largest count; smaller counts are
-    its prefix sub-ensembles (per-tree seeds make prefixes stable)."""
+    its prefix sub-ensembles (per-tree seeds make prefixes stable), voted
+    from one prediction per tree."""
     values = list(values) if values is not None else cfg.sweep_trees_values()
     if not values or any(v < 1 for v in values):
         raise ParameterError("tree sweep range must contain positive counts")
@@ -387,12 +388,10 @@ def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
             max_depth=cfg.forest_max_depth or None,
             min_leaf=cfg.forest_min_leaf,
         )
-        rates = []
-        ges = []
-        for t in values:
-            predicted = forest.predict_forest_batch(model, x_test, num_trees=t)
-            rates.append(_rates_or_fail(confusion(y_test, predicted)).mean())
-            ges.append(forest.generalization_error(model, (x_test, y_test), num_trees=t))
+        rates, ges = [], []
+        for votes in forest.vote_matrix(model, x_test, values):
+            rates.append(_rates_or_fail(confusion(y_test, votes.argmax(axis=1))).mean())
+            ges.append(forest.vote_error(votes, y_test))
         rate_rows.append(rates)
         ge_rows.append(ges)
 

@@ -3,7 +3,11 @@
 Each tree is grown on an n-sample bootstrap; at every split a random subset
 of features is considered and the split maximizing the Gini impurity
 decrease is taken (candidate thresholds at midpoints of consecutive sorted
-unique values). Per-tree seeds derive from the master seed by tree index, so
+unique values). A node orders all its sampled features with one sort of
+integer keys (the value's dense rank in its training column, then the row's
+position), which is the order a stable sort of the values gives, so the
+trees equal those of a per-feature stable argsort search. Training rows
+must be finite. Per-tree seeds derive from the master seed by tree index, so
 growing a larger forest never changes the trees already built: the
 learning-cycle sweep evaluates sub-ensembles of one forest.
 
@@ -39,42 +43,61 @@ class DecisionTree:
         return len(self.feature)
 
 
-def _best_split(x, y, feature_ids, min_leaf):
-    """Best (feature, threshold, score) over the sampled features.
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Rank of every value among its column's distinct values, column by column."""
+    ranks = np.empty(x.shape, dtype=np.int32)
+    for f in range(x.shape[1]):
+        ranks[:, f] = np.unique(x[:, f], return_inverse=True)[1]
+    return ranks
 
-    Score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right, an
-    affine transform of the negated weighted Gini impurity; computed from
+
+def _best_split(x, ranks, rows, y, feature_ids, min_leaf):
+    """Best (feature, threshold, score) over the sampled features of the node
+    holding ``rows`` of ``x``; ``ranks`` are ``x``'s dense column ranks and
+    ``y`` the node's labels.
+
+    One sort orders every sampled feature: the keys ``rank * n + position``
+    (position within ``rows``) are unique and order the node's values as a
+    stable sort of the values would. Score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
+    an affine transform of the negated weighted Gini impurity; computed from
     exact integer counts, so ties resolve identically in any evaluation
-    order. Returns None when no split satisfies min_leaf.
+    order. The first maximum in (feature, position) order wins. Returns None
+    when no split satisfies min_leaf.
     """
-    n = len(y)
-    onehot = np.eye(NUM_CLASSES)[y]
-    total = onehot.sum(axis=0)
-    best = None
-    for f in feature_ids:
-        values = x[:, f]
-        order = np.argsort(values, kind="stable")
-        v = values[order]
-        cum = np.cumsum(onehot[order], axis=0)
-        n_left = np.arange(1, n)
-        valid = (v[:-1] != v[1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        if not valid.any():
-            continue
-        left_counts = cum[:-1][valid]
-        right_counts = total - left_counts
-        nl = n_left[valid].astype(np.float64)
-        nr = n - nl
-        scores = (left_counts**2).sum(axis=1) / nl + (right_counts**2).sum(axis=1) / nr
-        pos = int(np.argmax(scores))
-        score = float(scores[pos])
-        if best is None or score > best[2]:
-            cut = np.flatnonzero(valid)[pos]
-            threshold = 0.5 * (v[cut] + v[cut + 1])
-            best = (int(f), float(threshold), score)
-    return best
+    n = len(rows)
+    keys = ranks[rows, feature_ids[:, None]].astype(np.int64)
+    keys *= n
+    keys += np.arange(n)
+    keys.sort(axis=1)
+    rank, pos = np.divmod(keys, n)
+    # cut i puts sorted positions 0..i on the left: min_leaf - 1 <= i < n - min_leaf
+    lo, hi = min_leaf - 1, n - min_leaf
+    valid = rank[:, lo:hi] != rank[:, lo + 1 : hi + 1]
+    if not valid.any():
+        return None
+    labels = y[pos[:, :hi]]
+    total = np.bincount(y, minlength=NUM_CLASSES)
+    # counts and sums of squared counts (at most n * n) fit int32 below 46341 rows
+    count_type = np.int32 if n < 46341 else np.int64
+    left_sq = np.zeros(valid.shape, dtype=count_type)
+    right_sq = np.zeros(valid.shape, dtype=count_type)
+    for c in range(NUM_CLASSES):
+        left = np.cumsum(labels == c, axis=1, dtype=count_type)[:, lo:]
+        right = int(total[c]) - left
+        left_sq += left * left
+        right_sq += right * right
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    scores = np.where(valid, left_sq / n_left + right_sq / (n - n_left), -np.inf)
+    k, i = divmod(int(np.argmax(scores)), hi - lo)
+    f, cut = int(feature_ids[k]), lo + i
+    threshold = 0.5 * (x[rows[pos[k, cut]], f] + x[rows[pos[k, cut + 1]], f])
+    return f, float(threshold), float(scores[k, i])
 
 
-def _grow_tree(x, y, rng, features_per_split, max_depth, min_leaf):
+def _grow_tree(x, ranks, y, sample, rng, features_per_split, max_depth, min_leaf):
+    """Grow one tree on the rows ``sample`` (a bootstrap, in draw order) of
+    ``x``; nodes index ``x`` through subsets of ``sample`` that keep its order,
+    so no per-tree copy of ``x`` or ``ranks`` is made."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -84,7 +107,7 @@ def _grow_tree(x, y, rng, features_per_split, max_depth, min_leaf):
     d = x.shape[1]
     m = min(features_per_split, d)
     # stack holds (row_indices, depth, parent_node, is_left_child)
-    stack = [(np.arange(len(y)), 0, -1, False)]
+    stack = [(sample, 0, -1, False)]
     while stack:
         rows, depth, parent, is_left = stack.pop()
         node = len(feature)
@@ -101,7 +124,7 @@ def _grow_tree(x, y, rng, features_per_split, max_depth, min_leaf):
         split = None
         if not pure and not depth_capped and len(rows) >= 2 * min_leaf:
             chosen = np.sort(rng.choice(d, size=m, replace=False))
-            split = _best_split(x[rows], y_node, chosen, min_leaf)
+            split = _best_split(x, ranks, rows, y_node, chosen, min_leaf)
 
         if split is None:
             feature.append(-1)
@@ -184,6 +207,8 @@ def train_forest(
         raise ParameterError("num_trees must be >= 1")
     if min_leaf < 1:
         raise ParameterError("min_leaf must be >= 1")
+    if not np.isfinite(x).all():
+        raise ParameterError("training rows contain non-finite values")
     d = x.shape[1]
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(d)))
@@ -191,6 +216,7 @@ def train_forest(
         raise ParameterError(f"features_per_split must lie in [1, {d}]")
 
     n = len(y)
+    ranks = _dense_ranks(x)
     seeds = np.random.SeedSequence(seed).spawn(num_trees)
     trees = []
     oob_votes = np.zeros((n, NUM_CLASSES), dtype=np.int64)
@@ -200,7 +226,7 @@ def train_forest(
             rows = rng.integers(0, n, size=n)
         else:
             rows = np.arange(n)
-        tree = _grow_tree(x[rows], y[rows], rng, features_per_split, max_depth, min_leaf)
+        tree = _grow_tree(x, ranks, y, rows, rng, features_per_split, max_depth, min_leaf)
         trees.append(tree)
         if bootstrap:
             out_of_bag = np.setdiff1d(np.arange(n), rows, assume_unique=False)
@@ -224,19 +250,24 @@ def _check_dim(model: ForestModel, x: np.ndarray):
         )
 
 
-def vote_matrix(model: ForestModel, x, num_trees: int | None = None) -> np.ndarray:
+def vote_matrix(model: ForestModel, x, num_trees: int | list[int] | None = None) -> np.ndarray:
     """Per-class vote counts, rows matching ``x``; optionally only the first
-    ``num_trees`` trees (sub-ensemble evaluation for the learning-cycle sweep)."""
+    ``num_trees`` trees (sub-ensemble evaluation for the learning-cycle sweep).
+    A sequence of counts gives one matrix per count, stacked, while each tree
+    predicts ``x`` once."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _check_dim(model, x)
-    use = model.trees if num_trees is None else model.trees[:num_trees]
-    if not use:
+    counts = np.atleast_1d(model.num_trees if num_trees is None else num_trees)
+    counts = np.minimum(counts, model.num_trees)
+    if not counts.size or (counts < 1).any():
         raise ParameterError("no trees selected")
     votes = np.zeros((len(x), NUM_CLASSES), dtype=np.int64)
-    for tree in use:
+    prefixes = np.empty((len(counts), len(x), NUM_CLASSES), dtype=np.int64)
+    for used, tree in enumerate(model.trees[: counts.max()], start=1):
         predictions = tree_predict(tree, x)
         votes[np.arange(len(x)), predictions] += 1
-    return votes
+        prefixes[counts == used] = votes
+    return prefixes if np.ndim(num_trees) else prefixes[0]
 
 
 def vote_counts(model: ForestModel, x, num_trees: int | None = None) -> np.ndarray:
@@ -253,13 +284,23 @@ def predict_forest(model: ForestModel, x) -> Emotion:
 
 def margins(model: ForestModel, x, y_true, num_trees: int | None = None) -> np.ndarray:
     """Voting margins in [-1, 1] for a batch of labeled points."""
-    votes = vote_matrix(model, x, num_trees).astype(np.float64)
+    return vote_margins(vote_matrix(model, x, num_trees), y_true)
+
+
+def vote_margins(votes: np.ndarray, y_true) -> np.ndarray:
+    """Voting margins of per-class vote counts (``vote_matrix`` rows)."""
+    votes = votes.astype(np.float64)
     fractions = votes / votes.sum(axis=1, keepdims=True)
     y_true = np.asarray(y_true, dtype=np.int64).ravel()
     true_frac = fractions[np.arange(len(y_true)), y_true]
     fractions[np.arange(len(y_true)), y_true] = -np.inf
     other_frac = fractions.max(axis=1)
     return true_frac - other_frac
+
+
+def vote_error(votes: np.ndarray, y_true) -> float:
+    """Fraction of points whose voting margin is negative."""
+    return float(np.mean(vote_margins(votes, y_true) < 0))
 
 
 def margin(model: ForestModel, x, y_true, num_trees: int | None = None) -> float:
@@ -276,7 +317,7 @@ def generalization_error(model: ForestModel, data=None, num_trees: int | None = 
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if len(x) == 0:
         raise ParameterError("data must be non-empty")
-    return float(np.mean(margins(model, x, y, num_trees) < 0))
+    return vote_error(vote_matrix(model, x, num_trees), y)
 
 
 def save_model(model: ForestModel, path) -> None:
@@ -330,6 +371,11 @@ def load_model(path) -> ForestModel:
                         threshold[node] = float(parts[2])
                         left[node] = int(parts[3])
                         right[node] = int(parts[4])
+                        # children after their parent: prediction walks forward and ends
+                        if not 0 <= feature[node] < dim or not (
+                            node < left[node] < nodes and node < right[node] < nodes
+                        ):
+                            raise DataFormatError(f"node {node} out of range: {parts!r}")
                     elif parts[0] == "l" and len(parts) == NUM_CLASSES + 1:
                         feature[node] = -1
                         threshold[node] = np.nan

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from ecgemotion.forest import DecisionTree
+from ecgemotion.types import NUM_CLASSES
+
 _COS_TABLES: dict[int, list] = {}
 
 
@@ -255,3 +258,99 @@ def select_k_curve_loop(x, y, k_values, folds: int, seed: int, metric: str, p: f
                 )
                 errors[k].append(wrong / len(val))
     return [(k, float(np.mean(errors[k]))) for k in k_values if errors[k]]
+
+
+def best_split_loop(x, y, feature_ids, min_leaf):
+    """``forest._best_split`` as one stable argsort and cumulative count per
+    sampled feature: the best (feature, threshold, score) over the sampled
+    features.
+
+    Score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right, an
+    affine transform of the negated weighted Gini impurity; computed from
+    exact integer counts, so ties resolve identically in any evaluation
+    order. Returns None when no split satisfies min_leaf.
+    """
+    n = len(y)
+    onehot = np.eye(NUM_CLASSES)[y]
+    total = onehot.sum(axis=0)
+    best = None
+    for f in feature_ids:
+        values = x[:, f]
+        order = np.argsort(values, kind="stable")
+        v = values[order]
+        cum = np.cumsum(onehot[order], axis=0)
+        n_left = np.arange(1, n)
+        valid = (v[:-1] != v[1:]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
+        if not valid.any():
+            continue
+        left_counts = cum[:-1][valid]
+        right_counts = total - left_counts
+        nl = n_left[valid].astype(np.float64)
+        nr = n - nl
+        scores = (left_counts**2).sum(axis=1) / nl + (right_counts**2).sum(axis=1) / nr
+        pos = int(np.argmax(scores))
+        score = float(scores[pos])
+        if best is None or score > best[2]:
+            cut = np.flatnonzero(valid)[pos]
+            threshold = 0.5 * (v[cut] + v[cut + 1])
+            best = (int(f), float(threshold), score)
+    return best
+
+
+def grow_tree_loop(x, y, rng, features_per_split, max_depth, min_leaf):
+    """``forest._grow_tree`` on the rows of ``x`` with ``best_split_loop``:
+    the same rng draws, node layout and stopping rules."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    counts: list[np.ndarray] = []
+
+    d = x.shape[1]
+    m = min(features_per_split, d)
+    # stack holds (row_indices, depth, parent_node, is_left_child)
+    stack = [(np.arange(len(y)), 0, -1, False)]
+    while stack:
+        rows, depth, parent, is_left = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            if is_left:
+                left[parent] = node
+            else:
+                right[parent] = node
+
+        y_node = y[rows]
+        node_counts = np.bincount(y_node, minlength=NUM_CLASSES)
+        pure = node_counts.max() == len(rows)
+        depth_capped = max_depth is not None and depth >= max_depth
+        split = None
+        if not pure and not depth_capped and len(rows) >= 2 * min_leaf:
+            chosen = np.sort(rng.choice(d, size=m, replace=False))
+            split = best_split_loop(x[rows], y_node, chosen, min_leaf)
+
+        if split is None:
+            feature.append(-1)
+            threshold.append(np.nan)
+            left.append(-1)
+            right.append(-1)
+            counts.append(node_counts)
+            continue
+
+        f, thr, _ = split
+        feature.append(f)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        counts.append(np.zeros(NUM_CLASSES, dtype=np.int64))
+        go_left = x[rows, f] <= thr
+        # push right first so the left subtree is laid out next (pre-order)
+        stack.append((rows[~go_left], depth + 1, node, False))
+        stack.append((rows[go_left], depth + 1, node, True))
+
+    return DecisionTree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.stack(counts).astype(np.int64),
+    )

@@ -332,9 +332,29 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
         assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]) == 3
+    # forest node layouts that would loop forever or index past the features
+    two_csv = tmp_path / "two.csv"
+    two_csv.write_text("label,f1,f2\n0,1.0,2.0\n")
+    forest_header = "forest v1 trees=1 features_per_split=1 dim={} oob=\n"
+    for name, text, rows in (
+        ("loop.forest", forest_header.format(1) + "tree 0 nodes=1\nn,0,0.5,0,0\n", good_csv),
+        ("feature.forest", forest_header.format(2) + "tree 0 nodes=3\nn,7,0.5,1,2\nl,1,0,0,0\nl,0,1,0,0\n", two_csv),
+    ):
+        (tmp_path / name).write_text(text)
+        out = str(tmp_path / "p.csv")
+        assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(rows), "--out", out]) == 3
     # 1: usage error
     assert cli.main(["synth"]) == 1
     assert cli.main(["not-a-command"]) == 1
+
+
+def test_forest_train_rejects_non_finite_features(tmp_path, mini_cfg_file):
+    features_csv = tmp_path / "nan.csv"
+    features_csv.write_text("label,f1,f2\n0,1.0,2.0\n1,nan,0.5\n2,3.0,1.0\n3,0.5,0.5\n")
+    model = tmp_path / "m.forest"
+    args = ["train", "--config", mini_cfg_file, "--classifier", "forest"]
+    assert cli.main([*args, "--features", str(features_csv), "--model", str(model)]) == 1
+    assert not model.exists()
 
 
 def test_seed_flag_overrides_config(pipeline_dirs, mini_cfg_file, tmp_path):

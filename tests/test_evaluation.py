@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ecgemotion import evaluation, knn
+import oracles
+from ecgemotion import evaluation, forest, knn
 from ecgemotion.evaluation import (
     ConfusionMatrix,
     FeatureCache,
@@ -215,6 +216,25 @@ def test_sweep_trees_curves(mini_config, mini_corpus):
     assert all(0.0 <= g <= 1.0 for _, g in ge_points)
     again, ge_again = sweep_trees(cfg, records=mini_corpus, values=values, runs=1)
     assert rate_curve.points == again.points and ge_points == ge_again
+
+
+def test_sweep_trees_text_equals_per_feature_loop(mini_config, mini_corpus, monkeypatch):
+    """Trees grown by the rank-keyed split search give the same curve text as
+    trees grown with one stable argsort per sampled feature."""
+    cfg = mini_config.replace(classifier="forest", feature_count=12)
+    values = [1, 4, 2, 6]
+
+    def render():
+        rate_curve, ge_points = sweep_trees(cfg, records=mini_corpus, values=values, runs=1)
+        return evaluation.curve_csv("trees", rate_curve.points) + evaluation.ge_curve_csv(ge_points)
+
+    fast = render()
+    monkeypatch.setattr(
+        forest,
+        "_grow_tree",
+        lambda x, ranks, y, rows, rng, *rules: oracles.grow_tree_loop(x[rows], y[rows], rng, *rules),
+    )
+    assert render() == fast
 
 
 def test_sweep_k_points(mini_config, mini_corpus):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from ecgemotion.forest import (
     DecisionTree,
     ForestModel,
     _best_split,
+    _dense_ranks,
+    _grow_tree,
     generalization_error,
     load_model,
     margin,
@@ -14,6 +17,7 @@ from ecgemotion.forest import (
     save_model,
     train_forest,
     vote_counts,
+    vote_matrix,
 )
 from ecgemotion.types import DataFormatError, Emotion, ParameterError
 
@@ -153,7 +157,7 @@ def test_gini_split_matches_exhaustive_search():
         y = rng.integers(0, 4, size=n).astype(np.int64)
         if len(np.unique(y)) < 2:
             continue
-        chosen = _best_split(x, y, np.array([0, 1]), 1)
+        chosen = _best_split(x, _dense_ranks(x), np.arange(n), y, np.array([0, 1]), 1)
         reference = exhaustive_best_split(x, y)
         if reference is None:
             assert chosen is None
@@ -161,6 +165,97 @@ def test_gini_split_matches_exhaustive_search():
         assert chosen is not None
         assert chosen[0] == reference[0]
         assert chosen[1] == pytest.approx(reference[1])
+
+
+def assert_same_tree(tree, expected):
+    assert np.array_equal(tree.feature, expected.feature)
+    assert np.array_equal(tree.threshold, expected.threshold, equal_nan=True)
+    assert np.array_equal(tree.left, expected.left)
+    assert np.array_equal(tree.right, expected.right)
+    assert np.array_equal(tree.class_counts, expected.class_counts)
+
+
+def split_search_cases():
+    """(x, y) sets that stress the ordering and tie rules of the search."""
+    rng = np.random.default_rng(8)
+    n = 90
+    y = rng.integers(0, 4, size=n)
+    normal = rng.normal(size=(n, 5)) + y[:, None] * 0.3
+    copied = normal.copy()
+    copied[:, 3] = copied[:, 1]  # equal scores: the lower feature must win
+    constant = normal.copy()
+    constant[:, [0, 2]] = 1.5
+    zeros = normal.copy()
+    zeros[:, 2] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    zeros[::7, 2] = 1.0
+    quantized = np.round(normal * 2) / 2
+    return [
+        pytest.param(normal, y, id="normal"),
+        pytest.param(copied, y, id="copied"),
+        pytest.param(constant, y, id="constant"),
+        pytest.param(zeros, y, id="signed-zeros"),
+        pytest.param(quantized, y, id="quantized"),
+    ]
+
+
+@pytest.mark.parametrize("x,y", split_search_cases())
+@pytest.mark.parametrize("min_leaf,max_depth", [(1, None), (3, None), (1, 3)])
+@pytest.mark.parametrize("features_per_split", [1, 5])
+def test_rank_keyed_trees_equal_per_feature_loop(x, y, min_leaf, max_depth, features_per_split):
+    ranks = _dense_ranks(x)
+    for seed in range(3):
+        rows = np.random.default_rng(seed).integers(0, len(y), size=len(y))  # bootstrap duplicates
+        tree = _grow_tree(
+            x, ranks, y, rows, np.random.default_rng(seed), features_per_split, max_depth, min_leaf
+        )
+        expected = oracles.grow_tree_loop(
+            x[rows], y[rows], np.random.default_rng(seed), features_per_split, max_depth, min_leaf
+        )
+        assert_same_tree(tree, expected)
+
+
+def test_copied_column_tie_goes_to_lower_feature():
+    x = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0], [3.0, 5.0, 3.0]])
+    y = np.array([0, 0, 1, 1])
+    split = _best_split(x, _dense_ranks(x), np.arange(4), y, np.array([0, 1, 2]), 1)
+    assert split == oracles.best_split_loop(x, y, np.array([0, 1, 2]), 1)
+    assert split[:2] == (0, 1.5)
+
+
+def test_best_split_equals_per_feature_loop_on_node_subsets():
+    rng = np.random.default_rng(4)
+    x = np.round(rng.normal(size=(60, 6)), 1)
+    x[:, 5] = np.where(x[:, 5] > 0, 0.0, -0.0)
+    y = rng.integers(0, 4, size=60)
+    ranks = _dense_ranks(x)
+    for trial in range(40):
+        rows = np.sort(rng.choice(60, size=int(rng.integers(2, 60)), replace=False))
+        chosen = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
+        min_leaf = int(rng.integers(1, 4))
+        got = _best_split(x, ranks, rows, y[rows], chosen, min_leaf)
+        assert got == oracles.best_split_loop(x[rows], y[rows], chosen, min_leaf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_training_rows_rejected(bad):
+    x = np.array([[0.0, 1.0], [1.0, bad], [2.0, 0.5]])
+    y = np.array([0, 1, 2])
+    with pytest.raises(ParameterError):
+        train_forest(x, y, num_trees=2, seed=0)
+
+
+def test_vote_matrix_prefixes_equal_separate_counts(blob_data):
+    x_train, y_train, x_test, _ = blob_data
+    model = train_forest(x_train, y_train, num_trees=9, seed=2)
+    counts = [4, 1, 9, 4, 20]
+    stacked = vote_matrix(model, x_test, counts)
+    assert stacked.shape == (5, len(x_test), 4)
+    for count, votes in zip(counts, stacked):
+        assert np.array_equal(votes, vote_matrix(model, x_test, count))
+    assert np.array_equal(stacked[4], vote_matrix(model, x_test))
+    for bad in ([3, 0], []):
+        with pytest.raises(ParameterError):
+            vote_matrix(model, x_test, bad)
 
 
 def test_min_leaf_respected():
@@ -212,6 +307,25 @@ def test_model_file_roundtrip(tmp_path, blob_data):
         margins(loaded, x_test, np.zeros(len(x_test), dtype=int)),
         margins(model, x_test, np.zeros(len(x_test), dtype=int)),
     )
+
+
+@pytest.mark.parametrize(
+    "header,nodes",
+    [
+        ("dim=1", ["n,0,0.5,0,0"]),  # a node that is its own child
+        ("dim=2", ["n,7,0.5,1,2", "l,1,0,0,0", "l,0,1,0,0"]),  # feature out of range
+        ("dim=2", ["n,0,0.5,1,3", "l,1,0,0,0", "l,0,1,0,0"]),  # child past the last node
+        ("dim=2", ["l,1,0,0,0", "n,0,0.5,0,2", "l,0,1,0,0"]),  # child before its parent
+    ],
+)
+def test_malformed_node_layout_is_a_data_error(tmp_path, header, nodes):
+    path = tmp_path / "model.forest"
+    path.write_text(
+        f"forest v1 trees=1 features_per_split=1 {header} oob=\ntree 0 nodes={len(nodes)}\n"
+        + "".join(line + "\n" for line in nodes)
+    )
+    with pytest.raises(DataFormatError):
+        load_model(path)
 
 
 def test_malformed_header_token_is_a_data_error(tmp_path):
