@@ -7,9 +7,10 @@ unique values). A node orders all its sampled features with one sort of
 integer keys (the value's dense rank in its training column, then the row's
 position), which is the order a stable sort of the values gives, so the
 trees equal those of a per-feature stable argsort search. Training rows
-must be finite. Per-tree seeds derive from the master seed by tree index, so
-growing a larger forest never changes the trees already built: the
-learning-cycle sweep evaluates sub-ensembles of one forest.
+and the rows it predicts must be finite. Per-tree seeds derive from the
+master seed by tree index, so growing a larger forest never changes the
+trees already built: the learning-cycle sweep evaluates sub-ensembles of
+one forest.
 
 The voting margin of a point is the fraction of trees voting its true class
 minus the largest fraction voting any other class; the generalization error
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import DataFormatError, Emotion, NUM_CLASSES, ParameterError
-from .utils import fmt_float
+from .utils import check_finite, fmt_float
 
 DEFAULT_NUM_TREES = 90
 
@@ -207,8 +208,7 @@ def train_forest(
         raise ParameterError("num_trees must be >= 1")
     if min_leaf < 1:
         raise ParameterError("min_leaf must be >= 1")
-    if not np.isfinite(x).all():
-        raise ParameterError("training rows contain non-finite values")
+    check_finite(x, "training rows")
     d = x.shape[1]
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(d)))
@@ -257,6 +257,7 @@ def vote_matrix(model: ForestModel, x, num_trees: int | list[int] | None = None)
     predicts ``x`` once."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _check_dim(model, x)
+    check_finite(x, "query rows")
     counts = np.atleast_1d(model.num_trees if num_trees is None else num_trees)
     counts = np.minimum(counts, model.num_trees)
     if not counts.size or (counts < 1).any():

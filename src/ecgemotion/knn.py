@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import DataFormatError, Emotion, NUM_CLASSES, ParameterError
-from .utils import fmt_float
+from .utils import check_finite, fmt_float
 
 METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
@@ -90,11 +90,6 @@ def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: flo
     return out
 
 
-def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.isfinite(x).all():
-        raise ParameterError(f"{what} contain non-finite values")
-
-
 @dataclass(eq=False)
 class KnnModel:
     train_x: np.ndarray
@@ -108,7 +103,7 @@ class KnnModel:
         self.train_y = np.asarray(self.train_y, dtype=np.int64).ravel()
         if self.train_x.ndim != 2 or len(self.train_x) != len(self.train_y):
             raise ParameterError("training data must be (n, d) with one label per row")
-        _check_finite(self.train_x, "training rows")
+        check_finite(self.train_x, "training rows")
         if not 1 <= self.k <= len(self.train_y):
             raise ParameterError(f"k must lie in [1, {len(self.train_y)}]")
         if self.metric not in METRICS:
@@ -197,7 +192,7 @@ def predict_knn_batch(model: KnnModel, x) -> np.ndarray:
         raise ParameterError(
             f"input dimension {x.shape[1]} != training dimension {model.train_x.shape[1]}"
         )
-    _check_finite(x, "query rows")
+    check_finite(x, "query rows")
     dists = _distance_matrix(model.metric, x, model.train_x, model.p)
     return classify(dists, model.train_y, [model.k])[0]
 
@@ -231,7 +226,7 @@ def select_k(
         raise ParameterError("folds must be >= 2")
     if len(y) < folds:
         raise ParameterError("need at least one sample per fold")
-    _check_finite(x, "rows")
+    check_finite(x, "rows")
 
     rng = np.random.default_rng(seed)
     assignment = rng.permutation(len(y)) % folds

@@ -9,8 +9,10 @@ by repeatedly picking the pair of multipliers with the largest KKT
 violation (one from the "can increase" set, one from the "can decrease"
 set), solving the two-variable subproblem analytically, and clipping to
 the box [0, C]. Exact ties in the violation scores are broken randomly
-from the seed. Multiclass is one-vs-one over the six emotion pairs with
-majority voting.
+from the seed. A training row that occurs m times is solved for once, with
+the box [0, m * C], so a model lists each distinct support vector once and
+``num_support`` counts distinct rows. Multiclass is one-vs-one over the six
+emotion pairs with majority voting.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .types import (
     NUM_CLASSES,
     ParameterError,
 )
-from .utils import derive_seed, fmt_float
+from .utils import check_finite, derive_seed, fmt_float
 
 _EPS = 1e-12
 
@@ -74,17 +76,6 @@ def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * pairwise_sq_dists(a, b))
 
 
-def _masked_argmax(values: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> int:
-    scores = np.where(mask, values, -np.inf)
-    best = scores.max()
-    if best == -np.inf:
-        return -1
-    candidates = np.flatnonzero(scores == best)
-    if len(candidates) == 1:
-        return int(candidates[0])
-    return int(rng.choice(candidates))
-
-
 def _movable(y, alpha, c):
     """(can_up, can_dn): which multipliers may rise or fall along y without
     leaving the box. Entries with y == 0 are in neither set."""
@@ -95,7 +86,7 @@ def _movable(y, alpha, c):
     return can_up, can_dn
 
 
-def _bias(alpha: np.ndarray, e: np.ndarray, y: np.ndarray, c: float) -> float:
+def _bias(alpha: np.ndarray, e: np.ndarray, y: np.ndarray, c) -> float:
     """Bias of a finished solve: the mean of y - f over the free multipliers,
     or the midpoint of the feasible interval when none is free."""
     free = (alpha > _EPS) & (alpha < c - _EPS)
@@ -114,44 +105,72 @@ def _bias(alpha: np.ndarray, e: np.ndarray, y: np.ndarray, c: float) -> float:
     return 0.0
 
 
+def _pick(scores: np.ndarray, tied: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the maximum of ``scores``, drawn from ``rng`` among exact
+    ties, or -1 when every score is -inf. ``tied`` is a bool scratch buffer."""
+    k = int(scores.argmax())
+    best = scores[k]
+    if best == -np.inf:
+        return -1
+    np.equal(scores, best, out=tied)
+    if np.count_nonzero(tied) > 1:
+        return int(rng.choice(np.flatnonzero(tied)))
+    return k
+
+
 def solve_dual(
     kmat: np.ndarray,
     y: np.ndarray,
-    c: float,
+    c,
     tolerance: float,
     max_steps: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Maximize the SVM dual for a precomputed kernel matrix.
 
-    Returns (alpha, bias). Stops when no pair violates the KKT conditions
-    by more than ``tolerance`` or after ``max_steps`` pair updates.
+    ``c`` is the upper end of every multiplier's box: one value for all, or
+    one per row. Returns (alpha, bias). Stops when no pair violates the KKT
+    conditions by more than ``tolerance`` or after ``max_steps`` pair
+    updates.
     """
     n = len(y)
-    alpha = np.zeros(n)
+    c_rows = np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
+    y_rows, c_list, diag = y.tolist(), c_rows.tolist(), kmat.diagonal().tolist()
+    alpha = [0.0] * n
     # e_i = f_i - y_i where f_i = sum_j alpha_j y_j K(x_j, x_i), bias excluded
     e = -y.astype(np.float64)
+    # The working sets as masks subtracted from the scores: i maximizes -e
+    # over the can-increase set (0 inside, -inf outside, so up - e), j
+    # maximizes e over the can-decrease set (0 inside, +inf outside, e - dn).
+    can_up, can_dn = _movable(y, np.zeros(n), c_rows)
+    up = np.where(can_up, 0.0, -np.inf)
+    dn = np.where(can_dn, 0.0, np.inf)
+    scores, tied = np.empty(n), np.empty(n, dtype=bool)
+    row_i, row_j = np.empty(n), np.empty(n)
 
     for _ in range(max_steps):
-        can_up, can_dn = _movable(y, alpha, c)
-        i = _masked_argmax(-e, can_up, rng)
-        j = _masked_argmax(e, can_dn, rng)
-        if i < 0 or j < 0 or e[j] - e[i] <= tolerance:
+        i = _pick(np.subtract(up, e, out=scores), tied, rng)
+        j = _pick(np.subtract(e, dn, out=scores), tied, rng)
+        if i < 0 or j < 0:
+            break
+        e_i, e_j = e.item(i), e.item(j)
+        if e_j - e_i <= tolerance:
             break
 
-        y1, y2 = y[i], y[j]
+        y1, y2 = y_rows[i], y_rows[j]
         a1, a2 = alpha[i], alpha[j]
+        c1, c2 = c_list[i], c_list[j]
         if y1 != y2:
-            low, high = max(0.0, a2 - a1), min(c, c + a2 - a1)
+            low, high = max(0.0, a2 - a1), min(c2, c1 + a2 - a1)
         else:
-            low, high = max(0.0, a1 + a2 - c), min(c, a1 + a2)
+            low, high = max(0.0, a1 + a2 - c1), min(c2, a1 + a2)
         if high - low < _EPS:
             break
 
-        eta = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
+        eta = diag[i] + diag[j] - 2.0 * kmat.item(i, j)
         if eta < _EPS:
             eta = _EPS
-        a2_new = np.clip(a2 + y2 * (e[i] - e[j]) / eta, low, high)
+        a2_new = min(max(a2 + y2 * (e_i - e_j) / eta, low), high)
         if a2_new == a2:
             break
         a1_new = a1 + y1 * y2 * (a2 - a2_new)
@@ -159,20 +178,26 @@ def solve_dual(
         # Snap to the box so the support set stays exact.
         if a1_new < _EPS:
             a1_new = 0.0
-        elif a1_new > c - _EPS:
-            a1_new = c
+        elif a1_new > c1 - _EPS:
+            a1_new = c1
         if a2_new < _EPS:
             a2_new = 0.0
-        elif a2_new > c - _EPS:
-            a2_new = c
+        elif a2_new > c2 - _EPS:
+            a2_new = c2
 
-        d1 = (a1_new - a1) * y1
-        d2 = (a2_new - a2) * y2
-        e += d1 * kmat[i] + d2 * kmat[j]
+        np.multiply(kmat[i], (a1_new - a1) * y1, out=row_i)
+        np.multiply(kmat[j], (a2_new - a2) * y2, out=row_j)
+        np.add(row_i, row_j, out=row_i)
+        np.add(e, row_i, out=e)
         alpha[i] = a1_new
         alpha[j] = a2_new
+        for k, y_k, a_k, c_k in ((i, y1, a1_new, c1), (j, y2, a2_new, c2)):
+            can_up_k, can_dn_k = _movable(y_k, a_k, c_k)
+            up[k] = 0.0 if can_up_k else -np.inf
+            dn[k] = 0.0 if can_dn_k else np.inf
 
-    return alpha, _bias(alpha, e, y, c)
+    alpha = np.array(alpha)
+    return alpha, _bias(alpha, e, y, c_rows)
 
 
 # Why a dual solve stopped: no pair violates by more than the tolerance,
@@ -181,7 +206,7 @@ CONVERGED, CAPPED, STALLED = 0, 1, 2
 
 
 def _pick_rows(values, mask, rngs, owners) -> np.ndarray:
-    """Row-wise ``_masked_argmax``: exact ties draw from the row owner's rng."""
+    """Row-wise ``_pick``: exact ties draw from the row owner's rng."""
     scores = np.where(mask, values, -np.inf)
     best = scores.max(axis=1)
     ties = scores == best[:, None]
@@ -282,21 +307,41 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps, rngs):
 
 @dataclass(eq=False)
 class BinarySvmModel:
-    """Support vectors, their alpha_i * y_i coefficients, and the bias."""
+    """Distinct support vectors, their alpha_i * y_i coefficients, and the
+    bias."""
 
     support_vectors: np.ndarray
     dual_coefs: np.ndarray
     bias: float
     params: SvmParams
-    alpha: np.ndarray | None = None  # full training alphas, kept for diagnostics
+    alpha: np.ndarray | None = None  # one per training row, kept for diagnostics
 
     @property
     def num_support(self) -> int:
         return len(self.dual_coefs)
 
 
+def _distinct_rows(x: np.ndarray, y: np.ndarray):
+    """The distinct (row, label) pairs of a training set in order of first
+    occurrence: the index of each one's first row, the distinct index of
+    every row, and how often each pair occurs."""
+    _, first, inverse, counts = np.unique(
+        np.column_stack([x, y]), axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.ravel()], counts[order]
+
+
 def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
-    """Train a binary RBF-SVM on labels in {-1, +1}."""
+    """Train a binary RBF-SVM on labels in {-1, +1}.
+
+    A (row, label) pair drawn m times defines the same primal as one copy
+    with penalty m * C, so the dual is solved over the distinct pairs with
+    the box [0, m * C]; the step cap still counts the drawn rows. The model
+    holds each distinct support vector once, and ``alpha`` splits each
+    distinct multiplier evenly over its copies: a feasible point of the
+    drawn-row dual with the same objective and decision function.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.ndim != 2 or len(x) != len(y):
@@ -308,20 +353,24 @@ def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
         raise ParameterError("binary labels must be -1 or +1")
     if len(labels) < 2:
         raise ParameterError("both classes must be present")
+    check_finite(x, "training rows")
 
     n = len(y)
     max_steps = params.max_passes if params.max_passes else 10 * n
     rng = np.random.default_rng(seed)
-    kmat = rbf_kernel_matrix(x, x, params.gamma)
-    alpha, bias = solve_dual(kmat, y, params.c, params.tolerance, max_steps, rng)
+    first, copy_of, counts = _distinct_rows(x, y)
+    x_u, y_u = x[first], y[first]
+    kmat = rbf_kernel_matrix(x_u, x_u, params.gamma)
+    alpha_u, bias = solve_dual(kmat, y_u, params.c * counts, params.tolerance, max_steps, rng)
 
-    sv = alpha > 0.0
+    sv = alpha_u > 0.0
     return BinarySvmModel(
-        support_vectors=x[sv].copy(),
-        dual_coefs=(alpha * y)[sv],
+        support_vectors=x_u[sv],
+        dual_coefs=(alpha_u * y_u)[sv],
         bias=bias,
         params=params,
-        alpha=alpha,
+        # m * C / m can round above C
+        alpha=np.minimum(alpha_u / counts, params.c)[copy_of],
     )
 
 
@@ -335,6 +384,7 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
             f"input dimension {x.shape[1]} != support vector dimension "
             f"{model.support_vectors.shape[1]}"
         )
+    check_finite(x, "query rows")
     k = rbf_kernel_matrix(x, model.support_vectors, model.params.gamma)
     return k @ model.dual_coefs + model.bias
 
@@ -402,6 +452,7 @@ def train_multiclass(train, params: SvmParams, seed: int = 0) -> MulticlassSvmMo
     x, codes = train
     x = np.asarray(x, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
+    check_finite(x, "training rows")
     present = set(int(c) for c in np.unique(codes))
     missing = [e.name for e in EMOTIONS if int(e) not in present]
     if missing:

@@ -1,8 +1,12 @@
-"""Seed derivation and text formatting helpers shared across the pipeline."""
+"""Seed derivation, input checks and text formatting shared across the pipeline."""
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
+
+from .types import ParameterError
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -18,6 +22,13 @@ def derive_seed(master: int, *tags) -> int:
         h.update(b"/")
         h.update(str(tag).encode())
     return int.from_bytes(h.digest()[:8], "little")
+
+
+def check_finite(x: np.ndarray, what: str) -> None:
+    """Reject NaN and infinite entries, which every classifier would turn
+    into a silent answer or an error far from their cause."""
+    if not np.isfinite(x).all():
+        raise ParameterError(f"{what} contain non-finite values")
 
 
 def fmt_float(x: float) -> str:

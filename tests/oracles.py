@@ -148,6 +148,95 @@ def kkt_residual_loop(alpha, margins, c: float, eps: float = 1e-12) -> float:
     return worst
 
 
+_SMO_EPS = 1e-12
+
+
+def _masked_argmax_loop(values, mask, rng) -> int:
+    scores = np.where(mask, values, -np.inf)
+    best = scores.max()
+    if best == -np.inf:
+        return -1
+    candidates = np.flatnonzero(scores == best)
+    if len(candidates) == 1:
+        return int(candidates[0])
+    return int(rng.choice(candidates))
+
+
+def _movable_loop(y, alpha, c):
+    below_c = alpha < c - _SMO_EPS
+    above_0 = alpha > _SMO_EPS
+    can_up = ((y > 0) & below_c) | ((y < 0) & above_0)
+    can_dn = ((y < 0) & below_c) | ((y > 0) & above_0)
+    return can_up, can_dn
+
+
+def _bias_loop(alpha, e, y, c) -> float:
+    free = (alpha > _SMO_EPS) & (alpha < c - _SMO_EPS)
+    if free.any():
+        return float(np.mean(-e[free]))
+    can_up, can_dn = _movable_loop(y, alpha, c)
+    neg_e = -e
+    lo_bound = neg_e[can_up].max() if can_up.any() else None
+    hi_bound = neg_e[can_dn].min() if can_dn.any() else None
+    if lo_bound is not None and hi_bound is not None:
+        return float(0.5 * (lo_bound + hi_bound))
+    if lo_bound is not None:
+        return float(lo_bound)
+    if hi_bound is not None:
+        return float(hi_bound)
+    return 0.0
+
+
+def solve_dual_loop(kmat, y, c: float, tolerance: float, max_steps: int, rng):
+    """``svm.solve_dual`` for a scalar C as it stood before its step was
+    trimmed: every step recomputes both working sets over all rows, masks
+    the scores with ``np.where`` and draws among the tied maxima with
+    ``rng.choice`` whenever there is more than one, on NumPy scalars."""
+    n = len(y)
+    alpha = np.zeros(n)
+    e = -y.astype(np.float64)
+    for _ in range(max_steps):
+        can_up, can_dn = _movable_loop(y, alpha, c)
+        i = _masked_argmax_loop(-e, can_up, rng)
+        j = _masked_argmax_loop(e, can_dn, rng)
+        if i < 0 or j < 0 or e[j] - e[i] <= tolerance:
+            break
+
+        y1, y2 = y[i], y[j]
+        a1, a2 = alpha[i], alpha[j]
+        if y1 != y2:
+            low, high = max(0.0, a2 - a1), min(c, c + a2 - a1)
+        else:
+            low, high = max(0.0, a1 + a2 - c), min(c, a1 + a2)
+        if high - low < _SMO_EPS:
+            break
+
+        eta = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
+        if eta < _SMO_EPS:
+            eta = _SMO_EPS
+        a2_new = np.clip(a2 + y2 * (e[i] - e[j]) / eta, low, high)
+        if a2_new == a2:
+            break
+        a1_new = a1 + y1 * y2 * (a2 - a2_new)
+
+        if a1_new < _SMO_EPS:
+            a1_new = 0.0
+        elif a1_new > c - _SMO_EPS:
+            a1_new = c
+        if a2_new < _SMO_EPS:
+            a2_new = 0.0
+        elif a2_new > c - _SMO_EPS:
+            a2_new = c
+
+        d1 = (a1_new - a1) * y1
+        d2 = (a2_new - a2) * y2
+        e += d1 * kmat[i] + d2 * kmat[j]
+        alpha[i] = a1_new
+        alpha[j] = a2_new
+
+    return alpha, _bias_loop(alpha, e, y, c)
+
+
 def make_blobs(rng, points_per_class: int, std: float = 0.1, test_points: int = 0):
     """Four Gaussian blobs at unit-spaced centers (the corners of a unit
     square)."""

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgemotion import cli
+from ecgemotion import cli, svm
 from ecgemotion.config import PipelineConfig
 from ecgemotion.types import ConfigError
 from ecgemotion.utils import derive_seed
@@ -343,9 +343,21 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
         assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(rows), "--out", out]) == 3
-    # 1: usage error
+    # 1: usage error, and valid svm and forest models asked about non-finite rows
     assert cli.main(["synth"]) == 1
     assert cli.main(["not-a-command"]) == 1
+    nan_csv = tmp_path / "nan_rows.csv"
+    nan_csv.write_text("label,f1\n0,1.0\n1,nan\n2,-inf\n")
+    six_pairs = "".join(f"pair {a} {b} bias=0.0 nsv=1\n1.0,0.5\n" for a, b in svm.PAIRS)
+    for name, text in (
+        ("ok.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs),
+        ("ok.forest", forest_header.format(1) + "tree 0 nodes=1\nl,1,0,0,0\n"),
+    ):
+        (tmp_path / name).write_text(text)
+        out = tmp_path / f"{name}.csv"
+        argv = ["predict", "--model", str(tmp_path / name), "--out", str(out)]
+        assert cli.main([*argv, "--features", str(good_csv)]) == 0
+        assert cli.main([*argv, "--features", str(nan_csv)]) == 1
 
 
 def test_forest_train_rejects_non_finite_features(tmp_path, mini_cfg_file):
@@ -353,6 +365,15 @@ def test_forest_train_rejects_non_finite_features(tmp_path, mini_cfg_file):
     features_csv.write_text("label,f1,f2\n0,1.0,2.0\n1,nan,0.5\n2,3.0,1.0\n3,0.5,0.5\n")
     model = tmp_path / "m.forest"
     args = ["train", "--config", mini_cfg_file, "--classifier", "forest"]
+    assert cli.main([*args, "--features", str(features_csv), "--model", str(model)]) == 1
+    assert not model.exists()
+
+
+def test_svm_train_rejects_non_finite_features(tmp_path, mini_cfg_file):
+    features_csv = tmp_path / "nan.csv"
+    features_csv.write_text("label,f1,f2\n0,1.0,2.0\n1,nan,0.5\n2,3.0,1.0\n3,0.5,0.5\n")
+    model = tmp_path / "m.svm"
+    args = ["train", "--config", mini_cfg_file, "--classifier", "svm"]
     assert cli.main([*args, "--features", str(features_csv), "--model", str(model)]) == 1
     assert not model.exists()
 

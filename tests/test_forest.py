@@ -244,6 +244,16 @@ def test_non_finite_training_rows_rejected(bad):
         train_forest(x, y, num_trees=2, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rows_rejected(bad):
+    rng = np.random.default_rng(3)
+    model = train_forest(rng.normal(size=(40, 3)), rng.integers(0, 4, 40), num_trees=3, seed=0)
+    queries = np.zeros((3, 3))
+    queries[1, 0] = bad
+    with pytest.raises(ParameterError):
+        predict_forest_batch(model, queries)
+
+
 def test_vote_matrix_prefixes_equal_separate_counts(blob_data):
     x_train, y_train, x_test, _ = blob_data
     model = train_forest(x_train, y_train, num_trees=9, seed=2)

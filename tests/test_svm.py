@@ -20,7 +20,7 @@ from ecgemotion.svm import (
 )
 from ecgemotion.types import DataFormatError, Emotion, ParameterError
 
-from oracles import dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix
+from oracles import dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix, solve_dual_loop
 
 
 def test_rbf_identity():
@@ -137,6 +137,12 @@ def test_dual_oracle_agrees_with_slsqp():
     assert ascent == pytest.approx(dual_objective(res.x, kmat, y), abs=1e-6)
 
 
+def _repeat_rows(x, y, rng):
+    """Each row of (x, y) drawn 1 to 4 times, the copies shuffled."""
+    drawn = rng.permutation(np.repeat(np.arange(len(y)), rng.integers(1, 5, len(y))))
+    return x[drawn], y[drawn]
+
+
 def test_equality_constraint_and_box():
     x, y, c, gamma = small_instances()[2]
     model = train_binary(x, y, SvmParams(c=c, gamma=gamma), seed=1)
@@ -144,6 +150,36 @@ def test_equality_constraint_and_box():
     assert (model.alpha >= 0).all() and (model.alpha <= c).all()
     support = model.alpha > 0
     assert model.num_support == support.sum()
+
+    # drawn with repeats: one support vector per distinct row, not per copy.
+    # At C = 0.1 multipliers sit on the box, where 3 * 0.1 / 3 > 0.1.
+    x, y = _repeat_rows(x, y, np.random.default_rng(8))
+    for c in (c, 0.1):
+        model = train_binary(x, y, SvmParams(c=c, gamma=gamma), seed=1)
+        assert abs(np.sum(model.alpha * y)) <= 1e-6
+        assert (model.alpha >= 0).all() and (model.alpha <= c).all()
+        distinct_support = {tuple(row) for row in x[model.alpha > 0]}
+        assert len(distinct_support) < (model.alpha > 0).sum()
+        assert model.num_support == len(distinct_support)
+        assert {tuple(row) for row in model.support_vectors} == distinct_support
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_repeated_rows_solve_the_drawn_dual(case):
+    # the distinct-row solve with box [0, m * C], spread back over the
+    # copies, must be as good a point of the drawn-row dual as the oracle's
+    x, y, c, gamma = small_instances()[case]
+    x, y = _repeat_rows(x, y, np.random.default_rng(case))
+    kmat = rbf_matrix(x, gamma)
+    model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=1e-5), seed=3)
+    assert len(model.alpha) == len(y)
+    ours = dual_objective(model.alpha, kmat, y)
+    reference = dual_objective(maximize_dual(kmat, y, c), kmat, y)
+    assert ours == pytest.approx(reference, abs=1e-4)
+    assert kkt_max_violation(model, x, y) <= 1e-3
+    for row in x:
+        copies = model.alpha[(x == row).all(axis=1)]
+        assert (copies == copies[0]).all()
 
 
 def test_kkt_invariant_on_blobs(blob_data):
@@ -352,6 +388,50 @@ def test_batch_dual_zero_cap_and_single_problem():
     ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, 1e-3, 0, np.random.default_rng(seed))
     assert np.array_equal(alpha[0], ref_alpha) and bias[0] == ref_bias
     assert steps[0] == 0 and stops[0] == svm.CAPPED
+
+
+@pytest.mark.parametrize("tolerance", [1e-3, 1e-15])
+def test_solve_dual_equals_loop(tolerance):
+    # duplicated rows (exact ties in the working-set choice), caps of a few
+    # steps, C = 0.02 and, at 1e-15, solves that end on a stalled pair
+    problems = _batch_problems(np.random.default_rng(33), 60)
+    kmat, y, c, _, seed = problems[0]
+    problems.append((kmat, y, c, 0, seed))  # a zero cap
+    for kmat, y, c, cap, seed in problems:
+        alpha, bias = svm.solve_dual(kmat, y, c, tolerance, cap, np.random.default_rng(seed))
+        ref_alpha, ref_bias = solve_dual_loop(kmat, y, c, tolerance, cap, np.random.default_rng(seed))
+        assert np.array_equal(alpha, ref_alpha)
+        assert bias == ref_bias
+
+
+def test_solve_dual_per_row_box():
+    rng = np.random.default_rng(17)
+    for kmat, y, c, cap, seed in _batch_problems(rng, 40):
+        c_rows = c * rng.integers(1, 5, len(y))
+        alpha, _ = svm.solve_dual(kmat, y, c_rows, 1e-3, cap, np.random.default_rng(seed))
+        assert (alpha >= 0.0).all() and (alpha <= c_rows).all()
+        assert abs(np.dot(alpha, y)) <= 1e-9 * max(1.0, c_rows.max())
+        # one box for every row, given per row, is the scalar solve
+        same, bias = svm.solve_dual(kmat, y, np.full(len(y), c), 1e-3, cap, np.random.default_rng(seed))
+        ref, ref_bias = svm.solve_dual(kmat, y, c, 1e-3, cap, np.random.default_rng(seed))
+        assert np.array_equal(same, ref) and bias == ref_bias
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(bad, blob_data):
+    x_train, y_train, x_test, _ = blob_data
+    poisoned = x_train.copy()
+    poisoned[3, 1] = bad
+    params = SvmParams(c=10.0, gamma=1.0)
+    with pytest.raises(ParameterError):
+        train_binary(poisoned[:4], np.array([1.0, 1.0, -1.0, -1.0]), params)
+    with pytest.raises(ParameterError):
+        train_multiclass((poisoned, y_train), params)
+    model = train_multiclass((x_train, y_train), params, seed=7)
+    queries = x_test[:3].copy()
+    queries[1, 0] = bad
+    with pytest.raises(ParameterError):
+        predict_multiclass_batch(model, queries)
 
 
 def test_kkt_max_violation_matches_loop(blob_data):
