@@ -13,7 +13,6 @@ from .types import (
     Emotion,
     FeatureVector,
     ParameterError,
-    Segment,
     SignalRecord,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "FeatureVector",
     "ParameterError",
     "PipelineConfig",
-    "Segment",
     "SignalRecord",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dsp, evaluation, features, forest, knn, svm, synthgen
 from .config import PipelineConfig
-from .types import ConfigError, DataFormatError, ParameterError
+from .types import ConfigError, DataFormatError, Emotion, ParameterError
 from .utils import derive_seed, fmt_float
 
 
@@ -150,7 +150,7 @@ def _load_predictions(path) -> np.ndarray:
         if header != "label":
             raise DataFormatError(f"{path}: expected prediction header 'label'")
         try:
-            return np.array([int(line.strip()) for line in fh if line.strip()], dtype=np.int64)
+            return np.array([int(Emotion.from_code(int(line))) for line in fh if line.strip()], dtype=np.int64)
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
 

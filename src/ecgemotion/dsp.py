@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import DataFormatError, ParameterError, Segment, SignalRecord
+from .types import DataFormatError, ParameterError, SignalRecord
 from .utils import fmt_float
 
 WINDOW_KINDS = ("hamming", "hanning", "blackman", "rectangular")
@@ -138,19 +138,21 @@ def apply(fir: FirFilter, record: SignalRecord) -> SignalRecord:
     return SignalRecord(out, record.sample_rate_hz, record.label, record.subject_id)
 
 
-def segment(record: SignalRecord, length: int = DEFAULT_SEGMENT_LEN, stride: int = DEFAULT_SEGMENT_STRIDE) -> list:
-    """Cut a record into fixed-length windows; shorter records yield no segments."""
+def segment(
+    record: SignalRecord, length: int = DEFAULT_SEGMENT_LEN, stride: int = DEFAULT_SEGMENT_STRIDE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a record into fixed-length windows: a read-only (k, length) view of
+    its samples and the k start offsets. A record shorter than one window
+    yields k = 0."""
     if length < MIN_SEGMENT_LEN:
         raise ParameterError(f"segment length must be >= {MIN_SEGMENT_LEN}")
     if stride < 1:
         raise ParameterError("stride must be >= 1")
     n = len(record.samples)
     if n < length:
-        return []
-    return [
-        Segment(record.samples[start : start + length].copy(), record.label, (record.subject_id, start))
-        for start in range(0, n - length + 1, stride)
-    ]
+        return np.empty((0, length)), np.empty(0, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(record.samples, length)[::stride]
+    return windows, np.arange(0, n - length + 1, stride)
 
 
 def save_taps(fir: FirFilter, path) -> None:

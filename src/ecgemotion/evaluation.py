@@ -54,6 +54,9 @@ def confusion(true_labels, predicted_labels) -> ConfusionMatrix:
         raise ParameterError("label sequences differ in length")
     if len(true_codes) == 0:
         raise ParameterError("label sequences are empty")
+    for codes in (true_codes, pred_codes):
+        if codes.min() < 0 or codes.max() >= NUM_CLASSES:
+            raise ParameterError(f"emotion codes must lie in [0, {NUM_CLASSES})")
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(counts, (true_codes, pred_codes), 1)
     return ConfusionMatrix(counts)
@@ -180,19 +183,15 @@ class FeatureCache:
 
     def __init__(self, records, cfg: PipelineConfig):
         self.cfg = cfg
-        basis = features.dct_matrix(cfg.segment_len)
-        rows = []
-        meta = []
-        for record in records:
-            for seg in dsp.segment(record, cfg.segment_len, cfg.segment_stride):
-                rows.append(seg.samples)
-                meta.append((int(seg.label), seg.source[0], seg.source[1]))
-        if not rows:
+        cuts = [dsp.segment(record, cfg.segment_len, cfg.segment_stride) for record in records]
+        counts = [len(starts) for _, starts in cuts]
+        if not sum(counts):
             raise ParameterError("corpus yielded no segments")
-        self.coeffs = np.stack(rows) @ basis.T
-        self.labels = np.array([m[0] for m in meta], dtype=np.int64)
-        self.subjects = np.array([m[1] for m in meta], dtype=np.int64)
-        self.starts = np.array([m[2] for m in meta], dtype=np.int64)
+        # one temporary window matrix, freed as soon as it is transformed
+        self.coeffs = np.concatenate([windows for windows, _ in cuts]) @ features.dct_matrix(cfg.segment_len).T
+        self.labels = np.repeat([int(r.label) for r in records], counts)
+        self.subjects = np.repeat([r.subject_id for r in records], counts)
+        self.starts = np.concatenate([starts for _, starts in cuts])
         # per side, one array of row indices per emotion, in corpus order
         self.pools = {}
         for side, subjects in (("train", cfg.train_subjects), ("test", cfg.test_subjects)):

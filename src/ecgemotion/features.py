@@ -105,23 +105,29 @@ def save_features(x, codes, path) -> None:
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows and emotion codes of a CSV written by ``save_features``."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) < 2 or header[0] != "label" or header[1] != "f1":
-            raise DataFormatError(f"{path}: expected feature header 'label,f1..fn'")
-        n = len(header) - 1
-        rows = []
-        codes = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != n + 1:
-                raise DataFormatError(f"{path}:{lineno}: expected {n + 1} columns, got {len(parts)}")
-            try:
-                codes.append(int(Emotion.from_code(int(parts[0]))))
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        return read_features(fh, path)
+
+
+def read_features(fh, path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the rest of an open text file as a feature CSV. ``path`` names
+    it in errors, whose line numbers count from the CSV's header line."""
+    header = fh.readline().strip().split(",")
+    if len(header) < 2 or header[0] != "label" or header[1] != "f1":
+        raise DataFormatError(f"{path}: expected feature header 'label,f1..fn'")
+    n = len(header) - 1
+    rows = []
+    codes = []
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        parts = line.strip().split(",")
+        if len(parts) != n + 1:
+            raise DataFormatError(f"{path}:{lineno}: expected {n + 1} columns, got {len(parts)}")
+        try:
+            codes.append(int(Emotion.from_code(int(parts[0]))))
+            rows.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: no feature rows")
     return np.array(rows), np.array(codes, dtype=np.int64)

@@ -352,6 +352,8 @@ def load_model(path) -> ForestModel:
             oob = float(fields["oob"]) if fields.get("oob") else None
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed forest header: {exc}") from exc
+        if oob is not None and not np.isfinite(oob):
+            raise DataFormatError(f"{path}: non-finite oob in forest header")
 
         trees = []
         for _ in range(num_trees):
@@ -377,6 +379,8 @@ def load_model(path) -> ForestModel:
                             node < left[node] < nodes and node < right[node] < nodes
                         ):
                             raise DataFormatError(f"node {node} out of range: {parts!r}")
+                        if not np.isfinite(threshold[node]):
+                            raise DataFormatError(f"node {node} has a non-finite threshold: {parts!r}")
                     elif parts[0] == "l" and len(parts) == NUM_CLASSES + 1:
                         feature[node] = -1
                         threshold[node] = np.nan

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import features
 from .types import DataFormatError, Emotion, NUM_CLASSES, ParameterError
 from .utils import check_finite, fmt_float
 
@@ -108,7 +109,7 @@ class KnnModel:
             raise ParameterError(f"k must lie in [1, {len(self.train_y)}]")
         if self.metric not in METRICS:
             raise ParameterError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
-        if self.metric == "minkowski" and self.p < 1:
+        if self.metric == "minkowski" and not self.p >= 1:
             raise ParameterError("minkowski order p must be >= 1")
 
 
@@ -277,23 +278,5 @@ def load_model(path) -> KnnModel:
             p = float(fields.get("p", 2.0))
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed knn header: {exc}") from exc
-        feature_header = fh.readline().strip().split(",")
-        if feature_header[:2] != ["label", "f1"]:
-            raise DataFormatError(f"{path}: expected feature header after knn header")
-        n = len(feature_header) - 1
-        labels = []
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != n + 1:
-                raise DataFormatError(f"{path}: bad training row")
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: bad training row {line.strip()!r}: {exc}") from exc
-    if not rows:
-        raise DataFormatError(f"{path}: no training rows")
-    return KnnModel(np.array(rows), np.array(labels), k, metric, p)
+        rows, labels = features.read_features(fh, path)
+    return KnnModel(rows, labels, k, metric, p)

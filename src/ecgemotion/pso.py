@@ -5,7 +5,9 @@ Velocity and position updates follow the classic formulation
     v <- inertia * v + c1 * r1 * (p_best - x) + c2 * r2 * (g_best - x)
     x <- x + v
 
-with r1, r2 drawn uniformly from [0, 1) per particle per step. Inertia
+with r1, r2 drawn uniformly from [0, 1) per particle per step. The swarm
+is held as (S, 2) position, velocity and best-position arrays plus a
+best-fitness vector, and each step moves all S particles at once. Inertia
 defaults to 1.0, which reproduces the plain update verbatim; velocities
 are clamped per axis, and positions are clamped to the search bounds with
 the velocity zeroed on any clamped axis.
@@ -74,14 +76,6 @@ class PsoConfig:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float
-
-
-@dataclass
 class PsoResult:
     c: float
     gamma: float
@@ -95,31 +89,24 @@ class PsoResult:
     stalled: int = 0
 
 
-def step(swarm: list[Particle], global_best: np.ndarray, config: PsoConfig, rng) -> list[Particle]:
-    """Advance every particle one velocity/position update; fitness untouched."""
-    if not swarm:
+def step(position, velocity, best_position, global_best, config: PsoConfig, rng):
+    """Move a swarm held as (S, 2) arrays one velocity/position update.
+
+    Returns the new positions and velocities; bests and fitness are untouched.
+    """
+    if len(position) == 0:
         raise ParameterError("swarm must be non-empty")
-    lower, upper = config.lower, config.upper
+    r = rng.random((len(position), 2))  # row s holds particle s's (r1, r2)
+    velocity = (
+        config.inertia * velocity
+        + config.c1 * r[:, :1] * (best_position - position)
+        + config.c2 * r[:, 1:] * (global_best - position)
+    )
     vmax = config.velocity_max
-    moved = []
-    for particle in swarm:
-        r1 = rng.random()
-        r2 = rng.random()
-        velocity = (
-            config.inertia * particle.velocity
-            + config.c1 * r1 * (particle.best_position - particle.position)
-            + config.c2 * r2 * (global_best - particle.position)
-        )
-        velocity = np.clip(velocity, -vmax, vmax)
-        position = particle.position + velocity
-        below = position < lower
-        above = position > upper
-        position = np.clip(position, lower, upper)
-        velocity = np.where(below | above, 0.0, velocity)
-        moved.append(
-            Particle(position, velocity, particle.best_position.copy(), particle.best_fitness)
-        )
-    return moved
+    velocity = np.clip(velocity, -vmax, vmax)
+    moved = position + velocity
+    clamped = (moved < config.lower) | (moved > config.upper)
+    return np.clip(moved, config.lower, config.upper), np.where(clamped, 0.0, velocity)
 
 
 class CvSvmFitness:
@@ -240,49 +227,33 @@ def optimize(train, config: PsoConfig, fitness_fn=None) -> PsoResult:
 
     rng = np.random.default_rng(derive_seed(config.seed, "swarm"))
     lower, upper = config.lower, config.upper
-    positions = [lower + rng.random(2) * (upper - lower) for _ in range(config.swarm_size)]
-    values, stops = score(positions)
-    swarm = [
-        Particle(position.copy(), np.zeros(2), position.copy(), fitness)
-        for position, fitness in zip(positions, values)
-    ]
-
-    best_index = int(np.argmax([p.best_fitness for p in swarm]))
-    g_best = swarm[best_index].best_position.copy()
-    g_fitness = swarm[best_index].best_fitness
-
-    trace = [
-        (0, idx, 10.0 ** p.position[0], 10.0 ** p.position[1], p.best_fitness, g_fitness)
-        for idx, p in enumerate(swarm)
-    ]
-    history = [g_fitness]
-
-    for iteration in range(1, config.iterations + 1):
-        swarm = step(swarm, g_best, config, rng)
-        values, moved_stops = score([particle.position for particle in swarm])
+    position = lower + rng.random((config.swarm_size, 2)) * (upper - lower)
+    velocity = np.zeros_like(position)
+    best_position = position.copy()
+    best_fitness = np.full(config.swarm_size, np.nan)
+    stops = np.zeros(3, dtype=np.int64)
+    trace, history = [], []
+    for iteration in range(config.iterations + 1):
+        if iteration:
+            position, velocity = step(position, velocity, best_position, g_best, config, rng)
+        values, moved_stops = score(position)
         stops = stops + moved_stops
-        for idx, (particle, fitness) in enumerate(zip(swarm, values)):
-            if fitness > particle.best_fitness:
-                particle.best_fitness = fitness
-                particle.best_position = particle.position.copy()
-            trace.append(
-                (
-                    iteration,
-                    idx,
-                    10.0 ** particle.position[0],
-                    10.0 ** particle.position[1],
-                    fitness,
-                    g_fitness,
-                )
-            )
-        best_index = int(np.argmax([p.best_fitness for p in swarm]))
-        if swarm[best_index].best_fitness > g_fitness:
-            g_fitness = swarm[best_index].best_fitness
-            g_best = swarm[best_index].best_position.copy()
+        fitness = np.array(values, dtype=np.float64)
+        # the first evaluation is every particle's best, whatever its value
+        improved = (fitness > best_fitness) | (iteration == 0)
+        best_fitness[improved] = fitness[improved]
+        best_position[improved] = position[improved]
+        best_index = int(np.argmax(best_fitness))
+        if iteration == 0 or best_fitness[best_index] > g_fitness:
+            g_fitness = float(best_fitness[best_index])
+            g_best = best_position[best_index].copy()
         history.append(g_fitness)
-        # retrofit this iteration's trace rows with the post-reduction best
-        start = len(trace) - len(swarm)
-        trace[start:] = [row[:5] + (g_fitness,) for row in trace[start:]]
+        # C and gamma as powers of numpy scalars: the array form of the
+        # power can differ in the last bit
+        trace += [
+            (iteration, idx, 10.0 ** position[idx, 0], 10.0 ** position[idx, 1], value, g_fitness)
+            for idx, value in enumerate(values)
+        ]
 
     return PsoResult(
         c=10.0 ** g_best[0],

@@ -43,11 +43,12 @@ class SvmParams:
     max_passes: int | None = None  # None -> 10 * n_samples
 
     def __post_init__(self):
-        if self.c <= 0:
+        # "not x > 0" also rejects NaN
+        if not self.c > 0:
             raise ParameterError("c must be positive")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ParameterError("gamma must be positive")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ParameterError("tolerance must be positive")
 
 
@@ -500,6 +501,8 @@ def load_model(path) -> MulticlassSvmModel:
             feature_count = int(fields["features"])
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed svm header: {exc}") from exc
+        if not np.isfinite([c, gamma]).all():
+            raise DataFormatError(f"{path}: non-finite c or gamma in svm header")
         params = SvmParams(c=c, gamma=gamma)
 
         models = {}
@@ -520,6 +523,8 @@ def load_model(path) -> MulticlassSvmModel:
                         raise DataFormatError(f"bad support vector row for pair {a},{b}")
                     coefs[row] = float(values[0])
                     vectors[row] = [float(v) for v in values[1:]]
+                if not (np.isfinite(bias) and np.isfinite(coefs).all() and np.isfinite(vectors).all()):
+                    raise DataFormatError(f"non-finite number in pair {a},{b}")
             except (IndexError, ValueError) as exc:
                 raise DataFormatError(f"{path}: malformed pair {line.strip()!r}: {exc}") from exc
             models[(a, b)] = BinarySvmModel(vectors, coefs, bias, params)

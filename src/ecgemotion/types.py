@@ -74,25 +74,6 @@ class SignalRecord:
 
 
 @dataclass(eq=False)
-class Segment:
-    """A fixed-length window of samples cut from one record."""
-
-    samples: np.ndarray
-    label: Emotion
-    source: tuple[int, int]  # (subject_id, start_index)
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ParameterError("segment samples must be a non-empty 1-D sequence")
-        self.label = Emotion(self.label)
-        self.source = (int(self.source[0]), int(self.source[1]))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(eq=False)
 class FeatureVector:
     """Leading DCT coefficients of one segment, with its label and provenance."""
 

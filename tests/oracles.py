@@ -8,6 +8,7 @@ it checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,6 +281,111 @@ def per_pair_cv_fitness(fitness, position) -> float:
         predicted = votes.argmax(axis=1)
         accuracies.append(float(np.mean(predicted == val_codes)))
     return float(np.mean(accuracies))
+
+
+@dataclass
+class _Particle:
+    position: np.ndarray
+    velocity: np.ndarray
+    best_position: np.ndarray
+    best_fitness: float
+
+
+def _step_loop(swarm, global_best, config, rng):
+    lower, upper = config.lower, config.upper
+    vmax = config.velocity_max
+    moved = []
+    for particle in swarm:
+        r1 = rng.random()
+        r2 = rng.random()
+        velocity = (
+            config.inertia * particle.velocity
+            + config.c1 * r1 * (particle.best_position - particle.position)
+            + config.c2 * r2 * (global_best - particle.position)
+        )
+        velocity = np.clip(velocity, -vmax, vmax)
+        position = particle.position + velocity
+        below = position < lower
+        above = position > upper
+        position = np.clip(position, lower, upper)
+        velocity = np.where(below | above, 0.0, velocity)
+        moved.append(
+            _Particle(position, velocity, particle.best_position.copy(), particle.best_fitness)
+        )
+    return moved
+
+
+def optimize_loop(config, fitness_fn):
+    """``pso.optimize`` as it stood with one object per particle.
+
+    Each particle draws its own (r1, r2) pair in turn, and a generation's
+    trace rows are written with the best known before the generation and
+    then retrofitted. ``fitness_fn`` is a ``CvSvmFitness`` (scored one
+    generation at a time, counting dual stops) or a plain callable.
+    """
+    from ecgemotion import svm
+    from ecgemotion.pso import PsoResult
+    from ecgemotion.utils import derive_seed
+
+    if hasattr(fitness_fn, "evaluate"):
+        score = fitness_fn.evaluate
+    else:
+        score = lambda positions: ([float(fitness_fn(p)) for p in positions], np.zeros(3, dtype=np.int64))
+    rng = np.random.default_rng(derive_seed(config.seed, "swarm"))
+    lower, upper = config.lower, config.upper
+    positions = [lower + rng.random(2) * (upper - lower) for _ in range(config.swarm_size)]
+    values, stops = score(positions)
+    swarm = [
+        _Particle(position.copy(), np.zeros(2), position.copy(), fitness)
+        for position, fitness in zip(positions, values)
+    ]
+
+    best_index = int(np.argmax([p.best_fitness for p in swarm]))
+    g_best = swarm[best_index].best_position.copy()
+    g_fitness = swarm[best_index].best_fitness
+
+    trace = [
+        (0, idx, 10.0 ** p.position[0], 10.0 ** p.position[1], p.best_fitness, g_fitness)
+        for idx, p in enumerate(swarm)
+    ]
+    history = [g_fitness]
+
+    for iteration in range(1, config.iterations + 1):
+        swarm = _step_loop(swarm, g_best, config, rng)
+        values, moved_stops = score([particle.position for particle in swarm])
+        stops = stops + moved_stops
+        for idx, (particle, fitness) in enumerate(zip(swarm, values)):
+            if fitness > particle.best_fitness:
+                particle.best_fitness = fitness
+                particle.best_position = particle.position.copy()
+            trace.append(
+                (
+                    iteration,
+                    idx,
+                    10.0 ** particle.position[0],
+                    10.0 ** particle.position[1],
+                    fitness,
+                    g_fitness,
+                )
+            )
+        best_index = int(np.argmax([p.best_fitness for p in swarm]))
+        if swarm[best_index].best_fitness > g_fitness:
+            g_fitness = swarm[best_index].best_fitness
+            g_best = swarm[best_index].best_position.copy()
+        history.append(g_fitness)
+        start = len(trace) - len(swarm)
+        trace[start:] = [row[:5] + (g_fitness,) for row in trace[start:]]
+
+    return PsoResult(
+        c=10.0 ** g_best[0],
+        gamma=10.0 ** g_best[1],
+        fitness=g_fitness,
+        history=history,
+        trace=trace,
+        solves=int(stops.sum()),
+        capped=int(stops[svm.CAPPED]),
+        stalled=int(stops[svm.STALLED]),
+    )
 
 
 def chunked_distance_matrix(metric: str, queries, train, p: float = 2.0, batch_rows: int = 128):

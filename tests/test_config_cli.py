@@ -358,6 +358,26 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         argv = ["predict", "--model", str(tmp_path / name), "--out", str(out)]
         assert cli.main([*argv, "--features", str(good_csv)]) == 0
         assert cli.main([*argv, "--features", str(nan_csv)]) == 1
+    # 3: emotion codes outside [0, 4) in predictions or a knn model, and
+    # non-finite numbers in svm and forest models
+    four_csv = tmp_path / "four.csv"
+    four_csv.write_text("label,f1\n0,1.0\n1,2.0\n2,3.0\n3,4.0\n")
+    for code, status in (("3", 0), ("7", 3), ("-1", 3)):
+        predictions = tmp_path / f"pred{code}.csv"
+        predictions.write_text(f"label\n0\n1\n2\n{code}\n")
+        argv = ["evaluate", "--features", str(four_csv), "--predictions", str(predictions)]
+        assert cli.main([*argv, "--out-prefix", str(tmp_path / "eval")]) == status
+    six_pairs_nan = six_pairs.replace("1.0,0.5", "nan,0.5", 1)
+    for name, text in (
+        ("labels.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\n7,0.0\n-2,5.0\n1,9.0\n"),
+        ("gamma.svm", "svm v1 classes=4 gamma=nan c=1.0 features=1\n" + six_pairs),
+        ("coef.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs_nan),
+        ("threshold.forest", forest_header.format(1) + "tree 0 nodes=3\nn,0,nan,1,2\nl,1,0,0,0\nl,0,1,0,0\n"),
+        ("oob.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=nan\ntree 0 nodes=1\nl,1,0,0,0\n"),
+    ):
+        (tmp_path / name).write_text(text)
+        out = str(tmp_path / "p.csv")
+        assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]) == 3
 
 
 def test_forest_train_rejects_non_finite_features(tmp_path, mini_cfg_file):

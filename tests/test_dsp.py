@@ -136,18 +136,27 @@ def test_rectangular_keeps_ideal_shape():
 
 def test_segment_counts():
     record = SignalRecord(np.zeros(38400), 128, Emotion.CALM, 2)
-    assert len(segment(record, 256, 256)) == 150
-    assert len(segment(record, 256, 128)) == 299
+    assert len(segment(record, 256, 256)[0]) == 150
+    assert len(segment(record, 256, 128)[0]) == 299
     short = SignalRecord(np.zeros(255), 128, Emotion.CALM, 2)
-    assert segment(short, 256, 256) == []
+    windows, starts = segment(short, 256, 256)
+    assert windows.shape == (0, 256) and starts.shape == (0,)
 
 
 def test_segment_provenance_and_errors():
+    from ecgemotion.config import PipelineConfig
+    from ecgemotion.evaluation import FeatureCache
+
     record = SignalRecord(np.arange(600, dtype=float), 128, Emotion.TENSE, 7)
-    segments = segment(record, 256, 128)
-    assert [s.source for s in segments] == [(7, 0), (7, 128), (7, 256)]
-    assert all(s.label is Emotion.TENSE for s in segments)
-    assert np.array_equal(segments[1].samples, np.arange(128, 384, dtype=float))
+    windows, starts = segment(record, 256, 128)
+    assert starts.tolist() == [0, 128, 256]
+    assert windows.shape == (3, 256)
+    assert np.array_equal(windows[1], np.arange(128, 384, dtype=float))
+    # the record's label and subject reach every window's cache row
+    cfg = PipelineConfig(segment_len=256, segment_stride=128, train_subjects=(7,), test_subjects=(8,))
+    cache = FeatureCache([record], cfg)
+    assert list(zip(cache.subjects.tolist(), cache.starts.tolist())) == [(7, 0), (7, 128), (7, 256)]
+    assert all(Emotion(code) is Emotion.TENSE for code in cache.labels)
     with pytest.raises(ParameterError):
         segment(record, 64, 64)  # below the minimum segment length
     with pytest.raises(ParameterError):

@@ -57,6 +57,10 @@ def test_confusion_errors():
         confusion([0, 1], [0])
     with pytest.raises(ParameterError):
         confusion([], [])
+    # codes outside [0, 4) would index past the matrix or wrap to class 3
+    for true_labels, predicted in (([0, 3], [0, 7]), ([0, 3], [0, -1]), ([4, 0], [0, 0])):
+        with pytest.raises(ParameterError):
+            confusion(true_labels, predicted)
 
 
 def test_recognition_rates_and_missing_rows():
@@ -164,17 +168,20 @@ def test_feature_cache_rows_are_dct_prefix(mini_config, mini_corpus):
     records = {(r.subject_id, r.label): r.samples for r in mini_corpus}
     length = mini_config.segment_len
     n = mini_config.feature_count
-    dataset = FeatureCache(mini_corpus, mini_config).dataset(n, 777)
-    assert len(dataset.train) == mini_config.train_size
-    assert len(dataset.test) == mini_config.test_size
-    for side, subjects in ((dataset.train, mini_config.train_subjects),
-                           (dataset.test, mini_config.test_subjects)):
-        for fv in side:
-            subject, start = fv.source
-            assert subject in subjects and start % mini_config.segment_stride == 0
-            segment = records[(subject, fv.label)][start : start + length]
-            assert len(segment) == length
-            assert np.allclose(fv.values, dct(segment)[:n], rtol=0, atol=1e-12)
+    # non-overlapping windows, then windows that overlap by half
+    for cfg in (mini_config, mini_config.replace(segment_stride=128)):
+        dataset = FeatureCache(mini_corpus, cfg).dataset(n, 777)
+        assert len(dataset.train) == cfg.train_size
+        assert len(dataset.test) == cfg.test_size
+        for side, subjects in ((dataset.train, cfg.train_subjects),
+                               (dataset.test, cfg.test_subjects)):
+            for fv in side:
+                subject, start = fv.source
+                assert subject in subjects and start % cfg.segment_stride == 0
+                segment = records[(subject, fv.label)][start : start + length]
+                assert len(segment) == length
+                assert np.allclose(fv.values, dct(segment)[:n], rtol=0, atol=1e-12)
+    assert {fv.source[1] % 256 for fv in dataset.train} == {0, 128}
 
 
 def test_feature_cache_zscore_scales_by_training_sample(mini_config, mini_corpus):

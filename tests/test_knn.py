@@ -131,6 +131,8 @@ def test_model_invariants():
         KnnModel(x, np.array([0, 1, 2]), 4)
     with pytest.raises(ParameterError):
         KnnModel(x, np.array([0, 1, 2]), 2, metric="hamming")
+    with pytest.raises(ParameterError):
+        KnnModel(x, np.array([0, 1, 2]), 2, metric="minkowski", p=np.nan)
     model = KnnModel(np.ones((3, 2)), np.array([0, 1, 2]), 2)
     with pytest.raises(ParameterError):
         predict_knn_batch(model, np.ones((2, 5)))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ecgemotion.pso import CvSvmFitness, Particle, PsoConfig, optimize, step
+from ecgemotion.pso import CvSvmFitness, PsoConfig, optimize, step
 from ecgemotion.types import ParameterError
 
-from oracles import make_blobs, per_pair_cv_fitness
+from oracles import make_blobs, optimize_loop, per_pair_cv_fitness
 
 WIDE = dict(log10_c_bounds=(-5.0, 5.0), log10_gamma_bounds=(-5.0, 5.0))
 
@@ -15,8 +15,8 @@ class FixedRng:
     def __init__(self, value):
         self.value = value
 
-    def random(self):
-        return self.value
+    def random(self, shape):
+        return np.full(shape, self.value)
 
 
 class RecordingRng:
@@ -24,8 +24,8 @@ class RecordingRng:
         self.rng = rng
         self.draws = []
 
-    def random(self):
-        value = self.rng.random()
+    def random(self, shape):
+        value = self.rng.random(shape)
         self.draws.append(value)
         return value
 
@@ -34,44 +34,47 @@ class ReplayRng:
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def random(self):
-        return self.draws.pop(0)
+    def random(self, shape):
+        value = self.draws.pop(0)
+        assert value.shape == shape
+        return value
 
 
-def particle(pos, vel, best=None, fitness=-np.inf):
-    pos = np.asarray(pos, dtype=float)
-    vel = np.asarray(vel, dtype=float)
-    best = pos.copy() if best is None else np.asarray(best, dtype=float)
-    return Particle(pos, vel, best, fitness)
+def swarm_of(pos, vel, best=None):
+    """(position, velocity, best position) arrays of shape (S, 2)."""
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    vel = np.atleast_2d(np.asarray(vel, dtype=float))
+    best = pos.copy() if best is None else np.atleast_2d(np.asarray(best, dtype=float))
+    return pos, vel, best
 
 
 def test_step_zero_attraction_advances_by_velocity():
     cfg = PsoConfig(swarm_size=1, c1=0.0, c2=0.0, inertia=1.0, **WIDE)
-    swarm = [particle([0.0, 0.0], [0.5, -0.25])]
-    moved = step(swarm, np.array([3.0, 3.0]), cfg, FixedRng(0.9))
-    assert np.allclose(moved[0].velocity, [0.5, -0.25])
-    assert np.allclose(moved[0].position, [0.5, -0.25])
+    pos, vel, best = swarm_of([0.0, 0.0], [0.5, -0.25])
+    position, velocity = step(pos, vel, best, np.array([3.0, 3.0]), cfg, FixedRng(0.9))
+    assert np.allclose(velocity[0], [0.5, -0.25])
+    assert np.allclose(position[0], [0.5, -0.25])
 
 
 def test_fixed_point_never_moves():
     cfg = PsoConfig(swarm_size=1, **WIDE)
     x = np.array([1.0, -1.0])
-    swarm = [particle(x, [0.0, 0.0], best=x)]
+    pos, vel, best = swarm_of(x, [0.0, 0.0], best=x)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        swarm = step(swarm, x, cfg, rng)
-    assert np.array_equal(swarm[0].position, x)
-    assert np.array_equal(swarm[0].velocity, [0.0, 0.0])
+        pos, vel = step(pos, vel, best, x, cfg, rng)
+    assert np.array_equal(pos[0], x)
+    assert np.array_equal(vel[0], [0.0, 0.0])
 
 
 def test_step_matches_update_equation():
     # c1 = c2 = 2, r1 = r2 = 0.5, x = 0, v = 0, bests at (1, 0):
     # v' = 2*0.5*1 + 2*0.5*1 = 2 on the first axis, x' = x + v'
     cfg = PsoConfig(swarm_size=1, c1=2.0, c2=2.0, inertia=1.0, **WIDE)
-    swarm = [particle([0.0, 0.0], [0.0, 0.0], best=[1.0, 0.0])]
-    moved = step(swarm, np.array([1.0, 0.0]), cfg, FixedRng(0.5))
-    assert np.allclose(moved[0].velocity, [2.0, 0.0])
-    assert np.allclose(moved[0].position, [2.0, 0.0])
+    pos, vel, best = swarm_of([0.0, 0.0], [0.0, 0.0], best=[1.0, 0.0])
+    position, velocity = step(pos, vel, best, np.array([1.0, 0.0]), cfg, FixedRng(0.5))
+    assert np.allclose(velocity[0], [2.0, 0.0])
+    assert np.allclose(position[0], [2.0, 0.0])
 
 
 def test_velocity_clamped_and_zeroed_at_bounds():
@@ -84,12 +87,12 @@ def test_velocity_clamped_and_zeroed_at_bounds():
         log10_c_bounds=(-1.0, 1.0),
         log10_gamma_bounds=(-1.0, 1.0),
     )
-    swarm = [particle([0.95, 0.0], [0.0, 0.0], best=[1.0, 0.0])]
-    moved = step(swarm, np.array([1.0, 0.0]), cfg, FixedRng(1.0))
+    pos, vel, best = swarm_of([0.95, 0.0], [0.0, 0.0], best=[1.0, 0.0])
+    position, velocity = step(pos, vel, best, np.array([1.0, 0.0]), cfg, FixedRng(1.0))
     # raw velocity 0.2 clamps to 0.1; position 1.05 clamps to the bound with
     # the velocity zeroed on that axis
-    assert moved[0].position[0] == 1.0
-    assert moved[0].velocity[0] == 0.0
+    assert position[0, 0] == 1.0
+    assert velocity[0, 0] == 0.0
 
 
 def test_single_static_particle_returns_start():
@@ -133,23 +136,23 @@ def test_trace_shape_and_history_length():
 def test_replay_reproduces_trajectories():
     cfg = PsoConfig(swarm_size=3, c1=2.0, c2=2.0, inertia=1.0, **WIDE)
     rng = RecordingRng(np.random.default_rng(17))
-    swarm = [
-        particle([0.1 * i, -0.1 * i], [0.05, 0.02], best=[0.5, 0.5]) for i in range(3)
-    ]
+    pos, vel, best = swarm_of(
+        [[0.1 * i, -0.1 * i] for i in range(3)], [[0.05, 0.02]] * 3, best=[[0.5, 0.5]] * 3
+    )
     gbest = np.array([0.25, 0.25])
-    first = [step(swarm, gbest, cfg, rng)]
+    first = [step(pos, vel, best, gbest, cfg, rng)]
     for _ in range(4):
-        first.append(step(first[-1], gbest, cfg, rng))
+        first.append(step(*first[-1], best, gbest, cfg, rng))
 
     replay_rng = ReplayRng(rng.draws)
-    second = [step(swarm, gbest, cfg, replay_rng)]
+    second = [step(pos, vel, best, gbest, cfg, replay_rng)]
     for _ in range(4):
-        second.append(step(second[-1], gbest, cfg, replay_rng))
+        second.append(step(*second[-1], best, gbest, cfg, replay_rng))
 
-    for sa, sb in zip(first, second):
-        for pa, pb in zip(sa, sb):
-            assert np.array_equal(pa.position, pb.position)
-            assert np.array_equal(pa.velocity, pb.velocity)
+    for (pos_a, vel_a), (pos_b, vel_b) in zip(first, second):
+        for particle in range(3):
+            assert np.array_equal(pos_a[particle], pos_b[particle])
+            assert np.array_equal(vel_a[particle], vel_b[particle])
 
 
 def test_personal_best_dominates():
@@ -228,5 +231,69 @@ def test_config_validation():
         PsoConfig(log10_c_bounds=(1.0, 1.0))
     with pytest.raises(ParameterError):
         PsoConfig(cv_folds=1)
+    empty = np.empty((0, 2))
     with pytest.raises(ParameterError):
-        step([], np.zeros(2), PsoConfig(), np.random.default_rng(0))
+        step(empty, empty, empty, np.zeros(2), PsoConfig(), np.random.default_rng(0))
+
+
+def sphere(target):
+    return lambda p: -float(np.sum((p - np.asarray(target)) ** 2))
+
+
+def holes(p):
+    """NaN on one half of the plane and -inf on a strip of the other."""
+    if p[0] < 0.0:
+        return float("nan")
+    if p[1] < -2.0:
+        return float("-inf")
+    return -float(np.sum((p - np.array([1.5, -1.0])) ** 2))
+
+
+def plateau(p):
+    """A sphere rounded to whole numbers, so that bests tie."""
+    return -float(np.round(np.sum((p - np.array([1.0, -1.5])) ** 2)))
+
+
+def assert_same_result(result, expected):
+    assert (result.c, result.gamma) == (expected.c, expected.gamma)
+    assert result.fitness == expected.fitness or (np.isnan(result.fitness) and np.isnan(expected.fitness))
+    assert np.array_equal(result.history, expected.history, equal_nan=True)
+    assert len(result.trace) == len(expected.trace)
+    for row, expected_row in zip(result.trace, expected.trace):
+        assert row[:4] == expected_row[:4]
+        assert np.array_equal(row[4:], expected_row[4:], equal_nan=True)
+    assert (result.solves, result.capped, result.stalled) == (
+        expected.solves,
+        expected.capped,
+        expected.stalled,
+    )
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(seed=seed, inertia=inertia, velocity_clamp=clamp, swarm_size=size, iterations=12)
+        for seed, inertia, clamp, size in (
+            (0, 1.0, 0.5, 20),
+            (1, 0.7, 0.5, 20),
+            (2, 1.0, 0.1, 7),
+            (3, 0.7, 0.1, 7),
+            (4, 1.0, 0.5, 1),
+            (5, 0.7, 0.1, 1),
+        )
+    ],
+)
+@pytest.mark.parametrize("fitness", [sphere([1.5, -1.0]), sphere([3.0, 1.0]), holes, plateau])
+def test_optimize_equals_particle_loop(settings, fitness):
+    cfg = PsoConfig(**settings)
+    assert_same_result(optimize(None, cfg, fitness_fn=fitness), optimize_loop(cfg, fitness))
+
+
+def test_optimize_equals_particle_loop_on_cv_fitness():
+    rng = np.random.default_rng(13)
+    x, y = make_blobs(rng, 12, std=0.35)
+    cfg = PsoConfig(swarm_size=5, iterations=3, inertia=0.7, seed=21, cv_folds=3)
+    result = optimize((x, y), cfg)
+    expected = optimize_loop(cfg, CvSvmFitness(x, y, cfg.cv_folds, cfg.seed))
+    assert_same_result(result, expected)
+    assert result.trace == expected.trace and result.solves == 4 * 5 * 3 * 6

@@ -213,6 +213,9 @@ def test_train_binary_errors():
         train_binary(np.zeros((2, 1)), np.array([0.0, 1.0]), SvmParams(c=1, gamma=1))
     with pytest.raises(ParameterError):
         SvmParams(c=-1, gamma=1)
+    for bad in (dict(c=np.nan), dict(gamma=np.nan), dict(tolerance=np.nan)):
+        with pytest.raises(ParameterError):
+            SvmParams(**{"c": 1.0, "gamma": 1.0, **bad})
 
 
 def test_dimension_mismatch_on_predict():
@@ -448,5 +451,23 @@ def test_kkt_max_violation_matches_loop(blob_data):
 def test_malformed_header_token_is_a_data_error(tmp_path):
     path = tmp_path / "model.svm"
     path.write_text("svm v1 gamma=1 c=1 features\n")
+    with pytest.raises(DataFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "header, pair, row",
+    [
+        ("gamma=nan c=1.0", "bias=0.0", "1.0,0.5"),
+        ("gamma=0.5 c=inf", "bias=0.0", "1.0,0.5"),
+        ("gamma=0.5 c=1.0", "bias=inf", "1.0,0.5"),
+        ("gamma=0.5 c=1.0", "bias=0.0", "nan,0.5"),
+        ("gamma=0.5 c=1.0", "bias=0.0", "1.0,-inf"),
+    ],
+)
+def test_non_finite_model_numbers_are_data_errors(tmp_path, header, pair, row):
+    path = tmp_path / "model.svm"
+    body = "".join(f"pair {a} {b} {pair} nsv=1\n{row}\n" for a, b in svm.PAIRS)
+    path.write_text(f"svm v1 classes=4 {header} features=1\n" + body)
     with pytest.raises(DataFormatError):
         load_model(path)
