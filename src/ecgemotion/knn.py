@@ -3,7 +3,10 @@
 Metrics: Euclidean, cosine distance (1 - cosine similarity), Minkowski of
 order p, and a chi-square form adapted to signed features by using
 |x_i| + |y_i| + eps in the denominator (the classical statistic assumes
-non-negative histogram bins, which DCT coefficients are not).
+non-negative histogram bins, which DCT coefficients are not). Minkowski and
+chi-square distances are computed once per distinct (query, training) row
+pair and gathered out to repeated rows; Euclidean and cosine come from one
+matrix product over all rows, whose rounding depends on the matrix shape.
 
 Neighbor ordering is stable: distance ties at the k-th rank go to the lower
 training index. Label ties among the k neighbors go to the smaller summed
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import features
 from .types import DataFormatError, Emotion, NUM_CLASSES, ParameterError
-from .utils import check_finite, fmt_float
+from .utils import check_finite, distinct_rows, fmt_float
 
 METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
@@ -66,9 +69,15 @@ def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: flo
             raise ParameterError("minkowski order p must be >= 1")
     elif metric != "chisquare":
         raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    # Elementwise metrics: one query row at a time through an (n_train, d)
-    # buffer. Each element and each row sum is computed in the same order as
-    # by broadcasting over all rows, so the matrix is the same to the bit.
+    # Elementwise metrics: each distinct (query, training) row pair once, one
+    # distinct query row at a time through an (n_train, d) buffer, then
+    # gathered out to the drawn rows. Each element and each row sum is
+    # computed in the same order as by broadcasting over all rows, so the
+    # matrix is the same to the bit; rows merged across a -0.0/0.0 give
+    # equal elements, since every metric takes |q - t| or (q - t)^2 and |t|.
+    q_first, q_copy, _ = distinct_rows(queries)
+    t_first, t_copy, _ = distinct_rows(train)
+    queries, train = queries[q_first], train[t_first]
     out = np.empty((len(queries), len(train)))
     buf = np.empty(train.shape)
     if metric == "minkowski":
@@ -78,17 +87,18 @@ def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: flo
             np.power(buf, p, out=buf)
             np.sum(buf, axis=1, out=out[i])
         np.power(out, 1.0 / p, out=out)
-        return out
-    abs_train = np.abs(train)
-    denom = np.empty(train.shape)
-    for i, q in enumerate(queries):
-        np.subtract(q, train, out=buf)
-        np.square(buf, out=buf)
-        np.add(np.abs(q), abs_train, out=denom)
-        denom += CHI_SQUARE_EPS
-        np.divide(buf, denom, out=buf)
-        np.sum(buf, axis=1, out=out[i])
-    return out
+    else:
+        abs_train = np.abs(train)
+        denom = np.empty(train.shape)
+        for i, q in enumerate(queries):
+            np.subtract(q, train, out=buf)
+            np.square(buf, out=buf)
+            np.add(np.abs(q), abs_train, out=denom)
+            denom += CHI_SQUARE_EPS
+            np.divide(buf, denom, out=buf)
+            np.sum(buf, axis=1, out=out[i])
+    out = np.take(out, t_copy, axis=1)
+    return np.take(out, q_copy, axis=0)
 
 
 @dataclass(eq=False)
@@ -279,4 +289,7 @@ def load_model(path) -> KnnModel:
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed knn header: {exc}") from exc
         rows, labels = features.read_features(fh, path)
-    return KnnModel(rows, labels, k, metric, p)
+    try:
+        return KnnModel(rows, labels, k, metric, p)
+    except ParameterError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -28,7 +28,7 @@ from .types import (
     NUM_CLASSES,
     ParameterError,
 )
-from .utils import check_finite, derive_seed, fmt_float
+from .utils import check_finite, derive_seed, distinct_rows, fmt_float
 
 _EPS = 1e-12
 
@@ -115,7 +115,8 @@ def _pick(scores: np.ndarray, tied: np.ndarray, rng: np.random.Generator) -> int
         return -1
     np.equal(scores, best, out=tied)
     if np.count_nonzero(tied) > 1:
-        return int(rng.choice(np.flatnonzero(tied)))
+        tied_at = np.flatnonzero(tied)
+        return int(tied_at[rng.integers(len(tied_at))])  # rng.choice(tied_at), draw for draw
     return k
 
 
@@ -215,7 +216,8 @@ def _pick_rows(values, mask, rngs, owners) -> np.ndarray:
     picks[best == -np.inf] = -1
     for r in np.flatnonzero(ties.sum(axis=1) > 1):
         if best[r] != -np.inf:
-            picks[r] = rngs[owners[r]].choice(np.flatnonzero(ties[r]))
+            tied_at = np.flatnonzero(ties[r])
+            picks[r] = tied_at[rngs[owners[r]].integers(len(tied_at))]
     return picks
 
 
@@ -322,17 +324,6 @@ class BinarySvmModel:
         return len(self.dual_coefs)
 
 
-def _distinct_rows(x: np.ndarray, y: np.ndarray):
-    """The distinct (row, label) pairs of a training set in order of first
-    occurrence: the index of each one's first row, the distinct index of
-    every row, and how often each pair occurs."""
-    _, first, inverse, counts = np.unique(
-        np.column_stack([x, y]), axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.ravel()], counts[order]
-
-
 def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
     """Train a binary RBF-SVM on labels in {-1, +1}.
 
@@ -359,7 +350,7 @@ def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
     n = len(y)
     max_steps = params.max_passes if params.max_passes else 10 * n
     rng = np.random.default_rng(seed)
-    first, copy_of, counts = _distinct_rows(x, y)
+    first, copy_of, counts = distinct_rows(np.column_stack([x, y]))
     x_u, y_u = x[first], y[first]
     kmat = rbf_kernel_matrix(x_u, x_u, params.gamma)
     alpha_u, bias = solve_dual(kmat, y_u, params.c * counts, params.tolerance, max_steps, rng)
@@ -499,11 +490,11 @@ def load_model(path) -> MulticlassSvmModel:
             gamma = float(fields["gamma"])
             c = float(fields["c"])
             feature_count = int(fields["features"])
+            params = SvmParams(c=c, gamma=gamma)  # ParameterError is a ValueError
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed svm header: {exc}") from exc
         if not np.isfinite([c, gamma]).all():
             raise DataFormatError(f"{path}: non-finite c or gamma in svm header")
-        params = SvmParams(c=c, gamma=gamma)
 
         models = {}
         line = fh.readline()

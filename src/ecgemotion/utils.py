@@ -31,6 +31,18 @@ def check_finite(x: np.ndarray, what: str) -> None:
         raise ParameterError(f"{what} contain non-finite values")
 
 
+def distinct_rows(x: np.ndarray):
+    """The distinct rows of a 2-D array in order of first occurrence: the
+    index of each one's first row, the distinct index of every row (so
+    ``x[first][copy]`` equals ``x``), and how often each row occurs. Rows
+    that differ only in the sign of a zero count as one."""
+    _, first, inverse, counts = np.unique(
+        x, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.ravel()], counts[order]
+
+
 def fmt_float(x: float) -> str:
     """Shortest decimal text that round-trips the exact float64 value."""
     return repr(float(x))

@@ -358,8 +358,9 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         argv = ["predict", "--model", str(tmp_path / name), "--out", str(out)]
         assert cli.main([*argv, "--features", str(good_csv)]) == 0
         assert cli.main([*argv, "--features", str(nan_csv)]) == 1
-    # 3: emotion codes outside [0, 4) in predictions or a knn model, and
-    # non-finite numbers in svm and forest models
+    # 3: emotion codes outside [0, 4) in predictions or a knn model,
+    # non-finite numbers in svm and forest models, and header values that
+    # parse but lie out of range
     four_csv = tmp_path / "four.csv"
     four_csv.write_text("label,f1\n0,1.0\n1,2.0\n2,3.0\n3,4.0\n")
     for code, status in (("3", 0), ("7", 3), ("-1", 3)):
@@ -374,6 +375,11 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         ("coef.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs_nan),
         ("threshold.forest", forest_header.format(1) + "tree 0 nodes=3\nn,0,nan,1,2\nl,1,0,0,0\nl,0,1,0,0\n"),
         ("oob.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=nan\ntree 0 nodes=1\nl,1,0,0,0\n"),
+        ("k.knn", "knn v1 k=5 metric=euclidean\nlabel,f1\n0,1.0\n"),
+        ("p.knn", "knn v1 k=1 metric=minkowski p=nan\nlabel,f1\n0,1.0\n"),
+        ("metric.knn", "knn v1 k=1 metric=manhattan\nlabel,f1\n0,1.0\n"),
+        ("row.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\n0,nan\n"),
+        ("c.svm", "svm v1 classes=4 gamma=0.5 c=-1 features=1\n" + six_pairs),
     ):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,11 @@ from ecgemotion.evaluation import (
     sweep_k,
     sweep_trees,
 )
+from ecgemotion.config import PipelineConfig
 from ecgemotion.types import DataFormatError, Emotion, ParameterError
 from ecgemotion.utils import fmt_percent
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_confusion_perfect_prediction():
@@ -249,6 +254,33 @@ def test_sweep_k_points(mini_config, mini_corpus):
     curve = sweep_k(cfg, records=mini_corpus, values=list(range(1, 11)), runs=1)
     assert curve.values() == list(range(1, 11))
     assert all(0.0 <= rate <= 1.0 for _, rate in curve.points)
+
+
+@pytest.fixture(scope="module")
+def reference_corpus():
+    cfg = PipelineConfig.from_file(REPO_ROOT / "configs" / "reference.cfg")
+    records, _ = evaluation.filter_corpus(evaluation.synth_corpus(cfg), cfg)
+    return cfg, records
+
+
+@pytest.mark.parametrize("metric,p", [("minkowski", 1.5), ("chisquare", 2.0)])
+def test_sweep_k_text_equals_chunked_broadcast(reference_corpus, metric, p, monkeypatch):
+    """On a reference-size split (4000/1200 rows drawn with replacement from
+    2,400/600 segments), distances over the distinct rows give the same curve
+    text as the chunked broadcast over every drawn row pair."""
+    cfg, records = reference_corpus
+    cfg = cfg.replace(classifier="knn", knn_metric=metric, knn_minkowski_p=p)
+
+    def render():
+        return evaluation.curve_csv("k", sweep_k(cfg, records=records, runs=1).points)
+
+    fast = render()
+    monkeypatch.setattr(
+        knn,
+        "_distance_matrix",
+        lambda metric, queries, train, p: oracles.chunked_distance_matrix(metric, queries, train, p, batch_rows=8),
+    )
+    assert render() == fast
 
 
 def test_default_sweep_ranges(mini_config):

@@ -222,6 +222,24 @@ def test_distance_matrix_equals_chunked_broadcast(metric, p, queries):
         oracles.chunked_distance_matrix(metric, x, train, p),
     )
 
+    # duplicated rows: both sides drawn with replacement from a small pool,
+    # pool row 1 repeated 50 times with every label, and pool row 2 equal to
+    # row 1 but for -0.0 where row 1 has 0.0
+    pool = _features(rng, 12)
+    pool[1, ::3] = 0.0
+    pool[2] = pool[1]
+    pool[2, ::3] = -0.0
+    x = pool[np.concatenate([[2], rng.integers(0, len(pool), queries - 1)])]
+    picks = np.concatenate([rng.integers(0, len(pool), 250), [1] * 50, [2, 1, 2]])
+    order = rng.permutation(len(picks))
+    train = pool[picks[order]]
+    y = np.where(picks == 1, np.arange(len(picks)) % 4, rng.integers(0, 4, len(picks)))[order]
+    expected = oracles.chunked_distance_matrix(metric, x, train, p)
+    assert np.array_equal(knn._distance_matrix(metric, x, train, p), expected)
+    for k in (1, 5, 60):
+        model = KnnModel(train, y, k, metric=metric, p=p)
+        assert np.array_equal(predict_knn_batch(model, x), oracles.knn_labels_loop(expected, y, k))
+
 
 @pytest.mark.parametrize("kmax", [1, 2, 7, 30, 59, 60, 100])
 def test_nearest_equals_stable_argsort_with_ties(kmax):
