@@ -204,10 +204,6 @@ class PipelineConfig:
             lines.append(f"{f.name}={_format_value(getattr(self, f.name))}")
         return "\n".join(lines) + "\n"
 
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def from_text(cls, text: str, base: "PipelineConfig | None" = None) -> "PipelineConfig":
         values = dataclasses.asdict(base) if base is not None else {}

@@ -19,8 +19,6 @@ WINDOW_KINDS = ("hamming", "hanning", "blackman", "rectangular")
 
 DEFAULT_NUM_TAPS = 257
 DEFAULT_WINDOW = "hamming"
-DEFAULT_LOW_HZ = 3.0
-DEFAULT_HIGH_HZ = 100.0
 DEFAULT_SEGMENT_LEN = 256
 DEFAULT_SEGMENT_STRIDE = 256
 

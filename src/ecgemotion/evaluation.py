@@ -8,6 +8,7 @@ per-run seeds and aggregate highest/lowest/average recognition rates.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -113,26 +114,26 @@ class RecognitionReport:
         return float(self.rates.mean())
 
 
-def run_repeated(trainer, dataset_factory, runs: int, seed: int):
-    """Run the train/score cycle ``runs`` times with derived per-run seeds.
+def _overall_rate(y_test, labels) -> float:
+    """Mean of the per-emotion recognition rates of one prediction."""
+    return float(_rates_or_fail(confusion(y_test, labels)).mean())
 
-    ``dataset_factory(run_seed)`` builds the run's dataset;
-    ``trainer(dataset, run_seed)`` returns a batch predictor. Returns the
-    report plus the per-run confusion matrices.
+
+def run_repeated(fit, splits):
+    """Train and score once per split.
+
+    ``splits`` yields ``(run_seed, (x, codes), (x_test, codes_test))``, as
+    ``FeatureCache.splits`` does; ``fit(train, run_seed)`` returns a batch
+    predictor. Returns the report plus the per-run confusion matrices.
     """
-    if runs < 1:
-        raise ParameterError("runs must be >= 1")
     all_rates = []
     confusions = []
-    for run in range(runs):
-        run_seed = derive_seed(seed, "run", run)
-        dataset = dataset_factory(run_seed)
-        predictor = trainer(dataset, run_seed)
-        x_test, y_test = dataset.test_arrays()
-        predicted = predictor(x_test)
-        cm = confusion(y_test, predicted)
+    for run_seed, train, (x_test, y_test) in splits:
+        cm = confusion(y_test, fit(train, run_seed)(x_test))
         confusions.append(cm)
         all_rates.append(_rates_or_fail(cm))
+    if not confusions:
+        raise ParameterError("runs must be >= 1")
     return RecognitionReport(np.stack(all_rates)), confusions
 
 
@@ -211,6 +212,16 @@ class FeatureCache:
             _, x = features.standardize(x[train], x)
         return Dataset(self._vectors(x, train), self._vectors(x, test), n)
 
+    def splits(self, n: int, master: int, tag: str, runs: int):
+        """Yield ``(run_seed, (x, codes), (x_test, codes_test))`` for runs
+        0..runs-1, each drawn with ``run_seed = derive_seed(master, tag, run)``."""
+        if runs < 1:
+            raise ParameterError("runs must be >= 1")
+        for run in range(runs):
+            run_seed = derive_seed(master, tag, run)
+            dataset = self.dataset(n, run_seed)
+            yield run_seed, dataset.train_arrays(), dataset.test_arrays()
+
     def _vectors(self, x, rows) -> list:
         """One row view of x per drawn row index, with its provenance."""
         return [
@@ -227,6 +238,8 @@ def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
     swarm affordable; the final model always trains on the full split.
     """
     x, codes = train_arrays
+    if cfg.pso_subsample < 0:
+        raise ParameterError("pso_subsample must be >= 0")
     if cfg.pso_subsample and cfg.pso_subsample < len(codes):
         rng = np.random.default_rng(derive_seed(seed, "pso-subsample"))
         keep = []
@@ -292,25 +305,21 @@ def _feature_cache(cfg: PipelineConfig, records=None) -> FeatureCache:
 
 def run_protocol(cfg: PipelineConfig, records=None) -> ProtocolResult:
     """The full reference experiment: synth -> filter -> features -> tune ->
-    repeated train/score runs."""
-    cache = _feature_cache(cfg, records)
-
+    repeated train/score runs. PSO tunes on run 0's training split."""
+    splits = _feature_cache(cfg, records).splits(cfg.feature_count, cfg.seed, "run", cfg.runs)
     tuned = None
     pso_result = None
     if cfg.classifier == "svm" and cfg.svm_tune:
-        first = cache.dataset(cfg.feature_count, derive_seed(cfg.seed, "run", 0))
-        pso_result = tune_svm(first.train_arrays(), cfg, cfg.seed)
-        del first  # held through the runs' training, where memory peaks, it raises the peak
+        first = next(splits)
+        pso_result = tune_svm(first[1], cfg, cfg.seed)
         tuned = (pso_result.c, pso_result.gamma)
+        splits = itertools.chain([first], splits)
+        del first  # held through the later runs' training, where memory peaks, it raises the peak
 
-    def factory(run_seed):
-        return cache.dataset(cfg.feature_count, run_seed)
+    def fit(train, run_seed):
+        return train_classifier(train, cfg, run_seed, tuned)[1]
 
-    def trainer(dataset, run_seed):
-        _, predictor = train_classifier(dataset.train_arrays(), cfg, run_seed, tuned)
-        return predictor
-
-    report, confusions = run_repeated(trainer, factory, cfg.runs, cfg.seed)
+    report, confusions = run_repeated(fit, splits)
     return ProtocolResult(report, confusions, tuned, pso_result)
 
 
@@ -328,35 +337,34 @@ class SweepCurve:
         return [v for v, _ in self.points]
 
 
-def _best_value(points) -> int:
-    best_value, best_rate = points[0]
-    for value, rate in points[1:]:
-        if rate > best_rate:
-            best_value, best_rate = value, rate
-    return int(best_value)
+def _sweep_values(values, default, what: str) -> list:
+    values = list(default if values is None else values)
+    if not values or any(v < 1 for v in values):
+        raise ParameterError(f"{what} sweep range must contain positive counts")
+    return values
+
+
+def _curve(parameter: str, values, rates) -> SweepCurve:
+    """Points (value, rate); the best value is the first of the highest rate."""
+    points = [(int(v), float(r)) for v, r in zip(values, rates)]
+    return SweepCurve(parameter, points, max(points, key=lambda point: point[1])[0])
 
 
 def sweep_features(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepCurve:
     """Mean recognition rate per feature count, classifier fixed at the
     configured hyperparameters."""
-    values = list(values) if values is not None else cfg.sweep_features_values()
-    if not values or any(v < 1 for v in values):
-        raise ParameterError("feature sweep range must contain positive counts")
-    runs = runs or cfg.runs
+    values = _sweep_values(values, cfg.sweep_features_values(), "feature")
+    runs = cfg.runs if runs is None else runs
     cache = _feature_cache(cfg, records)
 
-    points = []
+    def fit(train, run_seed):
+        return train_classifier(train, cfg, run_seed)[1]
+
+    rates = []
     for n in values:
-        def factory(run_seed, n=n):
-            return cache.dataset(n, run_seed)
-
-        def trainer(dataset, run_seed):
-            _, predictor = train_classifier(dataset.train_arrays(), cfg, run_seed)
-            return predictor
-
-        report, _ = run_repeated(trainer, factory, runs, derive_seed(cfg.seed, "sweep-features", n))
-        points.append((int(n), report.overall_average))
-    return SweepCurve("features", points, _best_value(points))
+        splits = cache.splits(n, derive_seed(cfg.seed, "sweep-features", n), "run", runs)
+        rates.append(run_repeated(fit, splits)[0].overall_average)
+    return _curve("features", values, rates)
 
 
 def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
@@ -365,40 +373,21 @@ def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
     One forest per run is grown at the largest count; smaller counts are
     its prefix sub-ensembles (per-tree seeds make prefixes stable), voted
     from one prediction per tree."""
-    values = list(values) if values is not None else cfg.sweep_trees_values()
-    if not values or any(v < 1 for v in values):
-        raise ParameterError("tree sweep range must contain positive counts")
-    runs = runs or cfg.runs
+    values = _sweep_values(values, cfg.sweep_trees_values(), "tree")
+    runs = cfg.runs if runs is None else runs
     cache = _feature_cache(cfg, records)
 
+    largest = cfg.replace(classifier="forest", forest_trees=max(values))
     rate_rows = []
     ge_rows = []
-    for run in range(runs):
-        run_seed = derive_seed(cfg.seed, "sweep-trees", run)
-        dataset = cache.dataset(cfg.feature_count, run_seed)
-        x_train, y_train = dataset.train_arrays()
-        x_test, y_test = dataset.test_arrays()
-        model = forest.train_forest(
-            x_train,
-            y_train,
-            num_trees=max(values),
-            features_per_split=cfg.forest_features_per_split or None,
-            seed=derive_seed(run_seed, "forest"),
-            max_depth=cfg.forest_max_depth or None,
-            min_leaf=cfg.forest_min_leaf,
-        )
-        rates, ges = [], []
-        for votes in forest.vote_matrix(model, x_test, values):
-            rates.append(_rates_or_fail(confusion(y_test, votes.argmax(axis=1))).mean())
-            ges.append(forest.vote_error(votes, y_test))
-        rate_rows.append(rates)
-        ge_rows.append(ges)
+    for run_seed, train, (x_test, y_test) in cache.splits(cfg.feature_count, cfg.seed, "sweep-trees", runs):
+        model, _ = train_classifier(train, largest, run_seed)
+        votes = forest.vote_matrix(model, x_test, values)
+        rate_rows.append([_overall_rate(y_test, v.argmax(axis=1)) for v in votes])
+        ge_rows.append([forest.vote_error(v, y_test) for v in votes])
 
-    mean_rates = np.mean(rate_rows, axis=0)
-    mean_ges = np.mean(ge_rows, axis=0)
-    rate_points = [(int(v), float(r)) for v, r in zip(values, mean_rates)]
-    ge_points = [(int(v), float(g)) for v, g in zip(values, mean_ges)]
-    return SweepCurve("trees", rate_points, _best_value(rate_points)), ge_points
+    ge_points = [(int(v), float(g)) for v, g in zip(values, np.mean(ge_rows, axis=0))]
+    return _curve("trees", values, np.mean(rate_rows, axis=0)), ge_points
 
 
 def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepCurve:
@@ -408,25 +397,15 @@ def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepC
     row's nearest ``max(values)`` training rows once and votes the labels
     for every k in one pass (``knn.classify``).
     """
-    values = list(values) if values is not None else cfg.sweep_k_values()
-    if not values or any(v < 1 for v in values):
-        raise ParameterError("k sweep range must contain positive counts")
-    runs = runs or cfg.runs
+    values = _sweep_values(values, cfg.sweep_k_values(), "k")
+    runs = cfg.runs if runs is None else runs
     cache = _feature_cache(cfg, records)
 
     rate_rows = []
-    for run in range(runs):
-        run_seed = derive_seed(cfg.seed, "sweep-k", run)
-        dataset = cache.dataset(cfg.feature_count, run_seed)
-        x_train, y_train = dataset.train_arrays()
-        x_test, y_test = dataset.test_arrays()
-        dists = knn._distance_matrix(cfg.knn_metric, x_test, x_train, cfg.knn_minkowski_p)
-        predicted = knn.classify(dists, y_train, values)
-        rate_rows.append([_rates_or_fail(confusion(y_test, labels)).mean() for labels in predicted])
-
-    mean_rates = np.mean(rate_rows, axis=0)
-    points = [(int(v), float(r)) for v, r in zip(values, mean_rates)]
-    return SweepCurve("k", points, _best_value(points))
+    for _, (x, y), (x_test, y_test) in cache.splits(cfg.feature_count, cfg.seed, "sweep-k", runs):
+        dists = knn._distance_matrix(cfg.knn_metric, x_test, x, cfg.knn_minkowski_p)
+        rate_rows.append([_overall_rate(y_test, labels) for labels in knn.classify(dists, y, values)])
+    return _curve("k", values, np.mean(rate_rows, axis=0))
 
 
 # ---------------------------------------------------------------------------

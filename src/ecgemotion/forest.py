@@ -354,6 +354,8 @@ def load_model(path) -> ForestModel:
             raise DataFormatError(f"{path}: malformed forest header: {exc}") from exc
         if oob is not None and not np.isfinite(oob):
             raise DataFormatError(f"{path}: non-finite oob in forest header")
+        if num_trees < 1 or not 1 <= features_per_split <= dim:
+            raise DataFormatError(f"{path}: forest header needs trees >= 1 and features_per_split in [1, dim]")
 
         trees = []
         for _ in range(num_trees):
@@ -362,6 +364,8 @@ def load_model(path) -> ForestModel:
                 raise DataFormatError(f"{path}: malformed tree header")
             try:
                 nodes = int(tree_line[2].split("=", 1)[1])
+                if nodes < 1:
+                    raise DataFormatError("a tree needs at least one node")
                 feature = np.empty(nodes, dtype=np.int64)
                 threshold = np.empty(nodes, dtype=np.float64)
                 left = np.empty(nodes, dtype=np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features
 from .types import DataFormatError, Emotion, NUM_CLASSES, ParameterError
-from .utils import check_finite, distinct_rows, fmt_float
+from .utils import check_finite, distinct_rows, fmt_float, pairwise_sq_dists
 
 METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
@@ -53,11 +53,7 @@ def distance(metric: str, x, y, p: float = 2.0) -> float:
 
 def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: float) -> np.ndarray:
     if metric == "euclidean":
-        qq = np.sum(queries * queries, axis=1)[:, None]
-        tt = np.sum(train * train, axis=1)[None, :]
-        d2 = qq + tt - 2.0 * (queries @ train.T)
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
+        return np.sqrt(pairwise_sq_dists(queries, train))
     if metric == "cosine":
         qn = np.linalg.norm(queries, axis=1)
         tn = np.linalg.norm(train, axis=1)

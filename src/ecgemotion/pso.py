@@ -30,7 +30,7 @@ import numpy as np
 
 from . import svm
 from .types import NUM_CLASSES, ParameterError
-from .utils import derive_seed
+from .utils import derive_seed, pairwise_sq_dists
 
 DEFAULT_LOG10_C_BOUNDS = (-1.0, 3.0)
 DEFAULT_LOG10_GAMMA_BOUNDS = (-4.0, 1.0)
@@ -146,8 +146,8 @@ class CvSvmFitness:
             for a, b in svm.PAIRS:
                 rows, y_pair = svm.pair_labels(codes[fit], a, b)
                 rows = fit[rows]
-                d2_fit = svm.pairwise_sq_dists(x[rows], x[rows])
-                d2_val = svm.pairwise_sq_dists(x[val], x[rows])
+                d2_fit = pairwise_sq_dists(x[rows], x[rows])
+                d2_val = pairwise_sq_dists(x[val], x[rows])
                 pairs.append((a, b, y_pair, d2_fit, d2_val))
             self.folds.append((codes[val], pairs))
         self._smo_seeds = [

@@ -28,7 +28,7 @@ from .types import (
     NUM_CLASSES,
     ParameterError,
 )
-from .utils import check_finite, derive_seed, distinct_rows, fmt_float
+from .utils import check_finite, derive_seed, distinct_rows, fmt_float, pairwise_sq_dists
 
 _EPS = 1e-12
 
@@ -50,6 +50,8 @@ class SvmParams:
             raise ParameterError("gamma must be positive")
         if not self.tolerance > 0:
             raise ParameterError("tolerance must be positive")
+        if self.max_passes is not None and self.max_passes < 0:
+            raise ParameterError("max_passes must be >= 0")
 
 
 def rbf_kernel(x, y, gamma: float) -> float:
@@ -62,15 +64,6 @@ def rbf_kernel(x, y, gamma: float) -> float:
         raise ParameterError("gamma must be positive")
     diff = x - y
     return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and of b."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -506,6 +499,8 @@ def load_model(path) -> MulticlassSvmModel:
                 a, b = int(parts[1]), int(parts[2])
                 bias = float(parts[3].split("=", 1)[1])
                 nsv = int(parts[4].split("=", 1)[1])
+                if nsv < 1:
+                    raise DataFormatError(f"pair {a},{b} has no support vectors")
                 coefs = np.empty(nsv)
                 vectors = np.empty((nsv, feature_count))
                 for row in range(nsv):

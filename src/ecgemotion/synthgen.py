@@ -15,9 +15,6 @@ import numpy as np
 from .types import Emotion, ParameterError, SignalRecord
 from .utils import fmt_float
 
-DEFAULT_SAMPLE_RATE_HZ = 128.0
-DEFAULT_DURATION_S = 300.0
-
 # One beat: (relative offset from the R peak [s], Gaussian width [s],
 # amplitude [mV], which profile scale applies).
 _BEAT_BUMPS = (
@@ -45,16 +42,6 @@ class EmotionProfile:
             raise ParameterError("hr_std_bpm must be >= 0")
         if self.qrs_amp_scale <= 0 or self.t_amp_scale <= 0:
             raise ParameterError("amplitude scales must be positive")
-
-
-# Plausible orderings with mild amplitude differences; everything is
-# config-overridable, the harness only needs the classes to be separable.
-DEFAULT_PROFILES: dict[Emotion, EmotionProfile] = {
-    Emotion.HAPPY: EmotionProfile(75.0, 5.0, 1.00, 1.00),
-    Emotion.EXCITING: EmotionProfile(105.0, 8.0, 1.25, 0.78),
-    Emotion.CALM: EmotionProfile(65.0, 3.0, 0.90, 1.10),
-    Emotion.TENSE: EmotionProfile(88.0, 6.0, 1.12, 0.88),
-}
 
 
 @dataclass

@@ -35,13 +35,6 @@ class Emotion(IntEnum):
         except ValueError as exc:
             raise DataFormatError(f"unknown emotion code {code!r}") from exc
 
-    @classmethod
-    def from_name(cls, name: str) -> "Emotion":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError as exc:
-            raise DataFormatError(f"unknown emotion name {name!r}") from exc
-
 
 EMOTIONS: tuple[Emotion, ...] = tuple(Emotion)
 NUM_CLASSES = len(EMOTIONS)

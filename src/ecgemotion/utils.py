@@ -1,4 +1,5 @@
-"""Seed derivation, input checks and text formatting shared across the pipeline."""
+"""Seed derivation, input checks, the squared-distance kernel and text
+formatting shared across the pipeline."""
 
 from __future__ import annotations
 
@@ -41,6 +42,15 @@ def distinct_rows(x: np.ndarray):
     )
     order = np.argsort(first)
     return first[order], np.argsort(order)[inverse.ravel()], counts[order]
+
+
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b."""
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    d2 = aa + bb - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def fmt_float(x: float) -> str:

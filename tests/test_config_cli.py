@@ -380,10 +380,43 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         ("metric.knn", "knn v1 k=1 metric=manhattan\nlabel,f1\n0,1.0\n"),
         ("row.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\n0,nan\n"),
         ("c.svm", "svm v1 classes=4 gamma=0.5 c=-1 features=1\n" + six_pairs),
+        # models that load but could not predict
+        ("nsv.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs.replace("nsv=1\n1.0,0.5\n", "nsv=0\n", 1)),
+        ("trees.forest", "forest v1 trees=0 features_per_split=1 dim=1 oob=\n"),
+        ("nodes.forest", forest_header.format(1) + "tree 0 nodes=0\n"),
+        ("split0.forest", "forest v1 trees=1 features_per_split=0 dim=1 oob=\ntree 0 nodes=1\nl,1,0,0,0\n"),
+        ("split2.forest", "forest v1 trees=1 features_per_split=2 dim=1 oob=\ntree 0 nodes=1\nl,1,0,0,0\n"),
     ):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
         assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]) == 3
+
+
+def test_negative_counts_are_usage_errors(pipeline_dirs, mini_cfg_file, tmp_path):
+    _, _, filtered = pipeline_dirs
+    train_csv = tmp_path / "train.csv"
+    argv = ["extract", "--config", mini_cfg_file, "--in", str(filtered)]
+    assert cli.main([*argv, "--train-out", str(train_csv), "--test-out", str(tmp_path / "test.csv")]) == 0
+    for key, command in (
+        ("pso_subsample=-5", ["tune", "--trace-out", str(tmp_path / "trace.csv")]),
+        ("svm_max_passes=-1", ["train", "--classifier", "svm", "--model", str(tmp_path / "m.svm")]),
+    ):
+        overlay = tmp_path / "negative.cfg"
+        overlay.write_text(key + "\n")
+        configs = ["--config", mini_cfg_file, "--config", str(overlay)]
+        assert cli.main([*command, *configs, "--features", str(train_csv)]) == 1
+    assert not (tmp_path / "m.svm").exists()
+
+
+def test_sweeps_with_zero_runs_are_usage_errors(mini_cfg_file, tmp_path, capsys):
+    overlay = tmp_path / "zero_runs.cfg"
+    overlay.write_text("runs=0\n")
+    for command in ("sweep-k", "sweep-trees"):
+        out = tmp_path / f"{command}.csv"
+        argv = [command, "--config", mini_cfg_file, "--config", str(overlay), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:usage:")
+        assert not out.exists()
 
 
 def test_forest_train_rejects_non_finite_features(tmp_path, mini_cfg_file):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ecgemotion import evaluation, forest, knn
+from ecgemotion import evaluation, forest, knn, pso
 from ecgemotion.evaluation import (
     ConfusionMatrix,
     FeatureCache,
@@ -13,6 +13,7 @@ from ecgemotion.evaluation import (
     recognition_rates,
     report_csv,
     report_text,
+    run_protocol,
     run_repeated,
     runs_csv,
     parse_runs_csv,
@@ -21,8 +22,8 @@ from ecgemotion.evaluation import (
     sweep_trees,
 )
 from ecgemotion.config import PipelineConfig
-from ecgemotion.types import DataFormatError, Emotion, ParameterError
-from ecgemotion.utils import fmt_percent
+from ecgemotion.types import DataFormatError, ParameterError
+from ecgemotion.utils import derive_seed, fmt_percent
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -126,34 +127,26 @@ def test_parse_runs_csv_rejects_bad_header():
         parse_runs_csv("nope\n1,2\n")
 
 
-def _tiny_trainer_factory(blob_data):
+def _tiny_fit_splits(blob_data):
     x_train, y_train, x_test, y_test = blob_data
-    from ecgemotion.types import Dataset, FeatureVector
 
-    def dataset_factory(run_seed):
-        rng = np.random.default_rng(run_seed)
-        idx = rng.permutation(len(x_train))[:80]
-        train = [
-            FeatureVector(x_train[i], Emotion(int(y_train[i])), (1, int(i))) for i in idx
-        ]
-        test = [
-            FeatureVector(x_test[i], Emotion(int(y_test[i])), (5, int(i)))
-            for i in range(0, len(x_test), 2)
-        ]
-        return Dataset(train, test, 2)
+    def splits(runs, seed):
+        for run in range(runs):
+            run_seed = derive_seed(seed, "run", run)
+            idx = np.random.default_rng(run_seed).permutation(len(x_train))[:80]
+            yield run_seed, (x_train[idx], y_train[idx]), (x_test[::2], y_test[::2])
 
-    def trainer(dataset, run_seed):
-        x, y = dataset.train_arrays()
-        model = knn.KnnModel(x, y, 3)
+    def fit(train, run_seed):
+        model = knn.KnnModel(*train, 3)
         return lambda q: knn.predict_knn_batch(model, q)
 
-    return trainer, dataset_factory
+    return fit, splits
 
 
 def test_run_repeated_deterministic(blob_data):
-    trainer, factory = _tiny_trainer_factory(blob_data)
-    report_a, confusions_a = run_repeated(trainer, factory, runs=3, seed=5)
-    report_b, confusions_b = run_repeated(trainer, factory, runs=3, seed=5)
+    fit, splits = _tiny_fit_splits(blob_data)
+    report_a, confusions_a = run_repeated(fit, splits(runs=3, seed=5))
+    report_b, confusions_b = run_repeated(fit, splits(runs=3, seed=5))
     assert np.array_equal(report_a.rates, report_b.rates)
     for ca, cb in zip(confusions_a, confusions_b):
         assert np.array_equal(ca.counts, cb.counts)
@@ -164,7 +157,61 @@ def test_run_repeated_deterministic(blob_data):
 
 def test_run_repeated_requires_runs():
     with pytest.raises(ParameterError):
-        run_repeated(lambda d, s: None, lambda s: None, runs=0, seed=1)
+        run_repeated(lambda train, s: None, [])
+
+
+def test_splits_draw_each_run_from_its_derived_seed(mini_config, mini_corpus):
+    cache = FeatureCache(mini_corpus, mini_config)
+    splits = list(cache.splits(30, 7, "sweep-k", 3))
+    assert [run_seed for run_seed, _, _ in splits] == [derive_seed(7, "sweep-k", run) for run in range(3)]
+    for run_seed, train, test in splits:
+        dataset = cache.dataset(30, run_seed)
+        for got, want in ((train, dataset.train_arrays()), (test, dataset.test_arrays())):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    with pytest.raises(ParameterError):
+        next(cache.splits(30, 7, "sweep-k", 0))
+
+
+def test_runs_below_one_fail_before_any_training(mini_config, mini_corpus, monkeypatch):
+    calls = []
+
+    def count(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    monkeypatch.setattr(pso, "optimize", count("pso.optimize"))
+    monkeypatch.setattr(evaluation, "train_classifier", count("train_classifier"))
+    monkeypatch.setattr(forest, "train_forest", count("forest.train_forest"))
+    monkeypatch.setattr(knn, "_distance_matrix", count("knn._distance_matrix"))
+    cfg = mini_config.replace(runs=0, svm_tune=True)
+    for entry in (run_protocol, sweep_features, sweep_trees, sweep_k):
+        with pytest.raises(ParameterError, match="runs"):
+            entry(cfg, records=mini_corpus)
+    for sweep in (sweep_features, sweep_trees, sweep_k):
+        with pytest.raises(ParameterError, match="runs"):
+            sweep(mini_config, records=mini_corpus, runs=0)
+    assert calls == []
+
+
+def test_protocol_tunes_on_run_zero_split(mini_config, mini_corpus, monkeypatch):
+    """Tuning takes run 0's split from the protocol's own draws: one draw per
+    run, and the same (C, gamma) as tuning on a separately drawn run-0 split."""
+    cfg = mini_config.replace(svm_tune=True, runs=3)
+    drawn = []
+    dataset = FeatureCache.dataset
+
+    def counted(self, n, run_seed):
+        drawn.append(run_seed)
+        return dataset(self, n, run_seed)
+
+    monkeypatch.setattr(FeatureCache, "dataset", counted)
+    result = run_protocol(cfg, records=mini_corpus)
+    assert drawn == [derive_seed(cfg.seed, "run", run) for run in range(cfg.runs)]
+    assert result.report.num_runs == cfg.runs
+
+    monkeypatch.undo()
+    split = FeatureCache(mini_corpus, cfg).dataset(cfg.feature_count, derive_seed(cfg.seed, "run", 0))
+    separate = evaluation.tune_svm(split.train_arrays(), cfg, cfg.seed)
+    assert result.tuned == (separate.c, separate.gamma)
 
 
 def test_feature_cache_rows_are_dct_prefix(mini_config, mini_corpus):
@@ -210,6 +257,12 @@ def test_sweep_features_points_and_determinism(mini_config, mini_corpus):
     assert curve_a.points == curve_b.points
     best_rate = max(rate for _, rate in curve_a.points)
     assert dict(curve_a.points)[curve_a.best] == best_rate
+
+
+def test_sweep_best_is_the_first_of_equal_rates():
+    curve = evaluation._curve("k", [1, 2, 3, 4], np.array([0.5, 0.7, 0.7, 0.6]))
+    assert curve.points == [(1, 0.5), (2, 0.7), (3, 0.7), (4, 0.6)]
+    assert curve.best == 2
 
 
 def test_sweep_features_validates_range(mini_config, mini_corpus):

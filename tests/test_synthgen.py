@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgemotion.config import PipelineConfig
 from ecgemotion.synthgen import (
-    DEFAULT_PROFILES,
     EmotionProfile,
     NoiseSpec,
     generate_clean,
@@ -108,7 +108,7 @@ def test_band_validation():
 
 def test_default_profiles_separable_rr():
     means = {}
-    for emotion, profile in DEFAULT_PROFILES.items():
+    for emotion, profile in PipelineConfig().profiles().items():
         record = generate_clean(profile, 60, 128, seed=13, label=emotion)
         peaks = find_peaks(record.samples)
         means[emotion] = float(np.mean(np.diff(peaks)) / 128.0)
