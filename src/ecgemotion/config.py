@@ -122,8 +122,10 @@ class PipelineConfig:
             raise ConfigError(f"classifier must be svm, forest, or knn, not {self.classifier!r}")
         if set(self.train_subjects) & set(self.test_subjects):
             raise ConfigError("train_subjects and test_subjects must be disjoint")
-        if self.train_size < 1 or self.test_size < 1:
-            raise ConfigError("train_size and test_size must be >= 1")
+        if min(self.train_size, self.test_size, self.forest_trees, self.forest_min_leaf) < 1:
+            raise ConfigError("train_size, test_size, forest_trees and forest_min_leaf must be >= 1")
+        if self.forest_max_depth < 0 or self.forest_features_per_split < 0:
+            raise ConfigError("forest_max_depth and forest_features_per_split must be >= 0 (0 for the default)")
 
     # -- derived views -----------------------------------------------------
 

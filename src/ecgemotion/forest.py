@@ -3,14 +3,17 @@
 Each tree is grown on an n-sample bootstrap; at every split a random subset
 of features is considered and the split maximizing the Gini impurity
 decrease is taken (candidate thresholds at midpoints of consecutive sorted
-unique values). A node orders all its sampled features with one sort of
-integer keys (the value's dense rank in its training column, then the row's
-position), which is the order a stable sort of the values gives, so the
-trees equal those of a per-feature stable argsort search. Training rows
-and the rows it predicts must be finite. Per-tree seeds derive from the
-master seed by tree index, so growing a larger forest never changes the
-trees already built: the learning-cycle sweep evaluates sub-ensembles of
-one forest.
+unique values). A tree is grown over its bootstrap's distinct rows, each
+weighted by its number of draws (about 37% of the draws repeat a row). A
+node orders all its sampled features with one sort of integer keys (the
+value's dense rank in its training column, then the row's position), the
+order a stable sort of the values gives, and counts classes with one
+cumulative sum of draw weights packed into per-class bit lanes; so the
+trees equal those of a per-feature stable argsort search over the expanded
+bootstrap. Training rows and the rows it predicts must be finite. Per-tree
+seeds derive from the master seed by tree index, so growing a larger forest
+never changes the trees already built: the learning-cycle sweep evaluates
+sub-ensembles of one forest.
 
 The voting margin of a point is the fraction of trees voting its true class
 minus the largest fraction voting any other class; the generalization error
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import DataFormatError, Emotion, NUM_CLASSES, ParameterError
+from .types import DataFormatError, NUM_CLASSES, ParameterError
 from .utils import check_finite, fmt_float
 
 DEFAULT_NUM_TREES = 90
@@ -45,60 +48,75 @@ class DecisionTree:
 
 
 def _dense_ranks(x: np.ndarray) -> np.ndarray:
-    """Rank of every value among its column's distinct values, column by column."""
-    ranks = np.empty(x.shape, dtype=np.int32)
-    for f in range(x.shape[1]):
-        ranks[:, f] = np.unique(x[:, f], return_inverse=True)[1]
-    return ranks
+    """Dense ranks, ``(d, n)``: row ``f`` ranks each value of column ``f`` among its distinct values."""
+    return np.stack([np.unique(column, return_inverse=True)[1] for column in x.T], dtype=np.int64)
 
 
-def _best_split(x, ranks, rows, y, feature_ids, min_leaf):
+def _best_split(x, ranks, rows, weights, y, feature_ids, min_leaf):
     """Best (feature, threshold, score) over the sampled features of the node
-    holding ``rows`` of ``x``; ``ranks`` are ``x``'s dense column ranks and
-    ``y`` the node's labels.
+    holding the distinct ``rows`` of ``x``, drawn ``weights`` times each;
+    ``ranks`` are ``_dense_ranks(x)`` and ``y`` the rows' labels.
 
-    One sort orders every sampled feature: the keys ``rank * n + position``
+    One sort orders every sampled feature: the keys ``rank << s | position``
     (position within ``rows``) are unique and order the node's values as a
-    stable sort of the values would. Score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
-    an affine transform of the negated weighted Gini impurity; computed from
-    exact integer counts, so ties resolve identically in any evaluation
-    order. The first maximum in (feature, position) order wins. Returns None
-    when no split satisfies min_leaf.
+    stable sort of the values would; a row's draws share its value, so the
+    cuts between distinct rows are those of the expanded bootstrap. Score is
+    sum(L_c^2)/n_left + sum(R_c^2)/n_right for class counts L and R, an
+    affine transform of the negated weighted Gini impurity; computed from
+    exact integers, so ties resolve identically in any evaluation order. The
+    first maximum in (feature, position) order wins; None if no split meets min_leaf.
+
+    One cumsum of weights in per-class bit lanes of an int64 (as wide as the
+    node's draw count needs; more words when four lanes do not fit) gives k,
+    the left count of each row's class; the row adds w * (2k - w) to
+    sum(L_c^2), and sum(R_c^2) = sum(T_c^2) - 2 sum(T_c L_c) + sum(L_c^2).
     """
-    n = len(rows)
-    keys = ranks[rows, feature_ids[:, None]].astype(np.int64)
-    keys *= n
-    keys += np.arange(n)
+    m, n = len(rows), ranks.shape[1]
+    s = (m - 1).bit_length()
+    keys = ranks.take(feature_ids[:, None] * n + rows) << s
+    keys |= np.arange(m)
     keys.sort(axis=1)
-    rank, pos = np.divmod(keys, n)
-    # cut i puts sorted positions 0..i on the left: min_leaf - 1 <= i < n - min_leaf
-    lo, hi = min_leaf - 1, n - min_leaf
-    valid = rank[:, lo:hi] != rank[:, lo + 1 : hi + 1]
-    if not valid.any():
+    pos = keys & ((1 << s) - 1)
+    keys >>= s
+    w = weights[pos]
+    n_left = np.add.accumulate(w, axis=1)[:, :-1]
+    total = int(n_left[0, -1] + w[0, -1])
+    # cut j puts sorted rows 0..j on the left, so each side holds a draw
+    invalid = keys[:, :-1] == keys[:, 1:]
+    if min_leaf > 1:
+        invalid |= (n_left < min_leaf) | (n_left > total - min_leaf)
+
+    bits = total.bit_length()
+    lanes = 63 // bits  # sign bit left clear
+    shift = y % lanes * bits
+    inc = weights << shift
+    if lanes >= NUM_CLASSES:
+        own = np.add.accumulate(inc[pos], axis=1)
+    else:  # word g packs classes g * lanes to (g + 1) * lanes - 1
+        word = y // lanes
+        packed = [np.where(word == g, inc, 0)[pos] for g in range(-(-NUM_CLASSES // lanes))]
+        own = np.choose(word[pos], np.add.accumulate(packed, axis=2))
+    own = (own >> shift[pos]) & ((1 << bits) - 1)
+    left_sq = np.add.accumulate(w * (2 * own - w), axis=1)
+    counts = np.bincount(y, weights, minlength=NUM_CLASSES).astype(np.int64)
+    cross = np.add.accumulate((counts[y] * weights)[pos], axis=1)
+    right_sq = left_sq[:, -1:] - 2 * cross + left_sq  # left_sq[:, -1] is sum(T_c^2)
+    scores = left_sq[:, :-1] / n_left
+    scores += right_sq[:, :-1] / (total - n_left)
+    scores[invalid] = -np.inf
+    k, cut = divmod(int(scores.argmax()), m - 1)
+    if scores[k, cut] == -np.inf:
         return None
-    labels = y[pos[:, :hi]]
-    total = np.bincount(y, minlength=NUM_CLASSES)
-    # counts and sums of squared counts (at most n * n) fit int32 below 46341 rows
-    count_type = np.int32 if n < 46341 else np.int64
-    left_sq = np.zeros(valid.shape, dtype=count_type)
-    right_sq = np.zeros(valid.shape, dtype=count_type)
-    for c in range(NUM_CLASSES):
-        left = np.cumsum(labels == c, axis=1, dtype=count_type)[:, lo:]
-        right = int(total[c]) - left
-        left_sq += left * left
-        right_sq += right * right
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    scores = np.where(valid, left_sq / n_left + right_sq / (n - n_left), -np.inf)
-    k, i = divmod(int(np.argmax(scores)), hi - lo)
-    f, cut = int(feature_ids[k]), lo + i
+    f = int(feature_ids[k])
     threshold = 0.5 * (x[rows[pos[k, cut]], f] + x[rows[pos[k, cut + 1]], f])
-    return f, float(threshold), float(scores[k, i])
+    return f, float(threshold), float(scores[k, cut])
 
 
-def _grow_tree(x, ranks, y, sample, rng, features_per_split, max_depth, min_leaf):
-    """Grow one tree on the rows ``sample`` (a bootstrap, in draw order) of
-    ``x``; nodes index ``x`` through subsets of ``sample`` that keep its order,
-    so no per-tree copy of ``x`` or ``ranks`` is made."""
+def _grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, min_leaf):
+    """Grow one tree on a bootstrap given as its distinct ``rows`` of ``x``
+    and their draw counts ``weights``; leaf counts, purity and the min_leaf
+    rule count draws. Nodes index ``x`` through subsets of ``rows``, so no
+    per-tree copy of ``x`` or ``ranks`` is made."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -107,51 +125,43 @@ def _grow_tree(x, ranks, y, sample, rng, features_per_split, max_depth, min_leaf
 
     d = x.shape[1]
     m = min(features_per_split, d)
-    # stack holds (row_indices, depth, parent_node, is_left_child)
-    stack = [(sample, 0, -1, False)]
+    # stack holds (row_indices, weights, depth, parent_node, is_left_child)
+    stack = [(rows, weights, 0, -1, False)]
     while stack:
-        rows, depth, parent, is_left = stack.pop()
+        rows, weights, depth, parent, is_left = stack.pop()
         node = len(feature)
         if parent >= 0:
-            if is_left:
-                left[parent] = node
-            else:
-                right[parent] = node
+            (left if is_left else right)[parent] = node
 
         y_node = y[rows]
-        node_counts = np.bincount(y_node, minlength=NUM_CLASSES)
-        pure = node_counts.max() == len(rows)
+        node_counts = np.bincount(y_node, weights, minlength=NUM_CLASSES).astype(np.int64)
+        tallies = node_counts.tolist()
+        drawn = sum(tallies)
+        pure = max(tallies) == drawn
         depth_capped = max_depth is not None and depth >= max_depth
         split = None
-        if not pure and not depth_capped and len(rows) >= 2 * min_leaf:
+        if not pure and not depth_capped and drawn >= 2 * min_leaf:
             chosen = np.sort(rng.choice(d, size=m, replace=False))
-            split = _best_split(x, ranks, rows, y_node, chosen, min_leaf)
+            split = _best_split(x, ranks, rows, weights, y_node, chosen, min_leaf)
 
-        if split is None:
-            feature.append(-1)
-            threshold.append(np.nan)
-            left.append(-1)
-            right.append(-1)
-            counts.append(node_counts)
-            continue
-
-        f, thr, _ = split
+        f, thr = split[:2] if split else (-1, np.nan)
         feature.append(f)
         threshold.append(thr)
         left.append(-1)
         right.append(-1)
-        counts.append(np.zeros(NUM_CLASSES, dtype=np.int64))
-        go_left = x[rows, f] <= thr
-        # push right first so the left subtree is laid out next (pre-order)
-        stack.append((rows[~go_left], depth + 1, node, False))
-        stack.append((rows[go_left], depth + 1, node, True))
+        counts.append(np.zeros(NUM_CLASSES, dtype=np.int64) if split else node_counts)
+        if split:
+            go_left = x[rows, f] <= thr
+            # push right first so the left subtree is laid out next (pre-order)
+            stack.append((rows[~go_left], weights[~go_left], depth + 1, node, False))
+            stack.append((rows[go_left], weights[go_left], depth + 1, node, True))
 
     return DecisionTree(
         np.array(feature, dtype=np.int64),
         np.array(threshold, dtype=np.float64),
         np.array(left, dtype=np.int64),
         np.array(right, dtype=np.int64),
-        np.stack(counts).astype(np.int64),
+        np.stack(counts),
     )
 
 
@@ -208,6 +218,8 @@ def train_forest(
         raise ParameterError("num_trees must be >= 1")
     if min_leaf < 1:
         raise ParameterError("min_leaf must be >= 1")
+    if max_depth is not None and max_depth < 0:
+        raise ParameterError("max_depth must be >= 0 (None for unlimited)")
     check_finite(x, "training rows")
     d = x.shape[1]
     if features_per_split is None:
@@ -223,16 +235,13 @@ def train_forest(
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
         if bootstrap:
-            rows = rng.integers(0, n, size=n)
+            rows, weights = np.unique(rng.integers(0, n, size=n), return_counts=True)
         else:
-            rows = np.arange(n)
-        tree = _grow_tree(x, ranks, y, rows, rng, features_per_split, max_depth, min_leaf)
+            rows, weights = np.arange(n), np.ones(n, dtype=np.int64)
+        tree = _grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, min_leaf)
         trees.append(tree)
-        if bootstrap:
-            out_of_bag = np.setdiff1d(np.arange(n), rows, assume_unique=False)
-            if len(out_of_bag):
-                predictions = tree_predict(tree, x[out_of_bag])
-                oob_votes[out_of_bag, predictions] += 1
+        out_of_bag = np.delete(np.arange(n), rows)
+        oob_votes[out_of_bag, tree_predict(tree, x[out_of_bag])] += 1
 
     oob_error = None
     seen = oob_votes.sum(axis=1) > 0
@@ -271,16 +280,8 @@ def vote_matrix(model: ForestModel, x, num_trees: int | list[int] | None = None)
     return prefixes if np.ndim(num_trees) else prefixes[0]
 
 
-def vote_counts(model: ForestModel, x, num_trees: int | None = None) -> np.ndarray:
-    return vote_matrix(model, np.asarray(x, dtype=np.float64)[None, :], num_trees)[0]
-
-
 def predict_forest_batch(model: ForestModel, x, num_trees: int | None = None) -> np.ndarray:
     return vote_matrix(model, x, num_trees).argmax(axis=1)
-
-
-def predict_forest(model: ForestModel, x) -> Emotion:
-    return Emotion(int(predict_forest_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0]))
 
 
 def margins(model: ForestModel, x, y_true, num_trees: int | None = None) -> np.ndarray:
@@ -302,10 +303,6 @@ def vote_margins(votes: np.ndarray, y_true) -> np.ndarray:
 def vote_error(votes: np.ndarray, y_true) -> float:
     """Fraction of points whose voting margin is negative."""
     return float(np.mean(vote_margins(votes, y_true) < 0))
-
-
-def margin(model: ForestModel, x, y_true, num_trees: int | None = None) -> float:
-    return float(margins(model, np.asarray(x, dtype=np.float64)[None, :], [int(y_true)], num_trees)[0])
 
 
 def generalization_error(model: ForestModel, data=None, num_trees: int | None = None) -> float:

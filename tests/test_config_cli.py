@@ -50,6 +50,19 @@ def test_bad_value_rejected():
             PipelineConfig.from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["forest_max_depth=-2\n", "forest_trees=0\n", "forest_features_per_split=-3\n", "forest_min_leaf=0\n"]
+)
+def test_out_of_range_forest_settings_rejected(tmp_path, text):
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_text(text)
+    path = tmp_path / "forest.cfg"
+    path.write_text(text)
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    # 0 still selects the default depth and features per split
+    PipelineConfig.from_text("forest_max_depth=0\nforest_features_per_split=0\n")
+
+
 def test_overlapping_subjects_rejected():
     with pytest.raises(ConfigError):
         PipelineConfig.from_text("train_subjects=1,2,5\ntest_subjects=5\n")

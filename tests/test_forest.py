@@ -10,13 +10,10 @@ from ecgemotion.forest import (
     _grow_tree,
     generalization_error,
     load_model,
-    margin,
     margins,
-    predict_forest,
     predict_forest_batch,
     save_model,
     train_forest,
-    vote_counts,
     vote_matrix,
 )
 from ecgemotion.types import DataFormatError, Emotion, ParameterError
@@ -54,7 +51,7 @@ def test_no_bootstrap_votes_unanimous(blob_data):
     model = train_forest(
         x_train, y_train, num_trees=5, seed=3, bootstrap=False, features_per_split=2
     )
-    votes = vote_counts(model, x_test[0])
+    votes = vote_matrix(model, x_test[:1])[0]
     assert votes.max() == 5
 
 
@@ -68,16 +65,16 @@ def leaf_tree(code):
 
 def test_two_tree_disagreement_breaks_to_lower_code():
     model = ForestModel([leaf_tree(1), leaf_tree(0)], 1, 3)
-    assert predict_forest(model, np.zeros(3)) is Emotion.HAPPY
+    assert Emotion(int(predict_forest_batch(model, np.zeros((1, 3)))[0])) is Emotion.HAPPY
 
 
 def test_margin_bounds_and_value():
     unanimous = ForestModel([leaf_tree(2)] * 10, 1, 2)
-    assert margin(unanimous, np.zeros(2), 2) == 1.0
-    assert margin(unanimous, np.zeros(2), 0) == -1.0
+    assert margins(unanimous, np.zeros((1, 2)), [2])[0] == 1.0
+    assert margins(unanimous, np.zeros((1, 2)), [0])[0] == -1.0
 
     split = ForestModel([leaf_tree(0)] * 6 + [leaf_tree(1)] * 3 + [leaf_tree(2)], 1, 2)
-    assert margin(split, np.zeros(2), 0) == pytest.approx(0.6 - 0.3)
+    assert margins(split, np.zeros((1, 2)), [0])[0] == pytest.approx(0.6 - 0.3)
 
 
 def test_generalization_error_definition(blob_data):
@@ -87,7 +84,7 @@ def test_generalization_error_definition(blob_data):
     # independent recomputation, point by point, from raw vote counts
     negatives = 0
     for x, y in zip(x_test, y_test):
-        votes = vote_counts(model, x) / model.num_trees
+        votes = vote_matrix(model, x[None, :])[0] / model.num_trees
         true_frac = votes[y]
         others = np.delete(votes, y)
         negatives += (true_frac - others.max()) < 0
@@ -157,7 +154,7 @@ def test_gini_split_matches_exhaustive_search():
         y = rng.integers(0, 4, size=n).astype(np.int64)
         if len(np.unique(y)) < 2:
             continue
-        chosen = _best_split(x, _dense_ranks(x), np.arange(n), y, np.array([0, 1]), 1)
+        chosen = _best_split(x, _dense_ranks(x), np.arange(n), np.ones(n, dtype=np.int64), y, np.array([0, 1]), 1)
         reference = exhaustive_best_split(x, y)
         if reference is None:
             assert chosen is None
@@ -199,25 +196,79 @@ def split_search_cases():
 
 
 @pytest.mark.parametrize("x,y", split_search_cases())
-@pytest.mark.parametrize("min_leaf,max_depth", [(1, None), (3, None), (1, 3)])
+@pytest.mark.parametrize("min_leaf,max_depth", [(1, None), (3, None), (1, 3), (2, 2)])
 @pytest.mark.parametrize("features_per_split", [1, 5])
 def test_rank_keyed_trees_equal_per_feature_loop(x, y, min_leaf, max_depth, features_per_split):
     ranks = _dense_ranks(x)
     for seed in range(3):
-        rows = np.random.default_rng(seed).integers(0, len(y), size=len(y))  # bootstrap duplicates
+        sample = np.random.default_rng(seed).integers(0, len(y), size=len(y))  # bootstrap duplicates
+        rows, weights = np.unique(sample, return_counts=True)
         tree = _grow_tree(
-            x, ranks, y, rows, np.random.default_rng(seed), features_per_split, max_depth, min_leaf
+            x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split, max_depth, min_leaf
         )
+        # the loop grows over the expanded bootstrap, in draw order
         expected = oracles.grow_tree_loop(
-            x[rows], y[rows], np.random.default_rng(seed), features_per_split, max_depth, min_leaf
+            x[sample], y[sample], np.random.default_rng(seed), features_per_split, max_depth, min_leaf
         )
         assert_same_tree(tree, expected)
+
+
+@pytest.mark.parametrize("min_leaf", [2, 3])
+@pytest.mark.parametrize("features_per_split", [1, 3])
+def test_heavily_duplicated_bootstrap_trees_equal_per_feature_loop(min_leaf, features_per_split):
+    """40 draws from at most 8 distinct rows: most rows carry several draws,
+    so the min_leaf bound falls inside a row's group of draws."""
+    rng = np.random.default_rng(30)
+    x = np.round(rng.normal(size=(8, 3)), 1)
+    x[:, 2] = np.round(x[:, 2])  # ties between distinct rows
+    y = rng.integers(0, 4, size=8)
+    ranks = _dense_ranks(x)
+    for seed in range(6):
+        sample = np.random.default_rng(seed).integers(0, 8, size=40)
+        rows, weights = np.unique(sample, return_counts=True)
+        assert weights.max() > min_leaf
+        tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split, None, min_leaf)
+        expected = oracles.grow_tree_loop(
+            x[sample], y[sample], np.random.default_rng(seed), features_per_split, None, min_leaf
+        )
+        assert_same_tree(tree, expected)
+        split = _best_split(x, ranks, rows, weights, y[rows], np.arange(3), min_leaf)
+        assert split == oracles.best_split_loop(x[sample], y[sample], np.arange(3), min_leaf)
+
+
+def test_min_leaf_bound_inside_a_row_group():
+    # draws 1 + 4 + 1: every cut leaves one draw on one side
+    x = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([0, 1, 2])
+    rows, weights = np.arange(3), np.array([1, 4, 1])
+    assert _best_split(x, _dense_ranks(x), rows, weights, y, np.array([0]), 2) is None
+    expanded = np.repeat(rows, weights)
+    assert oracles.best_split_loop(x[expanded], y[expanded], np.array([0]), 2) is None
+    split = _best_split(x, _dense_ranks(x), rows, weights, y, np.array([0]), 1)
+    assert split == oracles.best_split_loop(x[expanded], y[expanded], np.array([0]), 1)
+
+
+def test_class_lanes_widen_past_16_bits():
+    """One node of 70,000 draws, over 2^16 of them of the last class: four
+    16-bit lanes would overflow, so the classes take two words of 17-bit lanes."""
+    rng = np.random.default_rng(12)
+    n = 70_000
+    y = np.where(rng.random(n) < 0.96, 3, rng.integers(0, 3, size=n))
+    x = np.round(y + rng.normal(scale=1.5, size=n), 2)[:, None]
+    sample = rng.integers(0, n, size=n)
+    rows, weights = np.unique(sample, return_counts=True)
+    assert np.bincount(y[sample]).max() > 2**16
+    ranks = _dense_ranks(x)
+    split = _best_split(x, ranks, rows, weights, y[rows], np.array([0]), 1)
+    assert split == oracles.best_split_loop(x[sample], y[sample], np.array([0]), 1)
+    tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(1), 1, 1, 1)
+    assert_same_tree(tree, oracles.grow_tree_loop(x[sample], y[sample], np.random.default_rng(1), 1, 1, 1))
 
 
 def test_copied_column_tie_goes_to_lower_feature():
     x = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0], [3.0, 5.0, 3.0]])
     y = np.array([0, 0, 1, 1])
-    split = _best_split(x, _dense_ranks(x), np.arange(4), y, np.array([0, 1, 2]), 1)
+    split = _best_split(x, _dense_ranks(x), np.arange(4), np.ones(4, dtype=np.int64), y, np.array([0, 1, 2]), 1)
     assert split == oracles.best_split_loop(x, y, np.array([0, 1, 2]), 1)
     assert split[:2] == (0, 1.5)
 
@@ -229,11 +280,14 @@ def test_best_split_equals_per_feature_loop_on_node_subsets():
     y = rng.integers(0, 4, size=60)
     ranks = _dense_ranks(x)
     for trial in range(40):
-        rows = np.sort(rng.choice(60, size=int(rng.integers(2, 60)), replace=False))
+        size = int(rng.integers(2, 60))
+        # odd trials: distinct rows; even trials: draws with replacement
+        sample = rng.choice(60, size=size, replace=trial % 2 == 0)
+        rows, weights = np.unique(sample, return_counts=True)
         chosen = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
         min_leaf = int(rng.integers(1, 4))
-        got = _best_split(x, ranks, rows, y[rows], chosen, min_leaf)
-        assert got == oracles.best_split_loop(x[rows], y[rows], chosen, min_leaf)
+        got = _best_split(x, ranks, rows, weights, y[rows], chosen, min_leaf)
+        assert got == oracles.best_split_loop(x[sample], y[sample], chosen, min_leaf)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -300,6 +354,15 @@ def test_errors():
     model = train_forest(x, y, num_trees=1, seed=0)
     with pytest.raises(ParameterError):
         predict_forest_batch(model, np.zeros((3, 2)))
+
+
+def test_negative_max_depth_rejected():
+    x = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([0, 1, 2])
+    with pytest.raises(ParameterError):
+        train_forest(x, y, num_trees=3, max_depth=-1)
+    # depth 0 keeps the root as the only leaf
+    assert [tree.num_nodes for tree in train_forest(x, y, num_trees=3, max_depth=0).trees] == [1, 1, 1]
 
 
 def test_model_file_roundtrip(tmp_path, blob_data):
