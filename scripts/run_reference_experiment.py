@@ -39,11 +39,7 @@ def main(argv=None) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    records = evaluation.synth_corpus(cfg)
-    fir = evaluation.design_filter(cfg)
-    if fir.warning:
-        print(f"warning: {fir.warning}", file=sys.stderr)
-    records = [dsp.apply(fir, record) for record in records]
+    records, fir = evaluation.filter_corpus(evaluation.synth_corpus(cfg), cfg)
     dsp.save_taps(fir, out / "taps.csv")
 
     result = evaluation.run_protocol(cfg, records=records)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from . import knn, svm
 from .pso import PsoConfig
 from .synthgen import EmotionProfile, NoiseSpec
-from .types import ConfigError, Emotion
+from .types import ConfigError, Emotion, ParameterError
 from .utils import fmt_float
 
 
@@ -126,6 +127,21 @@ class PipelineConfig:
             raise ConfigError("train_size, test_size, forest_trees and forest_min_leaf must be >= 1")
         if self.forest_max_depth < 0 or self.forest_features_per_split < 0:
             raise ConfigError("forest_max_depth and forest_features_per_split must be >= 0 (0 for the default)")
+        if not 1 <= self.feature_count <= self.segment_len:
+            raise ConfigError("feature_count must lie in [1, segment_len]")
+        if self.forest_features_per_split > self.feature_count:
+            raise ConfigError("forest_features_per_split must not exceed feature_count")
+        if self.knn_k < 1:
+            raise ConfigError("knn_k must be >= 1")
+        if self.knn_metric not in knn.METRICS:
+            raise ConfigError(f"knn_metric must be one of {knn.METRICS}, not {self.knn_metric!r}")
+        if self.knn_metric == "minkowski" and not self.knn_minkowski_p >= 1:
+            raise ConfigError("knn_minkowski_p must be >= 1")
+        try:
+            self.pso_config(self.seed)
+            svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- derived views -----------------------------------------------------
 

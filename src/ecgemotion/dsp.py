@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import DataFormatError, ParameterError, SignalRecord
+from .types import ParameterError, SignalRecord
 from .utils import fmt_float
 
 WINDOW_KINDS = ("hamming", "hanning", "blackman", "rectangular")
@@ -161,20 +161,3 @@ def save_taps(fir: FirFilter, path) -> None:
         )
         for tap in fir.taps:
             fh.write(fmt_float(tap) + "\n")
-
-
-def load_taps(path) -> FirFilter:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise DataFormatError(f"{path}: missing filter header")
-        try:
-            fields = dict(item.split("=", 1) for item in header[2:].split(","))
-            fs = float(fields["fs"])
-            low = float(fields["low"])
-            high = float(fields["high"])
-            window = fields["window"]
-            taps = [float(line) for line in fh if line.strip()]
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed filter file: {exc}") from exc
-    return FirFilter(np.array(taps), window, low, high, fs)

@@ -47,13 +47,6 @@ def dct(x) -> np.ndarray:
     return dct_matrix(len(x)) @ x
 
 
-def idct(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise ParameterError("idct input must be a non-empty 1-D sequence")
-    return dct_matrix(len(y)).T @ y
-
-
 def standardize(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z-score both splits using per-feature statistics of the training split."""
     mean = x_train.mean(axis=0)

@@ -15,40 +15,16 @@ distance, then to the lower class code.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features
-from .types import DataFormatError, Emotion, NUM_CLASSES, ParameterError
+from .types import DataFormatError, NUM_CLASSES, ParameterError
 from .utils import check_finite, distinct_rows, fmt_float, pairwise_sq_dists
 
 METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
-
-
-def distance(metric: str, x, y, p: float = 2.0) -> float:
-    """Distance between two equal-length vectors under the named metric."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ParameterError("distance arguments must be equal-length vectors")
-    if metric == "euclidean":
-        return float(np.sqrt(np.sum((x - y) ** 2)))
-    if metric == "cosine":
-        nx = np.sqrt(np.dot(x, x))
-        ny = np.sqrt(np.dot(y, y))
-        if nx == 0.0 or ny == 0.0:
-            raise ParameterError("cosine distance is undefined for zero vectors")
-        return float(1.0 - np.dot(x, y) / (nx * ny))
-    if metric == "minkowski":
-        if p < 1:
-            raise ParameterError("minkowski order p must be >= 1")
-        return float(np.sum(np.abs(x - y) ** p) ** (1.0 / p))
-    if metric == "chisquare":
-        return float(np.sum((x - y) ** 2 / (np.abs(x) + np.abs(y) + CHI_SQUARE_EPS)))
-    raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
 def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: float) -> np.ndarray:
@@ -202,62 +178,6 @@ def predict_knn_batch(model: KnnModel, x) -> np.ndarray:
     check_finite(x, "query rows")
     dists = _distance_matrix(model.metric, x, model.train_x, model.p)
     return classify(dists, model.train_y, [model.k])[0]
-
-
-def predict_knn(model: KnnModel, x) -> Emotion:
-    return Emotion(int(predict_knn_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0]))
-
-
-def select_k(
-    x,
-    y,
-    k_range,
-    folds: int = 5,
-    seed: int = 0,
-    metric: str = "euclidean",
-    p: float = 2.0,
-) -> tuple[int, list[tuple[int, float]]]:
-    """Cross-validated misclassification loss per k; returns (best_k, curve).
-
-    k values exceeding a fold's training size are skipped with a warning.
-    Ties in the loss go to the smaller k.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64).ravel()
-    k_values = sorted(set(int(k) for k in k_range))
-    if not k_values:
-        raise ParameterError("k_range must be non-empty")
-    if k_values[0] < 1:
-        raise ParameterError("k values must be >= 1")
-    if folds < 2:
-        raise ParameterError("folds must be >= 2")
-    if len(y) < folds:
-        raise ParameterError("need at least one sample per fold")
-    check_finite(x, "rows")
-
-    rng = np.random.default_rng(seed)
-    assignment = rng.permutation(len(y)) % folds
-    errors = {k: [] for k in k_values}
-    for fold in range(folds):
-        val = np.flatnonzero(assignment == fold)
-        fit = np.flatnonzero(assignment != fold)
-        ks = [k for k in k_values if k <= len(fit)]
-        if not ks:
-            continue
-        dists = _distance_matrix(metric, x[val], x[fit], p)
-        for k, predicted in zip(ks, classify(dists, y[fit], ks)):
-            errors[k].append(np.count_nonzero(predicted != y[val]) / len(val))
-
-    curve = []
-    for k in k_values:
-        if not errors[k]:
-            warnings.warn(f"k={k} exceeds every fold's training size; skipped", stacklevel=2)
-            continue
-        curve.append((k, float(np.mean(errors[k]))))
-    if not curve:
-        raise ParameterError("no k value was evaluable")
-    best_k = min(curve, key=lambda item: (item[1], item[0]))[0]
-    return best_k, curve
 
 
 def save_model(model: KnnModel, path) -> None:

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import (
-    DataFormatError,
-    Emotion,
-    EMOTIONS,
-    NUM_CLASSES,
-    ParameterError,
-)
+from .types import DataFormatError, EMOTIONS, NUM_CLASSES, ParameterError
 from .utils import check_finite, derive_seed, distinct_rows, fmt_float, pairwise_sq_dists
 
 _EPS = 1e-12
@@ -52,18 +46,6 @@ class SvmParams:
             raise ParameterError("tolerance must be positive")
         if self.max_passes is not None and self.max_passes < 0:
             raise ParameterError("max_passes must be >= 0")
-
-
-def rbf_kernel(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2); always in (0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ParameterError(f"kernel argument shapes differ: {x.shape} vs {y.shape}")
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
-    diff = x - y
-    return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -374,11 +356,6 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
     return k @ model.dual_coefs + model.bias
 
 
-def predict_binary(model: BinarySvmModel, x) -> float:
-    """Signed decision value for a single input."""
-    return float(decision_values(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def kkt_max_violation(model: BinarySvmModel, x, y) -> float:
     """Largest KKT residual of a trained model over its training set."""
     if model.alpha is None:
@@ -454,11 +431,6 @@ def predict_multiclass_batch(model: MulticlassSvmModel, x) -> np.ndarray:
     """Predicted emotion codes by one-vs-one majority vote (ties -> lowest code)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     return vote([decision_values(model.models[pair], x) for pair in PAIRS])
-
-
-def predict_multiclass(model: MulticlassSvmModel, x) -> Emotion:
-    code = predict_multiclass_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0]
-    return Emotion(int(code))
 
 
 def save_model(model: MulticlassSvmModel, path) -> None:

@@ -58,10 +58,6 @@ class SignalRecord:
         self.label = Emotion(self.label)
         self.subject_id = int(self.subject_id)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
     def __len__(self) -> int:
         return len(self.samples)
 

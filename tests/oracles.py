@@ -437,24 +437,6 @@ def knn_labels_loop(dists, train_y, k: int) -> np.ndarray:
     return out
 
 
-def select_k_curve_loop(x, y, k_values, folds: int, seed: int, metric: str, p: float = 2.0):
-    """``knn.select_k``'s (k, loss) curve, every fold and k voted row by row."""
-    assignment = np.random.default_rng(seed).permutation(len(y)) % folds
-    errors = {k: [] for k in k_values}
-    for fold in range(folds):
-        val = np.flatnonzero(assignment == fold)
-        fit = np.flatnonzero(assignment != fold)
-        dists = chunked_distance_matrix(metric, x[val], x[fit], p)
-        for k in k_values:
-            if k <= len(fit):
-                wrong = sum(
-                    int(label != truth)
-                    for label, truth in zip(knn_labels_loop(dists, y[fit], k), y[val])
-                )
-                errors[k].append(wrong / len(val))
-    return [(k, float(np.mean(errors[k]))) for k in k_values if errors[k]]
-
-
 def best_split_loop(x, y, feature_ids, min_leaf):
     """``forest._best_split`` as one stable argsort and cumulative count per
     sampled feature: the best (feature, threshold, score) over the sampled

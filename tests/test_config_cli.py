@@ -51,7 +51,24 @@ def test_bad_value_rejected():
 
 
 @pytest.mark.parametrize(
-    "text", ["forest_max_depth=-2\n", "forest_trees=0\n", "forest_features_per_split=-3\n", "forest_min_leaf=0\n"]
+    "text",
+    [
+        "forest_max_depth=-2\n",
+        "forest_trees=0\n",
+        "forest_features_per_split=-3\n",
+        "forest_min_leaf=0\n",
+        "forest_features_per_split=500\n",  # above the 75 features
+        "knn_k=-3\n",
+        "feature_count=0\n",
+        "feature_count=300\n",  # above the 256-sample segment
+        "pso_iterations=-1\n",
+        "pso_swarm_size=0\n",
+        "pso_cv_folds=1\n",
+        "svm_c=-1\n",
+        "svm_gamma=0\n",
+        "knn_metric=manhattan\n",
+        "knn_metric=minkowski\nknn_minkowski_p=0.5\n",
+    ],
 )
 def test_out_of_range_forest_settings_rejected(tmp_path, text):
     with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ from ecgemotion.evaluation import FeatureCache
 from ecgemotion.features import (
     balanced_counts,
     dct,
-    idct,
+    dct_matrix,
     load_features,
     save_features,
     standardize,
@@ -118,7 +118,7 @@ def test_extract_full_invertible():
     cfg = split_config(segment_len=128, segment_stride=128)
     dataset = FeatureCache(records, cfg).dataset(128, 4)
     for fv in dataset.train + dataset.test:
-        assert np.allclose(idct(fv.values), segment_of(records, fv, 128), rtol=1e-9, atol=1e-12)
+        assert np.allclose(dct_matrix(128).T @ fv.values, segment_of(records, fv, 128), rtol=1e-9, atol=1e-12)
 
 
 def test_extract_prefix_of_full_transform():
@@ -157,7 +157,7 @@ def test_truncation_error_monotone():
     for n in range(1, 65):
         padded = np.zeros(64)
         padded[:n] = coeffs[:n]
-        errors.append(float(np.sum((idct(padded) - x) ** 2)))
+        errors.append(float(np.sum((dct_matrix(64).T @ padded - x) ** 2)))
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(63))
 
 

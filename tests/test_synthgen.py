@@ -42,7 +42,7 @@ def test_duration_and_metadata():
         EmotionProfile(70, 2), 12.5, 128, seed=0, label=Emotion.TENSE, subject_id=4
     )
     assert len(record) == 1600
-    assert record.duration_s == 1600 / 128
+    assert record.sample_rate_hz == 128.0
     assert record.label is Emotion.TENSE
     assert record.subject_id == 4
 
