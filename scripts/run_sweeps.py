@@ -18,19 +18,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ecgemotion import evaluation
-from ecgemotion.config import PipelineConfig
+from ecgemotion.cli import CONFIG_PARENT, load_config
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", action="append", help="config file; repeatable, later wins")
-    parser.add_argument("--seed", type=int, default=None)
+    parser = argparse.ArgumentParser(description=__doc__, parents=[CONFIG_PARENT])
     parser.add_argument("--out-dir", default="results/sweeps")
     args = parser.parse_args(argv)
 
-    cfg = PipelineConfig.from_files(args.config or [])
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
+    cfg = load_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

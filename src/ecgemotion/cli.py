@@ -25,11 +25,23 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _load_config(args) -> PipelineConfig:
+# model kind, the first word of a model file -> (loader, writer, batch predictor)
+_MODEL_KINDS = {
+    "svm": (svm.load_model, svm.save_model, svm.predict_multiclass_batch),
+    "forest": (forest.load_model, forest.save_model, forest.predict_forest_batch),
+    "knn": (knn.load_model, knn.save_model, knn.predict_knn_batch),
+}
+
+# --config/--seed, shared by every command that reads a PipelineConfig and by the scripts
+CONFIG_PARENT = argparse.ArgumentParser(add_help=False)
+CONFIG_PARENT.add_argument("--config", action="append", help="config file; repeatable, later wins")
+CONFIG_PARENT.add_argument("--seed", type=int, default=None, help="override the master seed")
+
+
+def load_config(args) -> PipelineConfig:
+    """The ``--config`` files layered in order, with ``--seed`` applied last."""
     cfg = PipelineConfig.from_files(args.config or [])
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
-    return cfg
+    return cfg if args.seed is None else cfg.replace(seed=args.seed)
 
 
 def _signal_files(directory: Path) -> list:
@@ -49,7 +61,7 @@ def _load_corpus(directory: Path) -> list:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = evaluation.synth_corpus(cfg)
@@ -61,7 +73,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args)
     fir = evaluation.design_filter(cfg)
     if fir.warning:
         print(f"warning: {fir.warning}", file=sys.stderr)
@@ -79,7 +91,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args)
     cache = evaluation.FeatureCache(_load_corpus(Path(args.input)), cfg)
     dataset = cache.dataset(cfg.feature_count, derive_seed(cfg.seed, "run", args.run))
     features.save_features(*dataset.train_arrays(), args.train_out)
@@ -92,7 +104,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args)
     result = evaluation.tune_svm(features.load_features(args.features), cfg, cfg.seed)
     with open(args.trace_out, "w") as fh:
         fh.write(evaluation.pso_trace_csv(result))
@@ -105,17 +117,13 @@ def cmd_tune(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args)
     if args.classifier:
         cfg = cfg.replace(classifier=args.classifier)
     x, codes = features.load_features(args.features)
     model, _ = evaluation.train_classifier((x, codes), cfg, derive_seed(cfg.seed, "train"))
-    if cfg.classifier == "svm":
-        svm.save_model(model, args.model)
-    elif cfg.classifier == "forest":
-        forest.save_model(model, args.model)
-    else:
-        knn.save_model(model, args.model)
+    _, save, _ = _MODEL_KINDS[cfg.classifier]
+    save(model, args.model)
     print(f"trained {cfg.classifier} on {len(codes)} vectors -> {args.model}")
     return 0
 
@@ -123,13 +131,10 @@ def cmd_train(args) -> int:
 def _load_any_model(path):
     with open(path) as fh:
         kind = fh.readline().split(" ", 1)[0]
-    if kind == "svm":
-        return svm.load_model(path), svm.predict_multiclass_batch
-    if kind == "forest":
-        return forest.load_model(path), forest.predict_forest_batch
-    if kind == "knn":
-        return knn.load_model(path), knn.predict_knn_batch
-    raise DataFormatError(f"{path}: unrecognized model kind {kind!r}")
+    if kind not in _MODEL_KINDS:
+        raise DataFormatError(f"{path}: unrecognized model kind {kind!r}")
+    load, _, predict = _MODEL_KINDS[kind]
+    return load(path), predict
 
 
 def cmd_predict(args) -> int:
@@ -157,13 +162,11 @@ def _load_predictions(path) -> np.ndarray:
 
 def cmd_evaluate(args) -> int:
     x, truth = features.load_features(args.features)
-    if args.predictions:
+    if args.predictions is not None:
         predicted = _load_predictions(args.predictions)
-    elif args.model:
+    else:
         model, predict = _load_any_model(args.model)
         predicted = predict(model, x)
-    else:
-        raise ParameterError("evaluate needs --predictions or --model")
     cm = evaluation.confusion(truth, predicted)
     report = evaluation.RecognitionReport(
         np.array([evaluation._rates_or_fail(cm)])
@@ -183,17 +186,18 @@ def _sweep_records(args):
     return _load_corpus(Path(args.signals)) if args.signals else None
 
 
-def cmd_sweep_features(args) -> int:
-    cfg = _load_config(args)
-    curve = evaluation.sweep_features(cfg, records=_sweep_records(args))
+def cmd_sweep(args) -> int:
+    """sweep-features and sweep-k: ``args.sweep`` over ``args.axis``."""
+    cfg = load_config(args)
+    curve = args.sweep(cfg, records=_sweep_records(args))
     with open(args.out, "w") as fh:
-        fh.write(evaluation.curve_csv("features", curve.points))
-    print(f"best features={curve.best}")
+        fh.write(evaluation.curve_csv(args.axis, curve.points))
+    print(f"best {args.axis}={curve.best}")
     return 0
 
 
 def cmd_sweep_trees(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args)
     curve, ge_points = evaluation.sweep_trees(cfg, records=_sweep_records(args))
     with open(args.out, "w") as fh:
         fh.write(evaluation.curve_csv("trees", curve.points))
@@ -201,15 +205,6 @@ def cmd_sweep_trees(args) -> int:
         with open(args.ge_out, "w") as fh:
             fh.write(evaluation.ge_curve_csv(ge_points))
     print(f"best trees={curve.best}")
-    return 0
-
-
-def cmd_sweep_k(args) -> int:
-    cfg = _load_config(args)
-    curve = evaluation.sweep_k(cfg, records=_sweep_records(args))
-    with open(args.out, "w") as fh:
-        fh.write(evaluation.curve_csv("k", curve.points))
-    print(f"best k={curve.best}")
     return 0
 
 
@@ -229,81 +224,68 @@ def cmd_report(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="ecgemotion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = [CONFIG_PARENT]
 
-    def common(p):
-        p.add_argument("--config", action="append", help="config file; repeatable, later wins")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-
-    p = sub.add_parser("synth", help="generate the synthetic signal corpus")
-    common(p)
+    p = sub.add_parser("synth", parents=configured, help="generate the synthetic signal corpus")
     p.add_argument("--out", required=True, help="output directory for signal CSVs")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("filter", help="FIR-filter a directory of signal CSVs")
-    common(p)
+    p = sub.add_parser("filter", parents=configured, help="FIR-filter a directory of signal CSVs")
     p.add_argument("--in", dest="input", required=True, help="input signal directory")
     p.add_argument("--out", required=True, help="output signal directory")
     p.add_argument("--taps-out", default=None, help="also export the filter taps CSV")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("extract", help="segment, transform, and sample a train/test split")
-    common(p)
+    p = sub.add_parser("extract", parents=configured, help="segment, transform, and sample a train/test split")
     p.add_argument("--in", dest="input", required=True, help="filtered signal directory")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
     p.add_argument("--run", type=int, default=0, help="run index for seed derivation")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("tune", help="PSO-tune svm_c and svm_gamma on training features")
-    common(p)
+    p = sub.add_parser("tune", parents=configured, help="PSO-tune svm_c and svm_gamma on training features")
     p.add_argument("--features", required=True, help="training feature CSV")
     p.add_argument("--trace-out", required=True, help="per-evaluation trace CSV")
     p.add_argument("--params-out", default=None, help="write tuned keys as a config overlay")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("train", help="train the configured classifier")
-    common(p)
-    p.add_argument("--classifier", choices=("svm", "forest", "knn"), default=None)
+    p = sub.add_parser("train", parents=configured, help="train the configured classifier")
+    p.add_argument("--classifier", choices=tuple(_MODEL_KINDS), default=None)
     p.add_argument("--features", required=True, help="training feature CSV")
     p.add_argument("--model", required=True, help="output model file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict labels for a feature CSV")
-    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="prediction CSV")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="confusion matrix and recognition rates")
-    common(p)
     p.add_argument("--features", required=True, help="test feature CSV (carries truth)")
-    p.add_argument("--model", default=None)
-    p.add_argument("--predictions", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="model file to predict with")
+    source.add_argument("--predictions", help="prediction CSV written by predict")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep-features", help="recognition rate vs feature count")
-    common(p)
+    p = sub.add_parser("sweep-features", parents=configured, help="recognition rate vs feature count")
     p.add_argument("--signals", default=None, help="filtered signal directory (default: synth)")
     p.add_argument("--out", required=True, help="curve CSV")
-    p.set_defaults(func=cmd_sweep_features)
+    p.set_defaults(func=cmd_sweep, sweep=evaluation.sweep_features, axis="features")
 
-    p = sub.add_parser("sweep-trees", help="recognition rate vs learning cycles")
-    common(p)
+    p = sub.add_parser("sweep-trees", parents=configured, help="recognition rate vs learning cycles")
     p.add_argument("--signals", default=None)
     p.add_argument("--out", required=True, help="rate curve CSV")
     p.add_argument("--ge-out", default=None, help="generalization-error curve CSV")
     p.set_defaults(func=cmd_sweep_trees)
 
-    p = sub.add_parser("sweep-k", help="recognition rate vs neighbor count")
-    common(p)
+    p = sub.add_parser("sweep-k", parents=configured, help="recognition rate vs neighbor count")
     p.add_argument("--signals", default=None)
     p.add_argument("--out", required=True, help="curve CSV")
-    p.set_defaults(func=cmd_sweep_k)
+    p.set_defaults(func=cmd_sweep, sweep=evaluation.sweep_k, axis="k")
 
     p = sub.add_parser("report", help="render summary tables from stored run rates")
-    common(p)
     p.add_argument("--runs", required=True, help="runs CSV written by evaluate")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_report)

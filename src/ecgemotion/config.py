@@ -12,10 +12,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from . import knn, svm
+from . import dsp, knn, svm
 from .pso import PsoConfig
 from .synthgen import EmotionProfile, NoiseSpec
-from .types import ConfigError, Emotion, ParameterError
+from .types import EMOTIONS, ConfigError, ParameterError
 from .utils import fmt_float
 
 
@@ -137,9 +137,16 @@ class PipelineConfig:
             raise ConfigError(f"knn_metric must be one of {knn.METRICS}, not {self.knn_metric!r}")
         if self.knn_metric == "minkowski" and not self.knn_minkowski_p >= 1:
             raise ConfigError("knn_minkowski_p must be >= 1")
+        if self.segment_len < dsp.MIN_SEGMENT_LEN or self.segment_stride < 1:
+            raise ConfigError(f"segment_len must be >= {dsp.MIN_SEGMENT_LEN} and segment_stride >= 1")
         try:
             self.pso_config(self.seed)
             svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance)
+            self.profiles()
+            self.noise_spec(self.seed)
+            dsp.design_bandpass(
+                self.fir_low_hz, self.fir_high_hz, self.sample_rate_hz, self.fir_num_taps, self.fir_window
+            )
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -149,31 +156,10 @@ class PipelineConfig:
         return sorted(set(self.train_subjects) | set(self.test_subjects))
 
     def profiles(self) -> dict:
+        fields = ("hr", "hr_std", "qrs_scale", "t_scale")
         return {
-            Emotion.HAPPY: EmotionProfile(
-                self.profile_happy_hr,
-                self.profile_happy_hr_std,
-                self.profile_happy_qrs_scale,
-                self.profile_happy_t_scale,
-            ),
-            Emotion.EXCITING: EmotionProfile(
-                self.profile_exciting_hr,
-                self.profile_exciting_hr_std,
-                self.profile_exciting_qrs_scale,
-                self.profile_exciting_t_scale,
-            ),
-            Emotion.CALM: EmotionProfile(
-                self.profile_calm_hr,
-                self.profile_calm_hr_std,
-                self.profile_calm_qrs_scale,
-                self.profile_calm_t_scale,
-            ),
-            Emotion.TENSE: EmotionProfile(
-                self.profile_tense_hr,
-                self.profile_tense_hr_std,
-                self.profile_tense_qrs_scale,
-                self.profile_tense_t_scale,
-            ),
+            emotion: EmotionProfile(*(getattr(self, f"profile_{emotion.name.lower()}_{f}") for f in fields))
+            for emotion in EMOTIONS
         }
 
     def noise_spec(self, seed: int) -> NoiseSpec:

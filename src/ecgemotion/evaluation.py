@@ -434,7 +434,10 @@ def parse_runs_csv(text: str) -> RecognitionReport:
         rates.append([float(v) for v in parts[1 : 1 + NUM_CLASSES]])
     if not rates:
         raise DataFormatError("runs CSV has no data rows")
-    return RecognitionReport(np.array(rates))
+    rates = np.array(rates)
+    if not ((rates >= 0) & (rates <= 1)).all():
+        raise DataFormatError("runs CSV rates must be finite and lie in [0, 1]")
+    return RecognitionReport(rates)
 
 
 def report_csv(report: RecognitionReport) -> str:

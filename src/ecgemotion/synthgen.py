@@ -208,4 +208,7 @@ def load_record(path) -> SignalRecord:
             raise DataFormatError(f"{path}: {exc}") from exc
     if not samples:
         raise DataFormatError(f"{path}: no samples")
-    return SignalRecord(np.array(samples), fs, label, subject)
+    samples = np.array(samples)
+    if not (0 < fs < np.inf and np.isfinite(samples).all()):
+        raise DataFormatError(f"{path}: fs must be finite and positive, and every sample finite")
+    return SignalRecord(samples, fs, label, subject)

@@ -68,6 +68,14 @@ def test_bad_value_rejected():
         "svm_gamma=0\n",
         "knn_metric=manhattan\n",
         "knn_metric=minkowski\nknn_minkowski_p=0.5\n",
+        "profile_happy_hr=500\n",
+        "profile_calm_hr_std=-1\n",
+        "noise_baseline_amp=-1\n",
+        "fir_window=foo\n",
+        "fir_num_taps=4\n",
+        "fir_low_hz=0\n",
+        "segment_len=64\nfeature_count=30\n",  # below dsp.MIN_SEGMENT_LEN
+        "segment_stride=0\n",
     ],
 )
 def test_out_of_range_forest_settings_rejected(tmp_path, text):
@@ -263,21 +271,16 @@ def test_evaluate_with_model_matches_predictions(pipeline_dirs, mini_cfg_file, t
             str(model),
         ]
     )
-    assert (
-        cli.main(
-            [
-                "evaluate",
-                "--features",
-                str(test_csv),
-                "--model",
-                str(model),
-                "--out-prefix",
-                str(tmp_path / "knn"),
-            ]
-        )
-        == 0
-    )
-    assert (tmp_path / "knn.confusion.csv").exists()
+    preds = tmp_path / "preds.csv"
+    assert cli.main(["predict", "--model", str(model), "--features", str(test_csv), "--out", str(preds)]) == 0
+    evaluate = ["evaluate", "--features", str(test_csv)]
+    for source, name in ((["--model", str(model)], "knn"), (["--predictions", str(preds)], "preds")):
+        assert cli.main([*evaluate, *source, "--out-prefix", str(tmp_path / name)]) == 0
+    assert (tmp_path / "knn.confusion.csv").read_text() == (tmp_path / "preds.confusion.csv").read_text()
+    # exactly one of --model and --predictions
+    for source in ([], ["--model", str(model), "--predictions", str(preds)]):
+        assert cli.main([*evaluate, *source, "--out-prefix", str(tmp_path / "none")]) == 1
+    assert not (tmp_path / "none.confusion.csv").exists()
 
 
 def test_tune_writes_trace(pipeline_dirs, mini_cfg_file, tmp_path):
@@ -373,9 +376,29 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
         assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(rows), "--out", out]) == 3
-    # 1: usage error, and valid svm and forest models asked about non-finite rows
+    # 3: signal CSVs with a non-finite sample or a rate that is not finite and positive
+    signals = tmp_path / "signals"
+    signals.mkdir()
+    for fs, sample in (("128", "nan"), ("128", "inf"), ("0", "0.5"), ("nan", "0.5"), ("inf", "0.5")):
+        (signals / "s1_e0.csv").write_text(f"label,subject,fs\n0,1,{fs}\n0.1\n{sample}\n")
+        argv = ["sweep-k", "--config", mini_cfg_file, "--signals", str(signals)]
+        assert cli.main([*argv, "--out", str(tmp_path / "k.csv")]) == 3
+    # 3: runs CSVs whose rates are not finite or lie outside [0, 1]
+    runs_csv = tmp_path / "runs.csv"
+    for row in ("0,nan,0.5,0.5,0.5,0.5", "0,0.5,2.0,0.5,0.5,0.5", "0,0.5,0.5,-1,0.5,0.5", "0,0.5,0.5,0.5,inf,0.5"):
+        runs_csv.write_text(f"run,happy,exciting,calm,tense,overall\n{row}\n")
+        assert cli.main(["report", "--runs", str(runs_csv), "--out-prefix", str(tmp_path / "report")]) == 3
+    # 1: usage error, including --config/--seed on subcommands that read no config,
+    # and valid svm and forest models asked about non-finite rows
     assert cli.main(["synth"]) == 1
     assert cli.main(["not-a-command"]) == 1
+    for flags in (["--config", mini_cfg_file], ["--seed", "3"]):
+        for argv in (
+            ["predict", "--model", str(model), "--features", str(good_csv), "--out", str(tmp_path / "p.csv")],
+            ["evaluate", "--model", str(model), "--features", str(good_csv), "--out-prefix", str(tmp_path / "e")],
+            ["report", "--runs", str(runs_csv), "--out-prefix", str(tmp_path / "r")],
+        ):
+            assert cli.main([*argv, *flags]) == 1
     nan_csv = tmp_path / "nan_rows.csv"
     nan_csv.write_text("label,f1\n0,1.0\n1,nan\n2,-inf\n")
     six_pairs = "".join(f"pair {a} {b} bias=0.0 nsv=1\n1.0,0.5\n" for a, b in svm.PAIRS)
