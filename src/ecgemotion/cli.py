@@ -17,7 +17,7 @@ import numpy as np
 from . import dsp, evaluation, features, forest, knn, svm, synthgen
 from .config import PipelineConfig
 from .types import ConfigError, DataFormatError, Emotion, ParameterError
-from .utils import derive_seed, fmt_float
+from .utils import csv_text, derive_seed, fmt_float, read_rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,12 +106,9 @@ def cmd_extract(args) -> int:
 def cmd_tune(args) -> int:
     cfg = load_config(args)
     result = evaluation.tune_svm(features.load_features(args.features), cfg, cfg.seed)
-    with open(args.trace_out, "w") as fh:
-        fh.write(evaluation.pso_trace_csv(result))
+    Path(args.trace_out).write_text(evaluation.pso_trace_csv(result))
     if args.params_out:
-        with open(args.params_out, "w") as fh:
-            fh.write(f"svm_c={fmt_float(result.c)}\n")
-            fh.write(f"svm_gamma={fmt_float(result.gamma)}\n")
+        Path(args.params_out).write_text(f"svm_c={fmt_float(result.c)}\nsvm_gamma={fmt_float(result.gamma)}\n")
     print(f"c={fmt_float(result.c)} gamma={fmt_float(result.gamma)} fitness={fmt_float(result.fitness)}")
     return 0
 
@@ -141,23 +138,16 @@ def cmd_predict(args) -> int:
     model, predict = _load_any_model(args.model)
     x, _ = features.load_features(args.features)
     codes = predict(model, x)
-    with open(args.out, "w") as fh:
-        fh.write("label\n")
-        for code in codes:
-            fh.write(f"{int(code)}\n")
+    Path(args.out).write_text(csv_text(["label"], ([int(code)] for code in codes)))
     print(f"wrote {len(codes)} predictions to {args.out}")
     return 0
 
 
 def _load_predictions(path) -> np.ndarray:
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "label":
+        if fh.readline().strip() != "label":
             raise DataFormatError(f"{path}: expected prediction header 'label'")
-        try:
-            return np.array([int(Emotion.from_code(int(line))) for line in fh if line.strip()], dtype=np.int64)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
+        return np.array(read_rows(fh, path, 1, lambda cells: int(Emotion.from_code(cells[0]))), dtype=np.int64)
 
 
 def cmd_evaluate(args) -> int:
@@ -168,15 +158,11 @@ def cmd_evaluate(args) -> int:
         model, predict = _load_any_model(args.model)
         predicted = predict(model, x)
     cm = evaluation.confusion(truth, predicted)
-    report = evaluation.RecognitionReport(
-        np.array([evaluation._rates_or_fail(cm)])
-    )
+    report = evaluation.RecognitionReport(evaluation.recognition_rates(cm))
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{prefix}.confusion.csv", "w") as fh:
-        fh.write(evaluation.confusion_csv(cm))
-    with open(f"{prefix}.rates.csv", "w") as fh:
-        fh.write(evaluation.runs_csv(report))
+    Path(f"{prefix}.confusion.csv").write_text(evaluation.confusion_csv(cm))
+    Path(f"{prefix}.rates.csv").write_text(evaluation.runs_csv(report))
     print(f"accuracy={fmt_float(cm.accuracy())} samples={cm.total}")
     return 0
 
@@ -190,8 +176,7 @@ def cmd_sweep(args) -> int:
     """sweep-features and sweep-k: ``args.sweep`` over ``args.axis``."""
     cfg = load_config(args)
     curve = args.sweep(cfg, records=_sweep_records(args))
-    with open(args.out, "w") as fh:
-        fh.write(evaluation.curve_csv(args.axis, curve.points))
+    Path(args.out).write_text(evaluation.curve_csv(args.axis, curve.points))
     print(f"best {args.axis}={curve.best}")
     return 0
 
@@ -199,24 +184,19 @@ def cmd_sweep(args) -> int:
 def cmd_sweep_trees(args) -> int:
     cfg = load_config(args)
     curve, ge_points = evaluation.sweep_trees(cfg, records=_sweep_records(args))
-    with open(args.out, "w") as fh:
-        fh.write(evaluation.curve_csv("trees", curve.points))
+    Path(args.out).write_text(evaluation.curve_csv("trees", curve.points))
     if args.ge_out:
-        with open(args.ge_out, "w") as fh:
-            fh.write(evaluation.ge_curve_csv(ge_points))
+        Path(args.ge_out).write_text(evaluation.ge_curve_csv(ge_points))
     print(f"best trees={curve.best}")
     return 0
 
 
 def cmd_report(args) -> int:
-    with open(args.runs) as fh:
-        report = evaluation.parse_runs_csv(fh.read())
+    report = evaluation.parse_runs_csv(Path(args.runs).read_text())
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{prefix}.csv", "w") as fh:
-        fh.write(evaluation.report_csv(report))
-    with open(f"{prefix}.txt", "w") as fh:
-        fh.write(evaluation.report_text(report))
+    Path(f"{prefix}.csv").write_text(evaluation.report_csv(report))
+    Path(f"{prefix}.txt").write_text(evaluation.report_text(report))
     print(evaluation.report_text(report), end="")
     return 0
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from . import dsp, knn, svm
 from .pso import PsoConfig
-from .synthgen import EmotionProfile, NoiseSpec
+from .synthgen import EmotionProfile, NoiseSpec, check_sampling
 from .types import EMOTIONS, ConfigError, ParameterError
-from .utils import fmt_float
 
 
 @dataclass
@@ -143,7 +142,8 @@ class PipelineConfig:
             self.pso_config(self.seed)
             svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance)
             self.profiles()
-            self.noise_spec(self.seed)
+            check_sampling(self.record_duration_s, self.sample_rate_hz)
+            self.noise_spec(self.seed).check(self.sample_rate_hz)
             dsp.design_bandpass(
                 self.fir_low_hz, self.fir_high_hz, self.sample_rate_hz, self.fir_num_taps, self.fir_window
             )
@@ -202,12 +202,6 @@ class PipelineConfig:
     def replace(self, **kwargs) -> "PipelineConfig":
         return dataclasses.replace(self, **kwargs)
 
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name}={_format_value(getattr(self, f.name))}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str, base: "PipelineConfig | None" = None) -> "PipelineConfig":
         values = dataclasses.asdict(base) if base is not None else {}
@@ -244,16 +238,6 @@ class PipelineConfig:
         for path in paths:
             cfg = cls.from_file(path, base=cfg)
         return cfg if cfg is not None else cls()
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_float(value)
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 def _parse_value(default, text: str):

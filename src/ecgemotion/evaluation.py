@@ -24,7 +24,7 @@ from .types import (
     NUM_CLASSES,
     ParameterError,
 )
-from .utils import derive_seed, fmt_float, fmt_percent
+from .utils import csv_text, derive_seed, fmt_percent, read_rows
 
 
 @dataclass(eq=False)
@@ -63,23 +63,16 @@ def confusion(true_labels, predicted_labels) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
-def recognition_rates(cm: ConfusionMatrix) -> list:
-    """Per-emotion diagonal fraction; None where the true class is absent."""
-    rates = []
-    for i in range(NUM_CLASSES):
-        row_sum = cm.counts[i].sum()
-        rates.append(float(cm.counts[i, i] / row_sum) if row_sum else None)
-    return rates
-
-
-def _rates_or_fail(cm: ConfusionMatrix) -> np.ndarray:
-    rates = recognition_rates(cm)
-    missing = [EMOTIONS[i].name for i, r in enumerate(rates) if r is None]
+def recognition_rates(cm: ConfusionMatrix) -> np.ndarray:
+    """Per-emotion diagonal fraction. A class absent from the true labels
+    has no rate, which is a DataFormatError."""
+    row_sums = cm.counts.sum(axis=1)
+    missing = [EMOTIONS[i].name for i in np.flatnonzero(row_sums == 0)]
     if missing:
         raise DataFormatError(
             f"test split has no samples for {', '.join(missing)}; recognition rate undefined"
         )
-    return np.array(rates)
+    return np.diag(cm.counts) / row_sums
 
 
 @dataclass(eq=False)
@@ -116,7 +109,7 @@ class RecognitionReport:
 
 def _overall_rate(y_test, labels) -> float:
     """Mean of the per-emotion recognition rates of one prediction."""
-    return float(_rates_or_fail(confusion(y_test, labels)).mean())
+    return float(recognition_rates(confusion(y_test, labels)).mean())
 
 
 def run_repeated(fit, splits):
@@ -131,7 +124,7 @@ def run_repeated(fit, splits):
     for run_seed, train, (x_test, y_test) in splits:
         cm = confusion(y_test, fit(train, run_seed)(x_test))
         confusions.append(cm)
-        all_rates.append(_rates_or_fail(cm))
+        all_rates.append(recognition_rates(cm))
     if not confusions:
         raise ParameterError("runs must be >= 1")
     return RecognitionReport(np.stack(all_rates)), confusions
@@ -412,97 +405,76 @@ def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepC
 # report and file rendering
 
 
+_RUNS_HEADER = ["run", *(e.name.lower() for e in EMOTIONS), "overall"]
+
+
 def runs_csv(report: RecognitionReport) -> str:
-    lines = ["run," + ",".join(e.name.lower() for e in EMOTIONS) + ",overall"]
     overall = report.per_run_overall()
-    for run in range(report.num_runs):
-        row = ",".join(fmt_float(v) for v in report.rates[run])
-        lines.append(f"{run},{row},{fmt_float(overall[run])}")
-    return "\n".join(lines) + "\n"
+    return csv_text(_RUNS_HEADER, ([run, *rates, overall[run]] for run, rates in enumerate(report.rates)))
+
+
+def _run_rates(cells) -> list:
+    """The emotion rates of a runs row, whose run index must be an integer
+    and whose rates, overall included, must be finite and lie in [0, 1]."""
+    int(cells[0])
+    rates = [float(c) for c in cells[1:]]
+    if not all(0.0 <= r <= 1.0 for r in rates):
+        raise ValueError("rates must be finite and lie in [0, 1]")
+    return rates[:NUM_CLASSES]
 
 
 def parse_runs_csv(text: str) -> RecognitionReport:
-    lines = [line for line in text.strip().splitlines() if line.strip()]
-    expected = "run," + ",".join(e.name.lower() for e in EMOTIONS) + ",overall"
+    lines = text.strip().splitlines()
+    expected = ",".join(_RUNS_HEADER)
     if not lines or lines[0] != expected:
         raise DataFormatError(f"runs CSV must start with header {expected!r}")
-    rates = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != NUM_CLASSES + 2:
-            raise DataFormatError(f"malformed runs row: {line!r}")
-        rates.append([float(v) for v in parts[1 : 1 + NUM_CLASSES]])
-    if not rates:
-        raise DataFormatError("runs CSV has no data rows")
-    rates = np.array(rates)
-    if not ((rates >= 0) & (rates <= 1)).all():
-        raise DataFormatError("runs CSV rates must be finite and lie in [0, 1]")
-    return RecognitionReport(rates)
+    return RecognitionReport(read_rows(lines[1:], "runs CSV", len(_RUNS_HEADER), _run_rates))
+
+
+def _summary(report: RecognitionReport) -> list:
+    """Highest, lowest and average rate: one row each, the emotions' rates
+    then the overall one over the per-run means."""
+    overall = report.per_run_overall()
+    return [
+        [*report.highest(), overall.max()],
+        [*report.lowest(), overall.min()],
+        [*report.average(), report.overall_average],
+    ]
+
+
+_SUMMARY_NAMES = [e.name.lower() for e in EMOTIONS] + ["overall"]
 
 
 def report_csv(report: RecognitionReport) -> str:
-    lines = ["emotion,highest,lowest,average"]
-    highest, lowest, average = report.highest(), report.lowest(), report.average()
-    for i, emotion in enumerate(EMOTIONS):
-        lines.append(
-            f"{emotion.name.lower()},{fmt_float(highest[i])},"
-            f"{fmt_float(lowest[i])},{fmt_float(average[i])}"
-        )
-    overall = report.per_run_overall()
-    lines.append(
-        f"overall,{fmt_float(overall.max())},{fmt_float(overall.min())},"
-        f"{fmt_float(report.overall_average)}"
-    )
-    return "\n".join(lines) + "\n"
+    return csv_text(["emotion", "highest", "lowest", "average"], zip(_SUMMARY_NAMES, *_summary(report)))
 
 
 def report_text(report: RecognitionReport) -> str:
     """Aligned table in the style of the recognition-rate summaries."""
-    names = [e.name.capitalize() for e in EMOTIONS] + ["Overall"]
-    overall = report.per_run_overall()
-    rows = [
-        ("Highest recognition rate", list(report.highest()) + [overall.max()]),
-        ("Lowest recognition rate", list(report.lowest()) + [overall.min()]),
-        ("Average recognition rate", list(report.average()) + [report.overall_average]),
-    ]
-    label_width = max(len(r[0]) for r in rows)
-    col_width = max(len(n) for n in names) + 2
-    header = " " * label_width + "".join(n.rjust(col_width) for n in names)
-    lines = [header]
-    for label, values in rows:
-        cells = "".join(fmt_percent(v).rjust(col_width) for v in values)
-        lines.append(label.ljust(label_width) + cells)
+    labels = [f"{kind} recognition rate" for kind in ("Highest", "Lowest", "Average")]
+    names = [name.capitalize() for name in _SUMMARY_NAMES]
+    label_width = max(len(label) for label in labels)
+    col_width = max(len(name) for name in names) + 2
+    lines = [" " * label_width + "".join(name.rjust(col_width) for name in names)]
+    for label, values in zip(labels, _summary(report)):
+        lines.append(label.ljust(label_width) + "".join(fmt_percent(v).rjust(col_width) for v in values))
     return "\n".join(lines) + "\n"
 
 
 def confusion_csv(cm: ConfusionMatrix) -> str:
-    lines = ["true_label," + ",".join(f"pred_{int(e)}" for e in EMOTIONS)]
-    for i in range(NUM_CLASSES):
-        lines.append(f"{i}," + ",".join(str(c) for c in cm.counts[i]))
-    return "\n".join(lines) + "\n"
+    header = ["true_label", *(f"pred_{int(e)}" for e in EMOTIONS)]
+    return csv_text(header, ([i, *row] for i, row in enumerate(cm.counts)))
 
 
 def curve_csv(parameter: str, points) -> str:
-    lines = [f"{parameter},mean_rate"]
-    for value, rate in points:
-        lines.append(f"{value},{fmt_float(rate)}")
-    return "\n".join(lines) + "\n"
+    return csv_text([parameter, "mean_rate"], points)
 
 
 def pso_trace_csv(result: pso.PsoResult) -> str:
     """One row per fitness evaluation: iteration, particle, (C, gamma), its
     fitness and the swarm's best fitness after that iteration."""
-    lines = ["iteration,particle,c,gamma,fitness,global_best_fitness"]
-    for iteration, particle, c, gamma, fitness, best in result.trace:
-        lines.append(
-            f"{iteration},{particle},{fmt_float(c)},{fmt_float(gamma)},"
-            f"{fmt_float(fitness)},{fmt_float(best)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(["iteration", "particle", "c", "gamma", "fitness", "global_best_fitness"], result.trace)
 
 
 def ge_curve_csv(points) -> str:
-    lines = ["trees,mean_generalization_error"]
-    for value, ge in points:
-        lines.append(f"{value},{fmt_float(ge)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["trees", "mean_generalization_error"], points)

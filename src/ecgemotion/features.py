@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .types import DataFormatError, Emotion, EMOTIONS, ParameterError
-from .utils import fmt_float
+from .utils import csv_text, read_rows
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 
@@ -85,14 +85,17 @@ def sample_balanced(pools, total: int, rng: np.random.Generator, side: str) -> n
     return chosen[rng.permutation(len(chosen))]
 
 
-def save_features(x, codes, path) -> None:
-    """Write feature rows as CSV: header label,f1..fn then one row per vector."""
+def features_csv(x, codes) -> str:
+    """Feature rows as CSV: header label,f1..fn then one row per vector."""
     if len(x) == 0:
         raise ParameterError("no feature vectors to write")
+    header = ["label"] + [f"f{i}" for i in range(1, x.shape[1] + 1)]
+    return csv_text(header, ([int(code), *values] for code, values in zip(codes, x)))
+
+
+def save_features(x, codes, path) -> None:
     with open(path, "w") as fh:
-        fh.write("label," + ",".join(f"f{i}" for i in range(1, x.shape[1] + 1)) + "\n")
-        for values, code in zip(x, codes):
-            fh.write(str(int(code)) + "," + ",".join(fmt_float(v) for v in values) + "\n")
+        fh.write(features_csv(x, codes))
 
 
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
@@ -101,26 +104,15 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
         return read_features(fh, path)
 
 
+def _feature_row(cells) -> tuple:
+    return int(Emotion.from_code(cells[0])), [float(c) for c in cells[1:]]
+
+
 def read_features(fh, path) -> tuple[np.ndarray, np.ndarray]:
     """Parse the rest of an open text file as a feature CSV. ``path`` names
     it in errors, whose line numbers count from the CSV's header line."""
     header = fh.readline().strip().split(",")
     if len(header) < 2 or header[0] != "label" or header[1] != "f1":
         raise DataFormatError(f"{path}: expected feature header 'label,f1..fn'")
-    n = len(header) - 1
-    rows = []
-    codes = []
-    for lineno, line in enumerate(fh, start=2):
-        if not line.strip():
-            continue
-        parts = line.strip().split(",")
-        if len(parts) != n + 1:
-            raise DataFormatError(f"{path}:{lineno}: expected {n + 1} columns, got {len(parts)}")
-        try:
-            codes.append(int(Emotion.from_code(int(parts[0]))))
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise DataFormatError(f"{path}: no feature rows")
+    codes, rows = zip(*read_rows(fh, path, len(header), _feature_row))
     return np.array(rows), np.array(codes, dtype=np.int64)

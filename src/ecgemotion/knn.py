@@ -185,11 +185,7 @@ def save_model(model: KnnModel, path) -> None:
         header = f"knn v1 k={model.k} metric={model.metric}"
         if model.metric == "minkowski":
             header += f" p={fmt_float(model.p)}"
-        fh.write(header + "\n")
-        n = model.train_x.shape[1]
-        fh.write("label," + ",".join(f"f{i}" for i in range(1, n + 1)) + "\n")
-        for label, row in zip(model.train_y, model.train_x):
-            fh.write(str(int(label)) + "," + ",".join(fmt_float(v) for v in row) + "\n")
+        fh.write(header + "\n" + features.features_csv(model.train_x, model.train_y))
 
 
 def load_model(path) -> KnnModel:

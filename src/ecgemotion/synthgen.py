@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import Emotion, ParameterError, SignalRecord
-from .utils import fmt_float
+from .types import DataFormatError, Emotion, ParameterError, SignalRecord
+from .utils import csv_text
 
 # One beat: (relative offset from the R peak [s], Gaussian width [s],
 # amplitude [mV], which profile scale applies).
@@ -71,6 +71,33 @@ class NoiseSpec:
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0")
 
+    def sources(self) -> tuple:
+        """(name, amplitude, frequencies) per source in sub-seed order: a
+        sinusoid's one frequency, or a band's (low, high) edges."""
+        return (
+            ("baseline drift", self.baseline_drift_amp, (self.baseline_drift_hz,)),
+            ("powerline", self.powerline_amp, (self.powerline_hz,)),
+            ("EMG", self.emg_amp, self.EMG_BAND_HZ),
+            ("electrode", self.electrode_amp, self.electrode_band_hz),
+        )
+
+    def check(self, sample_rate_hz: float) -> None:
+        """Reject a source with a positive amplitude whose frequencies do not
+        rise strictly inside (0, Nyquist)."""
+        nyquist = sample_rate_hz / 2.0
+        for name, amp, freqs in self.sources():
+            edges = (0.0, *freqs, nyquist)
+            if amp > 0 and not all(a < b for a, b in zip(edges, edges[1:])):
+                raise ParameterError(f"{name} frequencies {list(freqs)} Hz not inside (0, {nyquist})")
+
+
+def check_sampling(duration_s: float, sample_rate_hz: float) -> None:
+    """The record length and sampling rate the generator accepts."""
+    if duration_s <= 0:
+        raise ParameterError("duration_s must be positive")
+    if sample_rate_hz < 100:
+        raise ParameterError("sample_rate_hz must be >= 100")
+
 
 def generate_clean(
     profile: EmotionProfile,
@@ -86,11 +113,7 @@ def generate_clean(
     distribution; each beat adds five Gaussian bumps (P, Q, R, S, T).
     Deterministic for a fixed seed.
     """
-    if duration_s <= 0:
-        raise ParameterError("duration_s must be positive")
-    if sample_rate_hz < 100:
-        raise ParameterError("sample_rate_hz must be >= 100")
-
+    check_sampling(duration_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
@@ -118,19 +141,16 @@ def generate_clean(
     return SignalRecord(samples, float(sample_rate_hz), label, subject_id)
 
 
-def _unit_sinusoid(n: int, fs: float, freq_hz: float, sub_rng: np.random.Generator) -> np.ndarray:
-    phase = sub_rng.uniform(0.0, 2.0 * np.pi)
-    return np.sin(2.0 * np.pi * freq_hz * np.arange(n) / fs + phase)
-
-
-def _unit_band_noise(
-    n: int, fs: float, band: tuple[float, float], sub_rng: np.random.Generator
-) -> np.ndarray:
-    """White noise restricted to a frequency band, normalized to unit RMS."""
+def _unit_noise(n: int, fs: float, freqs: tuple, sub_rng: np.random.Generator) -> np.ndarray:
+    """A sinusoid of unit peak at one frequency with a random phase, or
+    white noise restricted to a (low, high) band and normalized to unit RMS."""
+    if len(freqs) == 1:
+        phase = sub_rng.uniform(0.0, 2.0 * np.pi)
+        return np.sin(2.0 * np.pi * freqs[0] * np.arange(n) / fs + phase)
     white = sub_rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    spectrum[(freqs < band[0]) | (freqs > band[1])] = 0.0
+    bins = np.fft.rfftfreq(n, 1.0 / fs)
+    spectrum[(bins < freqs[0]) | (bins > freqs[1])] = 0.0
     shaped = np.fft.irfft(spectrum, n)
     rms = np.sqrt(np.mean(shaped**2))
     if rms == 0.0:
@@ -147,60 +167,33 @@ def inject_noise(record: SignalRecord, spec: NoiseSpec) -> SignalRecord:
     seed and differ only in amplitudes.
     """
     fs = record.sample_rate_hz
-    nyquist = fs / 2.0
+    spec.check(fs)
     n = len(record.samples)
     out = record.samples.copy()
-
-    if spec.baseline_drift_amp > 0:
-        if not 0.0 < spec.baseline_drift_hz < nyquist:
-            raise ParameterError(f"baseline drift frequency outside (0, {nyquist})")
-        sub = np.random.default_rng(np.random.SeedSequence((spec.seed, 0)))
-        out += spec.baseline_drift_amp * _unit_sinusoid(n, fs, spec.baseline_drift_hz, sub)
-
-    if spec.powerline_amp > 0:
-        if not 0.0 < spec.powerline_hz < nyquist:
-            raise ParameterError(f"powerline frequency outside (0, {nyquist})")
-        sub = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
-        out += spec.powerline_amp * _unit_sinusoid(n, fs, spec.powerline_hz, sub)
-
-    if spec.emg_amp > 0:
-        lo, hi = NoiseSpec.EMG_BAND_HZ
-        if not 0.0 < lo < hi < nyquist:
-            raise ParameterError(f"EMG band ({lo}, {hi}) outside (0, {nyquist})")
-        sub = np.random.default_rng(np.random.SeedSequence((spec.seed, 2)))
-        out += spec.emg_amp * _unit_band_noise(n, fs, (lo, hi), sub)
-
-    if spec.electrode_amp > 0:
-        lo, hi = spec.electrode_band_hz
-        if not 0.0 < lo < hi < nyquist:
-            raise ParameterError(f"electrode band ({lo}, {hi}) outside (0, {nyquist})")
-        sub = np.random.default_rng(np.random.SeedSequence((spec.seed, 3)))
-        out += spec.electrode_amp * _unit_band_noise(n, fs, (lo, hi), sub)
+    for index, (_, amp, freqs) in enumerate(spec.sources()):
+        if amp > 0:
+            sub = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
+            out += amp * _unit_noise(n, fs, freqs, sub)
 
     return SignalRecord(out, fs, record.label, record.subject_id)
 
 
 def save_record(record: SignalRecord, path) -> None:
     """Write a record as a signal CSV: metadata header rows, then one sample per line."""
+    meta = [int(record.label), record.subject_id, float(record.sample_rate_hz)]
     with open(path, "w") as fh:
-        fh.write("label,subject,fs\n")
-        fh.write(f"{int(record.label)},{record.subject_id},{fmt_float(record.sample_rate_hz)}\n")
-        for value in record.samples:
-            fh.write(fmt_float(value) + "\n")
+        fh.write(csv_text(["label", "subject", "fs"], [meta, *record.samples[:, None]]))
 
 
 def load_record(path) -> SignalRecord:
-    from .types import DataFormatError
-
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "label,subject,fs":
+        if fh.readline().strip() != "label,subject,fs":
             raise DataFormatError(f"{path}: expected signal header 'label,subject,fs'")
         meta = fh.readline().strip().split(",")
         if len(meta) != 3:
             raise DataFormatError(f"{path}: malformed metadata row")
         try:
-            label = Emotion.from_code(int(meta[0]))
+            label = Emotion.from_code(meta[0])
             subject = int(meta[1])
             fs = float(meta[2])
             samples = [float(line) for line in fh if line.strip()]

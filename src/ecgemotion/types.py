@@ -29,7 +29,8 @@ class Emotion(IntEnum):
     TENSE = 3
 
     @classmethod
-    def from_code(cls, code: int) -> "Emotion":
+    def from_code(cls, code) -> "Emotion":
+        """The emotion of an integer code or of its decimal text."""
         try:
             return cls(int(code))
         except ValueError as exc:

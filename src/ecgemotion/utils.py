@@ -1,5 +1,6 @@
-"""Seed derivation, input checks, the squared-distance kernel and text
-formatting shared across the pipeline."""
+"""Seed derivation, input checks, the squared-distance kernel, text
+formatting and the one CSV writer and row reader shared across the
+pipeline."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import hashlib
 
 import numpy as np
 
-from .types import ParameterError
+from .types import DataFormatError, ParameterError
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -64,3 +65,33 @@ def fmt_percent(rate: float) -> str:
     0.9251 -> '92.51%', 0.983 -> '98.3%', 1.0 -> '100%'.
     """
     return f"{round(rate * 100, 2):g}%"
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows of cells, one line each: cells joined
+    by commas, floats written by ``fmt_float`` and every other cell by
+    ``str``. Labels must arrive as ``int``, as ``str`` of an ``IntEnum``
+    differs between Python versions."""
+    lines = (",".join(fmt_float(c) if isinstance(c, float) else str(c) for c in row) for row in rows)
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+def read_rows(fh, path, width, parse) -> list:
+    """``parse`` of the cells of each non-blank line left in ``fh``, which
+    follow a CSV header. A line of other than ``width`` cells, a ``parse``
+    that raises ValueError, and no rows at all are DataFormatErrors naming
+    ``path`` and the line, counted from the header line."""
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        if len(cells) != width:
+            raise DataFormatError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
+        try:
+            rows.append(parse(cells))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return rows

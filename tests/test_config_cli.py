@@ -11,11 +11,6 @@ from ecgemotion.utils import derive_seed
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_defaults_roundtrip_through_text():
-    cfg = PipelineConfig()
-    assert PipelineConfig.from_text(cfg.to_text()) == cfg
-
-
 def test_reference_config_file_matches_defaults():
     cfg = PipelineConfig.from_file(REPO_ROOT / "configs" / "reference.cfg")
     assert cfg == PipelineConfig()
@@ -76,6 +71,10 @@ def test_bad_value_rejected():
         "fir_low_hz=0\n",
         "segment_len=64\nfeature_count=30\n",  # below dsp.MIN_SEGMENT_LEN
         "segment_stride=0\n",
+        "sample_rate_hz=90\n",  # below the generator's 100 Hz
+        "record_duration_s=0\n",
+        "noise_powerline_hz=70\n",  # above the 64 Hz Nyquist of 128 Hz
+        "noise_electrode_high_hz=80\n",
     ],
 )
 def test_out_of_range_forest_settings_rejected(tmp_path, text):
@@ -385,7 +384,15 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         assert cli.main([*argv, "--out", str(tmp_path / "k.csv")]) == 3
     # 3: runs CSVs whose rates are not finite or lie outside [0, 1]
     runs_csv = tmp_path / "runs.csv"
-    for row in ("0,nan,0.5,0.5,0.5,0.5", "0,0.5,2.0,0.5,0.5,0.5", "0,0.5,0.5,-1,0.5,0.5", "0,0.5,0.5,0.5,inf,0.5"):
+    # or whose run index is not an integer or overall rate not a rate
+    for row in (
+        "0,nan,0.5,0.5,0.5,0.5",
+        "0,0.5,2.0,0.5,0.5,0.5",
+        "0,0.5,0.5,-1,0.5,0.5",
+        "0,0.5,0.5,0.5,inf,0.5",
+        "x,0.5,0.5,0.5,0.5,garbage",
+        "0,0.5,0.5,0.5,0.5,garbage",
+    ):
         runs_csv.write_text(f"run,happy,exciting,calm,tense,overall\n{row}\n")
         assert cli.main(["report", "--runs", str(runs_csv), "--out-prefix", str(tmp_path / "report")]) == 3
     # 1: usage error, including --config/--seed on subcommands that read no config,
@@ -416,9 +423,9 @@ def test_exit_codes(tmp_path, mini_cfg_file):
     # parse but lie out of range
     four_csv = tmp_path / "four.csv"
     four_csv.write_text("label,f1\n0,1.0\n1,2.0\n2,3.0\n3,4.0\n")
-    for code, status in (("3", 0), ("7", 3), ("-1", 3)):
+    for code, status in (("3", 0), ("7", 3), ("-1", 3), ("", 3)):
         predictions = tmp_path / f"pred{code}.csv"
-        predictions.write_text(f"label\n0\n1\n2\n{code}\n")
+        predictions.write_text(f"label\n0\n1\n2\n{code}\n" if code else "label\n")
         argv = ["evaluate", "--features", str(four_csv), "--predictions", str(predictions)]
         assert cli.main([*argv, "--out-prefix", str(tmp_path / "eval")]) == status
     six_pairs_nan = six_pairs.replace("1.0,0.5", "nan,0.5", 1)

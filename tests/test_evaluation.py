@@ -70,12 +70,10 @@ def test_confusion_errors():
 
 
 def test_recognition_rates_and_missing_rows():
-    cm = confusion([0, 0, 1, 1], [0, 1, 1, 1])
-    rates = recognition_rates(cm)
-    assert rates[0] == 0.5 and rates[1] == 1.0
-    assert rates[2] is None and rates[3] is None
-    with pytest.raises(DataFormatError):
-        evaluation._rates_or_fail(cm)
+    cm = confusion([0, 0, 1, 1, 2, 3], [0, 1, 1, 1, 2, 2])
+    assert recognition_rates(cm).tolist() == [0.5, 1.0, 1.0, 0.0]
+    with pytest.raises(DataFormatError, match="CALM, TENSE"):
+        recognition_rates(confusion([0, 0, 1, 1], [0, 1, 1, 1]))
 
 
 def test_accuracy_equals_weighted_rate_mean():
