@@ -192,7 +192,7 @@ def cmd_sweep_trees(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = evaluation.parse_runs_csv(Path(args.runs).read_text())
+    report = evaluation.parse_runs_csv(Path(args.runs).read_text(), args.runs)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}.csv").write_text(evaluation.report_csv(report))

@@ -130,6 +130,8 @@ class PipelineConfig:
             raise ConfigError("feature_count must lie in [1, segment_len]")
         if self.forest_features_per_split > self.feature_count:
             raise ConfigError("forest_features_per_split must not exceed feature_count")
+        if self.pso_subsample < 0:
+            raise ConfigError("pso_subsample must be >= 0 (0 for the full training split)")
         if self.knn_k < 1:
             raise ConfigError("knn_k must be >= 1")
         if self.knn_metric not in knn.METRICS:
@@ -140,7 +142,7 @@ class PipelineConfig:
             raise ConfigError(f"segment_len must be >= {dsp.MIN_SEGMENT_LEN} and segment_stride >= 1")
         try:
             self.pso_config(self.seed)
-            svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance)
+            svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance, self.svm_max_passes)
             self.profiles()
             check_sampling(self.record_duration_s, self.sample_rate_hz)
             self.noise_spec(self.seed).check(self.sample_rate_hz)

@@ -231,8 +231,6 @@ def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
     swarm affordable; the final model always trains on the full split.
     """
     x, codes = train_arrays
-    if cfg.pso_subsample < 0:
-        raise ParameterError("pso_subsample must be >= 0")
     if cfg.pso_subsample and cfg.pso_subsample < len(codes):
         rng = np.random.default_rng(derive_seed(seed, "pso-subsample"))
         keep = []
@@ -423,12 +421,13 @@ def _run_rates(cells) -> list:
     return rates[:NUM_CLASSES]
 
 
-def parse_runs_csv(text: str) -> RecognitionReport:
-    lines = text.strip().splitlines()
+def parse_runs_csv(text: str, path="runs CSV") -> RecognitionReport:
+    """The report in a runs CSV's ``text``; errors name ``path`` and the line."""
+    lines = text.splitlines()
     expected = ",".join(_RUNS_HEADER)
-    if not lines or lines[0] != expected:
-        raise DataFormatError(f"runs CSV must start with header {expected!r}")
-    return RecognitionReport(read_rows(lines[1:], "runs CSV", len(_RUNS_HEADER), _run_rates))
+    if not lines or lines[0].strip() != expected:
+        raise DataFormatError(f"{path}: expected header {expected!r}")
+    return RecognitionReport(read_rows(lines[1:], path, len(_RUNS_HEADER), _run_rates))
 
 
 def _summary(report: RecognitionReport) -> list:

@@ -4,6 +4,11 @@ Stands in for a wearable-sensor recording campaign. Each emotion has a
 heart-rate profile; a record is a train of PQRST-like beats built from five
 Gaussian bumps, and four additive noise sources (baseline drift, powerline,
 EMG, electrode contact) can be mixed in reproducibly.
+
+A record's bumps are computed as flat arrays and summed into the samples in
+(beat, bump) order, starting from zero, so each sample gets the same float64
+sum as adding one bump at a time; ``tests/oracles.generate_clean_loop`` is
+that per-bump reference.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import DataFormatError, Emotion, ParameterError, SignalRecord
-from .utils import csv_text
+from .utils import csv_text, read_rows
 
 # One beat: (relative offset from the R peak [s], Gaussian width [s],
 # amplitude [mV], which profile scale applies).
@@ -111,32 +116,39 @@ def generate_clean(
 
     Beat-to-beat intervals are drawn from the profile's heart-rate
     distribution; each beat adds five Gaussian bumps (P, Q, R, S, T).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. R times are running sums of the
+    intervals and every sample sums its bumps in (beat, bump) order, so the
+    record is bit-identical to adding the bumps one at a time.
     """
     check_sampling(duration_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
-    samples = np.zeros(n)
 
-    def next_interval() -> float:
-        hr = profile.mean_hr_bpm
-        if profile.hr_std_bpm > 0:
-            hr = rng.normal(profile.mean_hr_bpm, profile.hr_std_bpm)
-        return 60.0 / min(max(hr, 30.0), 220.0)
+    # Enough intervals to pass duration_s + 0.5 even at the 220 bpm clamp;
+    # draws past the last beat are never used.
+    draws = int(np.ceil((duration_s + 0.5) * 220.0 / 60.0)) + 2
+    hr = np.full(draws, profile.mean_hr_bpm, dtype=float)
+    if profile.hr_std_bpm > 0:
+        hr = rng.normal(profile.mean_hr_bpm, profile.hr_std_bpm, draws)
+    intervals = 60.0 / np.clip(hr, 30.0, 220.0)
+    intervals[0] *= 0.5
+    r_times = np.add.accumulate(intervals)
+    r_times = r_times[r_times - 0.5 < duration_s]
 
+    offsets, widths, amps, kinds = zip(*_BEAT_BUMPS)
     scales = {"fixed": 1.0, "qrs": profile.qrs_amp_scale, "t": profile.t_amp_scale}
-    r_time = 0.5 * next_interval()
-    while r_time - 0.5 < duration_s:
-        for offset, width, amp, kind in _BEAT_BUMPS:
-            center = r_time + offset
-            lo = max(0, int(np.floor((center - 4 * width) * sample_rate_hz)))
-            hi = min(n, int(np.ceil((center + 4 * width) * sample_rate_hz)) + 1)
-            if lo >= hi:
-                continue
-            window = t[lo:hi] - center
-            samples[lo:hi] += amp * scales[kind] * np.exp(-0.5 * (window / width) ** 2)
-        r_time += next_interval()
+    centers = (r_times[:, None] + np.array(offsets)).ravel()
+    widths = np.tile(widths, len(r_times))
+    gains = np.tile([amp * scales[kind] for amp, kind in zip(amps, kinds)], len(r_times))
+    lo = np.maximum(0, np.floor((centers - 4 * widths) * sample_rate_hz).astype(np.int64))
+    hi = np.minimum(n, np.ceil((centers + 4 * widths) * sample_rate_hz).astype(np.int64) + 1)
+    lengths = np.maximum(hi - lo, 0)  # a bump with lo >= hi lies outside the record
+    starts = np.cumsum(lengths) - lengths
+    idx = np.arange(lengths.sum()) + np.repeat(lo - starts, lengths)
+    window = (t[idx] - np.repeat(centers, lengths)) / np.repeat(widths, lengths)
+    values = np.repeat(gains, lengths) * np.exp(-0.5 * window**2)
+    samples = np.bincount(idx, weights=values, minlength=n)
 
     return SignalRecord(samples, float(sample_rate_hz), label, subject_id)
 
@@ -191,17 +203,14 @@ def load_record(path) -> SignalRecord:
             raise DataFormatError(f"{path}: expected signal header 'label,subject,fs'")
         meta = fh.readline().strip().split(",")
         if len(meta) != 3:
-            raise DataFormatError(f"{path}: malformed metadata row")
+            raise DataFormatError(f"{path}:2: malformed metadata row")
         try:
             label = Emotion.from_code(meta[0])
             subject = int(meta[1])
             fs = float(meta[2])
-            samples = [float(line) for line in fh if line.strip()]
         except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-    if not samples:
-        raise DataFormatError(f"{path}: no samples")
-    samples = np.array(samples)
+            raise DataFormatError(f"{path}:2: {exc}") from exc
+        samples = np.array(read_rows(fh, path, 1, lambda cells: float(cells[0]), first_line=3))
     if not (0 < fs < np.inf and np.isfinite(samples).all()):
         raise DataFormatError(f"{path}: fs must be finite and positive, and every sample finite")
     return SignalRecord(samples, fs, label, subject)

@@ -76,13 +76,14 @@ def csv_text(header, rows) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def read_rows(fh, path, width, parse) -> list:
-    """``parse`` of the cells of each non-blank line left in ``fh``, which
-    follow a CSV header. A line of other than ``width`` cells, a ``parse``
-    that raises ValueError, and no rows at all are DataFormatErrors naming
-    ``path`` and the line, counted from the header line."""
+def read_rows(fh, path, width, parse, first_line=2) -> list:
+    """``parse`` of the cells of each non-blank line left in ``fh``, the
+    first of which is line ``first_line`` of the file (2: the line after a
+    CSV header). A line of other than ``width`` cells, a ``parse`` that
+    raises ValueError, and no rows at all are DataFormatErrors naming
+    ``path`` and the line."""
     rows = []
-    for lineno, line in enumerate(fh, start=2):
+    for lineno, line in enumerate(fh, start=first_line):
         if not line.strip():
             continue
         cells = line.strip().split(",")

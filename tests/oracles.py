@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ecgemotion.forest import DecisionTree
-from ecgemotion.types import NUM_CLASSES
+from ecgemotion.synthgen import _BEAT_BUMPS, check_sampling
+from ecgemotion.types import NUM_CLASSES, Emotion, SignalRecord
 
 _COS_TABLES: dict[int, list] = {}
 
@@ -55,6 +56,44 @@ def dft_magnitude(taps, freq_hz: float, sample_rate_hz: float) -> float:
         re += tap * math.cos(angle)
         im += tap * math.sin(angle)
     return math.hypot(re, im)
+
+
+def generate_clean_loop(
+    profile,
+    duration_s: float,
+    sample_rate_hz: float,
+    seed: int,
+    label: Emotion = Emotion.HAPPY,
+    subject_id: int = 0,
+) -> SignalRecord:
+    """The synthetic record built one beat and one bump at a time: one
+    interval draw per beat and one ``samples[lo:hi] +=`` per bump."""
+    check_sampling(duration_s, sample_rate_hz)
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * sample_rate_hz))
+    t = np.arange(n) / sample_rate_hz
+    samples = np.zeros(n)
+
+    def next_interval() -> float:
+        hr = profile.mean_hr_bpm
+        if profile.hr_std_bpm > 0:
+            hr = rng.normal(profile.mean_hr_bpm, profile.hr_std_bpm)
+        return 60.0 / min(max(hr, 30.0), 220.0)
+
+    scales = {"fixed": 1.0, "qrs": profile.qrs_amp_scale, "t": profile.t_amp_scale}
+    r_time = 0.5 * next_interval()
+    while r_time - 0.5 < duration_s:
+        for offset, width, amp, kind in _BEAT_BUMPS:
+            center = r_time + offset
+            lo = max(0, int(np.floor((center - 4 * width) * sample_rate_hz)))
+            hi = min(n, int(np.ceil((center + 4 * width) * sample_rate_hz)) + 1)
+            if lo >= hi:
+                continue
+            window = t[lo:hi] - center
+            samples[lo:hi] += amp * scales[kind] * np.exp(-0.5 * (window / width) ** 2)
+        r_time += next_interval()
+
+    return SignalRecord(samples, float(sample_rate_hz), label, subject_id)
 
 
 def find_peaks(x, min_fraction: float = 0.5) -> list:

@@ -59,6 +59,8 @@ def test_bad_value_rejected():
         "pso_iterations=-1\n",
         "pso_swarm_size=0\n",
         "pso_cv_folds=1\n",
+        "pso_subsample=-1\n",
+        "svm_max_passes=-5\n",
         "svm_c=-1\n",
         "svm_gamma=0\n",
         "knn_metric=manhattan\n",
@@ -331,7 +333,7 @@ def test_tune_writes_trace(pipeline_dirs, mini_cfg_file, tmp_path):
     assert tuned.svm_c > 0 and tuned.svm_gamma > 0
 
 
-def test_exit_codes(tmp_path, mini_cfg_file):
+def test_exit_codes(tmp_path, mini_cfg_file, capsys):
     # 2: io (missing file)
     assert cli.main(["predict", "--model", str(tmp_path / "nope.svm"), "--features", "x", "--out", "y"]) == 2
     # 4: config violation
@@ -382,6 +384,11 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         (signals / "s1_e0.csv").write_text(f"label,subject,fs\n0,1,{fs}\n0.1\n{sample}\n")
         argv = ["sweep-k", "--config", mini_cfg_file, "--signals", str(signals)]
         assert cli.main([*argv, "--out", str(tmp_path / "k.csv")]) == 3
+    # a sample that is not a number is named by its file and line
+    (signals / "s1_e0.csv").write_text("label,subject,fs\n0,1,128\n0.1\nabc\n")
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "k.csv")]) == 3
+    assert capsys.readouterr().err.startswith(f"error:data: {signals / 's1_e0.csv'}:4: ")
     # 3: runs CSVs whose rates are not finite or lie outside [0, 1]
     runs_csv = tmp_path / "runs.csv"
     # or whose run index is not an integer or overall rate not a rate
@@ -394,7 +401,12 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         "0,0.5,0.5,0.5,0.5,garbage",
     ):
         runs_csv.write_text(f"run,happy,exciting,calm,tense,overall\n{row}\n")
+        capsys.readouterr()
         assert cli.main(["report", "--runs", str(runs_csv), "--out-prefix", str(tmp_path / "report")]) == 3
+        assert capsys.readouterr().err.startswith(f"error:data: {runs_csv}:2: ")
+    runs_csv.write_text("run,happy\n0,0.5\n")
+    assert cli.main(["report", "--runs", str(runs_csv), "--out-prefix", str(tmp_path / "report")]) == 3
+    assert capsys.readouterr().err.startswith(f"error:data: {runs_csv}: expected header ")
     # 1: usage error, including --config/--seed on subcommands that read no config,
     # and valid svm and forest models asked about non-finite rows
     assert cli.main(["synth"]) == 1
@@ -452,11 +464,9 @@ def test_exit_codes(tmp_path, mini_cfg_file):
         assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]) == 3
 
 
-def test_negative_counts_are_usage_errors(pipeline_dirs, mini_cfg_file, tmp_path):
-    _, _, filtered = pipeline_dirs
-    train_csv = tmp_path / "train.csv"
-    argv = ["extract", "--config", mini_cfg_file, "--in", str(filtered)]
-    assert cli.main([*argv, "--train-out", str(train_csv), "--test-out", str(tmp_path / "test.csv")]) == 0
+def test_negative_counts_are_config_errors(mini_cfg_file, tmp_path, capsys):
+    # the features file does not exist: exit 4, not 2, shows the config fails first
+    missing = str(tmp_path / "missing.csv")
     for key, command in (
         ("pso_subsample=-5", ["tune", "--trace-out", str(tmp_path / "trace.csv")]),
         ("svm_max_passes=-1", ["train", "--classifier", "svm", "--model", str(tmp_path / "m.svm")]),
@@ -464,7 +474,8 @@ def test_negative_counts_are_usage_errors(pipeline_dirs, mini_cfg_file, tmp_path
         overlay = tmp_path / "negative.cfg"
         overlay.write_text(key + "\n")
         configs = ["--config", mini_cfg_file, "--config", str(overlay)]
-        assert cli.main([*command, *configs, "--features", str(train_csv)]) == 1
+        assert cli.main([*command, *configs, "--features", missing]) == 4
+        assert capsys.readouterr().err.startswith("error:config:")
     assert not (tmp_path / "m.svm").exists()
 
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgemotion import evaluation
 from ecgemotion.config import PipelineConfig
 from ecgemotion.synthgen import (
     EmotionProfile,
@@ -14,12 +17,32 @@ from ecgemotion.synthgen import (
 )
 from ecgemotion.types import Emotion, ParameterError, SignalRecord
 
-from oracles import find_peaks
+from oracles import find_peaks, generate_clean_loop
 
 
 def test_ten_peaks_at_60bpm():
     record = generate_clean(EmotionProfile(60, 0), 10, 128, seed=1)
     assert len(find_peaks(record.samples)) == 10
+
+
+def test_generate_clean_equals_per_beat_loop():
+    # 0.2 s holds a single beat, and bumps clip at both ends of every record
+    grid = itertools.product((0, 6), (30, 75, 220), (0.2, 1, 12.5, 300), (100, 128, 500), (0, 7, 12345))
+    for hr_std, hr, duration, fs, seed in grid:
+        profile = EmotionProfile(hr, hr_std, qrs_amp_scale=1.1, t_amp_scale=0.9)
+        fast = generate_clean(profile, duration, fs, seed).samples
+        loop = generate_clean_loop(profile, duration, fs, seed).samples
+        assert fast.tobytes() == loop.tobytes(), (hr_std, hr, duration, fs, seed)
+
+
+def test_synth_corpus_equals_per_beat_loop(mini_config, monkeypatch):
+    fast = evaluation.synth_corpus(mini_config)
+    monkeypatch.setattr(evaluation.synthgen, "generate_clean", generate_clean_loop)
+    loop = evaluation.synth_corpus(mini_config)
+    assert len(fast) == len(loop) == 4 * len(mini_config.all_subjects())
+    for a, b in zip(fast, loop):
+        assert (a.label, a.subject_id) == (b.label, b.subject_id)
+        assert a.samples.tobytes() == b.samples.tobytes(), (a.subject_id, a.label)
 
 
 def test_determinism_bit_identical():
