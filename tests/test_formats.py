@@ -9,7 +9,7 @@ fails here.
 
 import numpy as np
 
-from ecgemotion import cli, evaluation, features, knn, pso, synthgen
+from ecgemotion import cli, evaluation, features, forest, knn, pso, svm, synthgen
 from ecgemotion.types import Emotion, SignalRecord
 
 TRICKY = [1e-05, 0.1 + 0.2, -0.0, 1.0]
@@ -86,6 +86,46 @@ def test_feature_csv_bytes(tmp_path):
 def test_knn_model_bytes(tmp_path):
     knn.save_model(knn.KnnModel(ROWS, LABELS, 1, "minkowski", 3), tmp_path / "m.knn")
     assert (tmp_path / "m.knn").read_text() == "knn v1 k=1 metric=minkowski p=3.0\n" + FEATURES_TEXT
+
+
+def test_svm_model_bytes(tmp_path):
+    pair = svm.BinarySvmModel(ROWS, np.array([1e-05, -0.0]), 0.1 + 0.2, None)
+    model = svm.MulticlassSvmModel(dict.fromkeys(svm.PAIRS, pair), 2, svm.SvmParams(c=0.1 + 0.2, gamma=1e-05))
+    svm.save_model(model, tmp_path / "m.svm")
+    header = "svm v1 classes=4 gamma=1e-05 c=0.30000000000000004 features=2\n"
+    assert (tmp_path / "m.svm").read_text() == header + "".join(
+        f"pair {a} {b} bias=0.30000000000000004 nsv=2\n1e-05,1e-05,-0.0\n-0.0,0.30000000000000004,1.0\n"
+        for a, b in svm.PAIRS
+    )
+    svm.save_model(svm.load_model(tmp_path / "m.svm"), tmp_path / "again.svm")
+    assert (tmp_path / "again.svm").read_text() == (tmp_path / "m.svm").read_text()
+
+
+FOREST_TEXT = (
+    "tree 0 nodes=3\nn,1,-0.0,1,2\nl,1,0,0,0\nl,0,2,0,0\n"
+    "tree 1 nodes=5\nn,0,1e-05,1,4\nn,1,0.30000000000000004,2,3\nl,0,0,3,0\nl,0,0,0,4\nl,1,1,0,0\n"
+)
+
+
+def _tree(feature, threshold, children, counts):
+    left, right = np.array(children, dtype=np.int64).T
+    return forest.DecisionTree(np.array(feature), np.array(threshold), left, right, np.array(counts))
+
+
+def test_forest_model_bytes(tmp_path):
+    trees = [
+        _tree([1, -1, -1], [-0.0, np.nan, np.nan], [(1, 2), (-1, -1), (-1, -1)],
+              [[0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0]]),
+        _tree([0, 1, -1, -1, -1], [1e-05, 0.1 + 0.2, np.nan, np.nan, np.nan],
+              [(1, 4), (2, 3), (-1, -1), (-1, -1), (-1, -1)],
+              [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4], [1, 1, 0, 0]]),
+    ]
+    for oob, text in ((0.1 + 0.2, "0.30000000000000004"), (None, "")):
+        forest.save_model(forest.ForestModel(trees, 1, 2, oob), tmp_path / "m.forest")
+        expected = f"forest v1 trees=2 features_per_split=1 dim=2 oob={text}\n" + FOREST_TEXT
+        assert (tmp_path / "m.forest").read_text() == expected
+        forest.save_model(forest.load_model(tmp_path / "m.forest"), tmp_path / "again.forest")
+        assert (tmp_path / "again.forest").read_text() == expected
 
 
 def test_signal_csv_bytes(tmp_path):
