@@ -120,8 +120,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.classifier not in ("svm", "forest", "knn"):
             raise ConfigError(f"classifier must be svm, forest, or knn, not {self.classifier!r}")
-        if set(self.train_subjects) & set(self.test_subjects):
-            raise ConfigError("train_subjects and test_subjects must be disjoint")
+        train, test = set(self.train_subjects), set(self.test_subjects)
+        if not train or not test or train & test:
+            raise ConfigError("train_subjects and test_subjects must be non-empty and disjoint")
         if min(self.train_size, self.test_size, self.forest_trees, self.forest_min_leaf) < 1:
             raise ConfigError("train_size, test_size, forest_trees and forest_min_leaf must be >= 1")
         if self.forest_max_depth < 0 or self.forest_features_per_split < 0:
@@ -140,6 +141,12 @@ class PipelineConfig:
             raise ConfigError("knn_minkowski_p must be >= 1")
         if self.segment_len < dsp.MIN_SEGMENT_LEN or self.segment_stride < 1:
             raise ConfigError(f"segment_len must be >= {dsp.MIN_SEGMENT_LEN} and segment_stride >= 1")
+        if min(self.sweep_features_step, self.sweep_trees_step) < 1 or not (
+            1 <= self.sweep_features_min <= self.sweep_features_max <= self.segment_len
+            and 1 <= self.sweep_trees_min <= self.sweep_trees_max
+            and 1 <= self.sweep_k_min <= self.sweep_k_max
+        ):
+            raise ConfigError("sweeps need 1 <= min <= max, steps >= 1 and sweep_features_max <= segment_len")
         try:
             self.pso_config(self.seed)
             svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance, self.svm_max_passes)
@@ -255,7 +262,5 @@ def _parse_value(default, text: str):
     if isinstance(default, float):
         return float(text)
     if isinstance(default, tuple):
-        if not text:
-            return ()
         return tuple(int(part.strip()) for part in text.split(","))
     return text

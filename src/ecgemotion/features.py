@@ -101,18 +101,18 @@ def save_features(x, codes, path) -> None:
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows and emotion codes of a CSV written by ``save_features``."""
     with open(path) as fh:
-        return read_features(fh, path)
+        return read_features(fh, path, 1)
 
 
 def _feature_row(cells) -> tuple:
     return int(Emotion.from_code(cells[0])), [float(c) for c in cells[1:]]
 
 
-def read_features(fh, path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the rest of an open text file as a feature CSV. ``path`` names
-    it in errors, whose line numbers count from the CSV's header line."""
+def read_features(fh, path, header_line) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the rest of an open text file as a feature CSV. Errors name
+    ``path`` and the line, counting the CSV's header as line ``header_line``."""
     header = fh.readline().strip().split(",")
     if len(header) < 2 or header[0] != "label" or header[1] != "f1":
         raise DataFormatError(f"{path}: expected feature header 'label,f1..fn'")
-    codes, rows = zip(*read_rows(fh, path, len(header), _feature_row))
+    codes, rows = zip(*read_rows(fh, path, len(header), _feature_row, first_line=header_line + 1))
     return np.array(rows), np.array(codes, dtype=np.int64)

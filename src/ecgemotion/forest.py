@@ -23,11 +23,12 @@ of a data set is the fraction of points with a negative margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .types import DataFormatError, NUM_CLASSES, ParameterError
-from .utils import check_finite, fmt_float
+from .utils import check_finite, csv_text, fmt_float, read_model, read_rows, write_model
 
 DEFAULT_NUM_TREES = 90
 
@@ -319,79 +320,61 @@ def generalization_error(model: ForestModel, data=None, num_trees: int | None = 
 
 
 def save_model(model: ForestModel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            f"forest v1 trees={model.num_trees} features_per_split={model.features_per_split} "
-            f"dim={model.feature_dim} oob={'' if model.oob_error is None else fmt_float(model.oob_error)}\n"
-        )
-        for index, tree in enumerate(model.trees):
-            fh.write(f"tree {index} nodes={tree.num_nodes}\n")
-            for node in range(tree.num_nodes):
-                if tree.feature[node] >= 0:
-                    fh.write(
-                        f"n,{tree.feature[node]},{fmt_float(tree.threshold[node])},"
-                        f"{tree.left[node]},{tree.right[node]}\n"
-                    )
-                else:
-                    fh.write("l," + ",".join(str(c) for c in tree.class_counts[node]) + "\n")
+    body = "".join(
+        csv_text([f"tree {index} nodes={tree.num_nodes}"], (
+            ["n", tree.feature[n], tree.threshold[n], tree.left[n], tree.right[n]] if tree.feature[n] >= 0
+            else ["l", *tree.class_counts[n]] for n in range(tree.num_nodes)
+        ))
+        for index, tree in enumerate(model.trees)
+    )
+    oob = "" if model.oob_error is None else fmt_float(model.oob_error)
+    write_model(path, "forest", body, trees=model.num_trees, features_per_split=model.features_per_split,
+                dim=model.feature_dim, oob=oob)
+
+
+def _node_row(cells) -> tuple:
+    """(is a split, feature, threshold, left, right, class counts) of a node row."""
+    if cells[0] == "n":
+        return True, int(cells[1]), float(cells[2]), int(cells[3]), int(cells[4]), [0] * NUM_CLASSES
+    if cells[0] == "l":
+        return False, -1, np.nan, -1, -1, [int(c) for c in cells[1:]]
+    raise ValueError(f"malformed node row {cells!r}")
+
+
+def _read_tree(rows, path, first_line, dim) -> DecisionTree:
+    """The tree of node rows from line ``first_line`` on. A split needs a
+    feature in [0, dim), a finite threshold and children after it, so that
+    prediction walks forward and ends."""
+    split, feature, threshold, left, right, counts = zip(*rows)
+    feature, left, right, counts = (np.array(col, dtype=np.int64) for col in (feature, left, right, counts))
+    nodes, threshold = np.arange(len(rows)), np.array(threshold)
+    ok = (feature >= 0) & (feature < dim) & np.isfinite(threshold)
+    ok &= (nodes < left) & (left < len(rows)) & (nodes < right) & (right < len(rows))
+    bad = np.flatnonzero(np.array(split) & ~ok)
+    if len(bad):
+        raise DataFormatError(f"{path}:{first_line + bad[0]}: split node {bad[0]} out of range")
+    return DecisionTree(feature, threshold, left, right, counts)
+
+
+def _read_trees(fh, path, fields) -> ForestModel:
+    num_trees, features_per_split, dim = (int(fields[key]) for key in ("trees", "features_per_split", "dim"))
+    oob = float(fields["oob"]) if fields.get("oob") else None
+    if num_trees < 1 or not 1 <= features_per_split <= dim or not np.isfinite(oob or 0.0):
+        raise ValueError("the header needs trees >= 1, features_per_split in [1, dim] and a finite oob")
+    trees, lineno = [], 2
+    for _ in range(num_trees):
+        words = next(fh, "").split()
+        if len(words) != 3 or words[0] != "tree":
+            raise DataFormatError(f"{path}:{lineno}: malformed tree line")
+        nodes = int(words[2].split("=", 1)[1])
+        # a split row has as many cells as a leaf row
+        rows = read_rows(islice(fh, nodes), path, NUM_CLASSES + 1, _node_row, lineno + 1)
+        if len(rows) != nodes:
+            raise DataFormatError(f"{path}:{lineno}: tree lists {len(rows)} of {nodes} nodes")
+        trees.append(_read_tree(rows, path, lineno + 1, dim))
+        lineno += nodes + 1
+    return ForestModel(trees, features_per_split, dim, oob)
 
 
 def load_model(path) -> ForestModel:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) < 2 or header[0] != "forest" or header[1] != "v1":
-            raise DataFormatError(f"{path}: not a forest v1 model file")
-        try:
-            fields = dict(item.split("=", 1) for item in header[2:])
-            num_trees = int(fields["trees"])
-            features_per_split = int(fields["features_per_split"])
-            dim = int(fields["dim"])
-            oob = float(fields["oob"]) if fields.get("oob") else None
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed forest header: {exc}") from exc
-        if oob is not None and not np.isfinite(oob):
-            raise DataFormatError(f"{path}: non-finite oob in forest header")
-        if num_trees < 1 or not 1 <= features_per_split <= dim:
-            raise DataFormatError(f"{path}: forest header needs trees >= 1 and features_per_split in [1, dim]")
-
-        trees = []
-        for _ in range(num_trees):
-            tree_line = fh.readline().split()
-            if len(tree_line) != 3 or tree_line[0] != "tree":
-                raise DataFormatError(f"{path}: malformed tree header")
-            try:
-                nodes = int(tree_line[2].split("=", 1)[1])
-                if nodes < 1:
-                    raise DataFormatError("a tree needs at least one node")
-                feature = np.empty(nodes, dtype=np.int64)
-                threshold = np.empty(nodes, dtype=np.float64)
-                left = np.empty(nodes, dtype=np.int64)
-                right = np.empty(nodes, dtype=np.int64)
-                counts = np.zeros((nodes, NUM_CLASSES), dtype=np.int64)
-                for node in range(nodes):
-                    parts = fh.readline().strip().split(",")
-                    if parts[0] == "n" and len(parts) == 5:
-                        feature[node] = int(parts[1])
-                        threshold[node] = float(parts[2])
-                        left[node] = int(parts[3])
-                        right[node] = int(parts[4])
-                        # children after their parent: prediction walks forward and ends
-                        if not 0 <= feature[node] < dim or not (
-                            node < left[node] < nodes and node < right[node] < nodes
-                        ):
-                            raise DataFormatError(f"node {node} out of range: {parts!r}")
-                        if not np.isfinite(threshold[node]):
-                            raise DataFormatError(f"node {node} has a non-finite threshold: {parts!r}")
-                    elif parts[0] == "l" and len(parts) == NUM_CLASSES + 1:
-                        feature[node] = -1
-                        threshold[node] = np.nan
-                        left[node] = -1
-                        right[node] = -1
-                        counts[node] = [int(c) for c in parts[1:]]
-                    else:
-                        raise DataFormatError(f"malformed node line {parts!r}")
-            except (IndexError, ValueError) as exc:
-                raise DataFormatError(f"{path}: malformed tree {' '.join(tree_line)!r}: {exc}") from exc
-            trees.append(DecisionTree(feature, threshold, left, right, counts))
-
-    return ForestModel(trees, features_per_split, dim, oob)
+    return read_model(path, "forest", _read_trees)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features
-from .types import DataFormatError, NUM_CLASSES, ParameterError
-from .utils import check_finite, distinct_rows, fmt_float, pairwise_sq_dists
+from .types import NUM_CLASSES, ParameterError
+from .utils import check_finite, distinct_rows, fmt_float, pairwise_sq_dists, read_model, write_model
 
 METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
@@ -181,27 +181,12 @@ def predict_knn_batch(model: KnnModel, x) -> np.ndarray:
 
 
 def save_model(model: KnnModel, path) -> None:
-    with open(path, "w") as fh:
-        header = f"knn v1 k={model.k} metric={model.metric}"
-        if model.metric == "minkowski":
-            header += f" p={fmt_float(model.p)}"
-        fh.write(header + "\n" + features.features_csv(model.train_x, model.train_y))
+    p = {"p": fmt_float(model.p)} if model.metric == "minkowski" else {}
+    body = features.features_csv(model.train_x, model.train_y)
+    write_model(path, "knn", body, k=model.k, metric=model.metric, **p)
 
 
 def load_model(path) -> KnnModel:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) < 2 or header[0] != "knn" or header[1] != "v1":
-            raise DataFormatError(f"{path}: not a knn v1 model file")
-        try:
-            fields = dict(item.split("=", 1) for item in header[2:])
-            k = int(fields["k"])
-            metric = fields["metric"]
-            p = float(fields.get("p", 2.0))
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed knn header: {exc}") from exc
-        rows, labels = features.read_features(fh, path)
-    try:
-        return KnnModel(rows, labels, k, metric, p)
-    except ParameterError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return read_model(path, "knn", lambda fh, path, fields: KnnModel(
+        *features.read_features(fh, path, 2), int(fields["k"]), fields["metric"], float(fields.get("p", 2.0))
+    ))

@@ -18,11 +18,13 @@ emotion pairs with majority voting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .types import DataFormatError, EMOTIONS, NUM_CLASSES, ParameterError
-from .utils import check_finite, derive_seed, distinct_rows, fmt_float, pairwise_sq_dists
+from .utils import check_finite, csv_text, derive_seed, distinct_rows, fmt_float, pairwise_sq_dists
+from .utils import read_model, read_rows, write_model
 
 _EPS = 1e-12
 
@@ -434,60 +436,36 @@ def predict_multiclass_batch(model: MulticlassSvmModel, x) -> np.ndarray:
 
 
 def save_model(model: MulticlassSvmModel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            f"svm v1 classes={NUM_CLASSES} gamma={fmt_float(model.params.gamma)} "
-            f"c={fmt_float(model.params.c)} features={model.feature_count}\n"
-        )
-        for (a, b), binary in sorted(model.models.items()):
-            fh.write(f"pair {a} {b} bias={fmt_float(binary.bias)} nsv={binary.num_support}\n")
-            for coef, sv in zip(binary.dual_coefs, binary.support_vectors):
-                fh.write(fmt_float(coef) + "," + ",".join(fmt_float(v) for v in sv) + "\n")
+    body = "".join(
+        csv_text([f"pair {a} {b} bias={fmt_float(binary.bias)} nsv={binary.num_support}"],
+                 ([coef, *sv] for coef, sv in zip(binary.dual_coefs, binary.support_vectors)))
+        for (a, b), binary in sorted(model.models.items())
+    )
+    write_model(path, "svm", body, classes=NUM_CLASSES, gamma=fmt_float(model.params.gamma),
+                c=fmt_float(model.params.c), features=model.feature_count)
+
+
+def _read_pairs(fh, path, fields) -> MulticlassSvmModel:
+    params = SvmParams(c=float(fields["c"]), gamma=float(fields["gamma"]))
+    if not np.isfinite([params.c, params.gamma]).all():
+        raise ValueError("non-finite c or gamma")
+    width, models, lineno = int(fields["features"]) + 1, {}, 2
+    for line in fh:
+        parts = line.split()
+        if len(parts) != 5 or parts[0] != "pair":
+            raise DataFormatError(f"{path}:{lineno}: malformed pair line {line.strip()!r}")
+        a, b = int(parts[1]), int(parts[2])
+        bias, nsv = float(parts[3].split("=", 1)[1]), int(parts[4].split("=", 1)[1])
+        rows = read_rows(islice(fh, nsv), path, width, lambda cells: [float(c) for c in cells], lineno + 1)
+        rows = np.array(rows)
+        if len(rows) != nsv or not (np.isfinite(bias) and np.isfinite(rows).all()):
+            raise DataFormatError(f"{path}:{lineno}: pair {a},{b} needs {nsv} rows of finite numbers")
+        models[(a, b)] = BinarySvmModel(rows[:, 1:].copy(), rows[:, 0].copy(), bias, params)
+        lineno += nsv + 1
+    if sorted(models) != list(PAIRS):
+        raise DataFormatError(f"{path}: expected the pairwise models {PAIRS}, found {sorted(models)}")
+    return MulticlassSvmModel(models, width - 1, params)
 
 
 def load_model(path) -> MulticlassSvmModel:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) < 2 or header[0] != "svm" or header[1] != "v1":
-            raise DataFormatError(f"{path}: not an svm v1 model file")
-        try:
-            fields = dict(item.split("=", 1) for item in header[2:])
-            gamma = float(fields["gamma"])
-            c = float(fields["c"])
-            feature_count = int(fields["features"])
-            params = SvmParams(c=c, gamma=gamma)  # ParameterError is a ValueError
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed svm header: {exc}") from exc
-        if not np.isfinite([c, gamma]).all():
-            raise DataFormatError(f"{path}: non-finite c or gamma in svm header")
-
-        models = {}
-        line = fh.readline()
-        while line:
-            parts = line.split()
-            if len(parts) != 5 or parts[0] != "pair":
-                raise DataFormatError(f"{path}: malformed pair line: {line.strip()!r}")
-            try:
-                a, b = int(parts[1]), int(parts[2])
-                bias = float(parts[3].split("=", 1)[1])
-                nsv = int(parts[4].split("=", 1)[1])
-                if nsv < 1:
-                    raise DataFormatError(f"pair {a},{b} has no support vectors")
-                coefs = np.empty(nsv)
-                vectors = np.empty((nsv, feature_count))
-                for row in range(nsv):
-                    values = fh.readline().strip().split(",")
-                    if len(values) != feature_count + 1:
-                        raise DataFormatError(f"bad support vector row for pair {a},{b}")
-                    coefs[row] = float(values[0])
-                    vectors[row] = [float(v) for v in values[1:]]
-                if not (np.isfinite(bias) and np.isfinite(coefs).all() and np.isfinite(vectors).all()):
-                    raise DataFormatError(f"non-finite number in pair {a},{b}")
-            except (IndexError, ValueError) as exc:
-                raise DataFormatError(f"{path}: malformed pair {line.strip()!r}: {exc}") from exc
-            models[(a, b)] = BinarySvmModel(vectors, coefs, bias, params)
-            line = fh.readline()
-
-    if sorted(models) != list(PAIRS):
-        raise DataFormatError(f"{path}: expected the pairwise models {PAIRS}, found {sorted(models)}")
-    return MulticlassSvmModel(models, feature_count, params)
+    return read_model(path, "svm", _read_pairs)

@@ -1,6 +1,6 @@
 """Seed derivation, input checks, the squared-distance kernel, text
-formatting and the one CSV writer and row reader shared across the
-pipeline."""
+formatting, the one CSV writer and row reader, and the model-file header
+writer and reader shared across the pipeline."""
 
 from __future__ import annotations
 
@@ -96,3 +96,26 @@ def read_rows(fh, path, width, parse, first_line=2) -> list:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return rows
+
+
+def write_model(path, kind, body: str, **fields) -> None:
+    """Write the header ``<kind> v1 key=value ...`` of ``fields``, then ``body``."""
+    with open(path, "w") as fh:
+        fh.write(" ".join([kind, "v1", *(f"{key}={value}" for key, value in fields.items())]) + "\n" + body)
+
+
+def read_model(path, kind, parse):
+    """``parse(fh, path, fields)`` for the model file at ``path``: ``fh`` is
+    past the header ``<kind> v1 key=value ...`` and ``fields`` is its dict.
+    A KeyError, IndexError, OverflowError or other ValueError from parsing
+    becomes a DataFormatError naming ``path``."""
+    with open(path) as fh:
+        words = fh.readline().split()
+        if words[:2] != [kind, "v1"]:
+            raise DataFormatError(f"{path}: not a {kind} v1 model file")
+        try:
+            return parse(fh, path, dict(word.split("=", 1) for word in words[2:]))
+        except DataFormatError:
+            raise
+        except (KeyError, IndexError, OverflowError, ValueError) as exc:
+            raise DataFormatError(f"{path}: malformed {kind} model: {exc}") from exc

@@ -77,6 +77,13 @@ def test_bad_value_rejected():
         "record_duration_s=0\n",
         "noise_powerline_hz=70\n",  # above the 64 Hz Nyquist of 128 Hz
         "noise_electrode_high_hz=80\n",
+        "sweep_features_step=0\n",
+        "sweep_trees_step=0\n",
+        "sweep_features_min=90\n",  # above sweep_features_max
+        "sweep_k_max=0\n",
+        "sweep_features_max=300\n",  # above the 256-sample segment
+        "train_subjects=\n",
+        "test_subjects=\n",
     ],
 )
 def test_out_of_range_forest_settings_rejected(tmp_path, text):
@@ -87,6 +94,13 @@ def test_out_of_range_forest_settings_rejected(tmp_path, text):
     assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     # 0 still selects the default depth and features per split
     PipelineConfig.from_text("forest_max_depth=0\nforest_features_per_split=0\n")
+
+
+@pytest.mark.parametrize("side", ["train_subjects", "test_subjects"])
+def test_empty_subjects_rejected(side):
+    # the config file's "train_subjects=" fails to parse; the API's empty tuple fails the check
+    with pytest.raises(ConfigError):
+        PipelineConfig(**{side: ()})
 
 
 def test_overlapping_subjects_rejected():
@@ -361,6 +375,10 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         ("body.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\npair 0 1 bias nsv=0\n"),
         ("pairs.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + wrong_pairs),
         ("body.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=\ntree 0 nodes\n"),
+        # the last block ends before its count of rows
+        ("short.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n"
+         + wrong_pairs.replace("3 4 bias=0.0 nsv=1", "2 3 bias=0.0 nsv=2")),
+        ("short.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=\ntree 0 nodes=2\nl,1,0,0,0\n"),
         ("body.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\nx,1.0\n"),
     ):
         (tmp_path / name).write_text(text)
@@ -377,6 +395,20 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
         assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(rows), "--out", out]) == 3
+    # a bad model body row is named by its file and line
+    bad_sv = "".join(f"pair {a} {b} bias=0.0 nsv=1\n1.0,{'abc' if a else 0.5}\n" for a, b in svm.PAIRS)
+    for name, text, line in (
+        ("cell.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + bad_sv, 9),
+        ("row.forest", forest_header.replace("trees=1", "trees=2").format(1)
+         + "tree 0 nodes=1\nl,1,0,0,0\ntree 1 nodes=3\nn,0,0.5,1,2\nl,1,0,0,0\nx,0,1,0,0\n", 7),
+        ("child.forest", forest_header.format(1) + "tree 0 nodes=3\nn,0,0.5,1,2\nn,0,0.5,0,2\nl,0,1,0,0\n", 4),
+        ("label.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\nx,1.0\n", 3),
+    ):
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        argv = ["predict", "--model", str(tmp_path / name), "--features", str(good_csv)]
+        assert cli.main([*argv, "--out", str(tmp_path / "p.csv")]) == 3
+        assert capsys.readouterr().err.startswith(f"error:data: {tmp_path / name}:{line}: ")
     # 3: signal CSVs with a non-finite sample or a rate that is not finite and positive
     signals = tmp_path / "signals"
     signals.mkdir()

@@ -389,6 +389,8 @@ def test_model_file_roundtrip(tmp_path, blob_data):
         ("dim=2", ["n,7,0.5,1,2", "l,1,0,0,0", "l,0,1,0,0"]),  # feature out of range
         ("dim=2", ["n,0,0.5,1,3", "l,1,0,0,0", "l,0,1,0,0"]),  # child past the last node
         ("dim=2", ["l,1,0,0,0", "n,0,0.5,0,2", "l,0,1,0,0"]),  # child before its parent
+        ("dim=1", ["l,99999999999999999999,0,0,0"]),  # a count past int64
+        ("dim=1", ["n,-1,nan,-1,-1"]),  # a split row with a leaf's values
     ],
 )
 def test_malformed_node_layout_is_a_data_error(tmp_path, header, nodes):
