@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, evaluation, features, forest, knn, svm, synthgen
+from . import dsp, evaluation, features, synthgen
 from .config import PipelineConfig
 from .types import ConfigError, DataFormatError, Emotion, ParameterError
 from .utils import csv_text, derive_seed, fmt_float, read_rows
@@ -24,13 +24,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParameterError(message)
 
-
-# model kind, the first word of a model file -> (loader, writer, batch predictor)
-_MODEL_KINDS = {
-    "svm": (svm.load_model, svm.save_model, svm.predict_multiclass_batch),
-    "forest": (forest.load_model, forest.save_model, forest.predict_forest_batch),
-    "knn": (knn.load_model, knn.save_model, knn.predict_knn_batch),
-}
 
 # --config/--seed, shared by every command that reads a PipelineConfig and by the scripts
 CONFIG_PARENT = argparse.ArgumentParser(add_help=False)
@@ -119,7 +112,7 @@ def cmd_train(args) -> int:
         cfg = cfg.replace(classifier=args.classifier)
     x, codes = features.load_features(args.features)
     model, _ = evaluation.train_classifier((x, codes), cfg, derive_seed(cfg.seed, "train"))
-    _, save, _ = _MODEL_KINDS[cfg.classifier]
+    _, _, save, _ = evaluation.CLASSIFIERS[cfg.classifier]
     save(model, args.model)
     print(f"trained {cfg.classifier} on {len(codes)} vectors -> {args.model}")
     return 0
@@ -128,9 +121,9 @@ def cmd_train(args) -> int:
 def _load_any_model(path):
     with open(path) as fh:
         kind = fh.readline().split(" ", 1)[0]
-    if kind not in _MODEL_KINDS:
+    if kind not in evaluation.CLASSIFIERS:
         raise DataFormatError(f"{path}: unrecognized model kind {kind!r}")
-    load, _, predict = _MODEL_KINDS[kind]
+    _, predict, _, load = evaluation.CLASSIFIERS[kind]
     return load(path), predict
 
 
@@ -230,7 +223,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("train", parents=configured, help="train the configured classifier")
-    p.add_argument("--classifier", choices=tuple(_MODEL_KINDS), default=None)
+    p.add_argument("--classifier", choices=tuple(evaluation.CLASSIFIERS), default=None)
     p.add_argument("--features", required=True, help="training feature CSV")
     p.add_argument("--model", required=True, help="output model file")
     p.set_defaults(func=cmd_train)

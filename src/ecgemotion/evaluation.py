@@ -24,7 +24,7 @@ from .types import (
     NUM_CLASSES,
     ParameterError,
 )
-from .utils import csv_text, derive_seed, fmt_percent, read_rows
+from .utils import csv_text, derive_seed, fmt_percent, read_rows, training_rows
 
 
 @dataclass(eq=False)
@@ -228,54 +228,55 @@ def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
 
     When ``pso_subsample`` is positive the fitness runs on a seed-fixed
     stratified subsample of the training data, keeping the 600-evaluation
-    swarm affordable; the final model always trains on the full split.
+    swarm affordable; the final model always trains on the full split, so
+    the full split must be a valid training set.
     """
-    x, codes = train_arrays
+    x, codes = training_rows(*train_arrays)
     if cfg.pso_subsample and cfg.pso_subsample < len(codes):
         rng = np.random.default_rng(derive_seed(seed, "pso-subsample"))
         keep = []
-        per_class = features.balanced_counts(cfg.pso_subsample)
-        for code, want in enumerate(per_class):
-            idx = np.flatnonzero(codes == code)
-            if len(idx) == 0:
-                continue
-            take = min(want, len(idx))
-            keep.append(rng.choice(idx, size=take, replace=False))
+        for code, want in enumerate(features.balanced_counts(cfg.pso_subsample)):
+            idx = np.flatnonzero(codes == code)  # an empty class fails the fitness's fold check
+            keep.append(rng.choice(idx, size=min(want, len(idx)), replace=False))
         keep = np.concatenate(keep)
         x, codes = x[keep], codes[keep]
     config = cfg.pso_config(derive_seed(seed, "pso"))
     return pso.optimize((x, codes), config)
 
 
+def _fit_svm(train, cfg: PipelineConfig, seed: int, tuned):
+    c, gamma = tuned if tuned else (cfg.svm_c, cfg.svm_gamma)
+    params = svm.SvmParams(c, gamma, cfg.svm_tolerance, cfg.svm_max_passes or None)
+    return svm.train_multiclass(train, params, derive_seed(seed, "svm"))
+
+
+def _fit_forest(train, cfg: PipelineConfig, seed: int, tuned):
+    return forest.train_forest(*train, num_trees=cfg.forest_trees, seed=derive_seed(seed, "forest"),
+                               features_per_split=cfg.forest_features_per_split or None,
+                               max_depth=cfg.forest_max_depth or None, min_leaf=cfg.forest_min_leaf)
+
+
+def _fit_knn(train, cfg: PipelineConfig, seed: int, tuned):
+    return knn.KnnModel(*train, cfg.knn_k, cfg.knn_metric, cfg.knn_minkowski_p)
+
+
+# classifier kind, also the first word of its model file -> (fit, predict,
+# save, load); fit(train, cfg, seed, tuned) returns the model. The functions
+# perfbench's span tracer wraps (svm.train_multiclass, forest.train_forest,
+# svm.predict_multiclass_batch) are looked up at each call.
+CLASSIFIERS = {
+    "svm": (_fit_svm, lambda model, x: svm.predict_multiclass_batch(model, x), svm.save_model, svm.load_model),
+    "forest": (_fit_forest, forest.predict_forest_batch, forest.save_model, forest.load_model),
+    "knn": (_fit_knn, knn.predict_knn_batch, knn.save_model, knn.load_model),
+}
+
+
 def train_classifier(train, cfg: PipelineConfig, seed: int, tuned=None):
     """Train the configured classifier on ``(x, codes)``; returns (model,
     batch predictor)."""
-    x, y = train
-    if cfg.classifier == "svm":
-        c, gamma = tuned if tuned else (cfg.svm_c, cfg.svm_gamma)
-        params = svm.SvmParams(
-            c=c,
-            gamma=gamma,
-            tolerance=cfg.svm_tolerance,
-            max_passes=cfg.svm_max_passes or None,
-        )
-        model = svm.train_multiclass(train, params, derive_seed(seed, "svm"))
-        return model, lambda q: svm.predict_multiclass_batch(model, q)
-    if cfg.classifier == "forest":
-        model = forest.train_forest(
-            x,
-            y,
-            num_trees=cfg.forest_trees,
-            features_per_split=cfg.forest_features_per_split or None,
-            seed=derive_seed(seed, "forest"),
-            max_depth=cfg.forest_max_depth or None,
-            min_leaf=cfg.forest_min_leaf,
-        )
-        return model, lambda q: forest.predict_forest_batch(model, q)
-    if cfg.classifier == "knn":
-        model = knn.KnnModel(x, y, cfg.knn_k, cfg.knn_metric, cfg.knn_minkowski_p)
-        return model, lambda q: knn.predict_knn_batch(model, q)
-    raise ParameterError(f"unknown classifier {cfg.classifier!r}")
+    fit, predict, _, _ = CLASSIFIERS[cfg.classifier]
+    model = fit(train, cfg, seed, tuned)
+    return model, lambda q: predict(model, q)
 
 
 @dataclass(eq=False)
@@ -298,8 +299,7 @@ def run_protocol(cfg: PipelineConfig, records=None) -> ProtocolResult:
     """The full reference experiment: synth -> filter -> features -> tune ->
     repeated train/score runs. PSO tunes on run 0's training split."""
     splits = _feature_cache(cfg, records).splits(cfg.feature_count, cfg.seed, "run", cfg.runs)
-    tuned = None
-    pso_result = None
+    tuned = pso_result = None
     if cfg.classifier == "svm" and cfg.svm_tune:
         first = next(splits)
         pso_result = tune_svm(first[1], cfg, cfg.seed)

@@ -28,7 +28,8 @@ from itertools import islice
 import numpy as np
 
 from .types import DataFormatError, NUM_CLASSES, ParameterError
-from .utils import check_finite, csv_text, fmt_float, read_model, read_rows, write_model
+from .utils import block_values, csv_text, fmt_float, query_rows, read_model, read_rows, training_rows
+from .utils import write_model
 
 DEFAULT_NUM_TREES = 90
 
@@ -209,19 +210,13 @@ def train_forest(
     """Grow a bagged forest. ``bootstrap=False`` (a test hook) trains every
     tree on the full sample, which with all features per split makes the
     trees identical."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64).ravel()
-    if x.ndim != 2 or len(x) != len(y):
-        raise ParameterError("x must be (n, d) with one label per row")
-    if len(y) == 0:
-        raise ParameterError("training set is empty")
+    x, y = training_rows(x, y)
     if num_trees < 1:
         raise ParameterError("num_trees must be >= 1")
     if min_leaf < 1:
         raise ParameterError("min_leaf must be >= 1")
     if max_depth is not None and max_depth < 0:
         raise ParameterError("max_depth must be >= 0 (None for unlimited)")
-    check_finite(x, "training rows")
     d = x.shape[1]
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(d)))
@@ -253,21 +248,12 @@ def train_forest(
     return ForestModel(trees, features_per_split, d, oob_error)
 
 
-def _check_dim(model: ForestModel, x: np.ndarray):
-    if x.shape[-1] != model.feature_dim:
-        raise ParameterError(
-            f"input dimension {x.shape[-1]} != training dimension {model.feature_dim}"
-        )
-
-
 def vote_matrix(model: ForestModel, x, num_trees: int | list[int] | None = None) -> np.ndarray:
     """Per-class vote counts, rows matching ``x``; optionally only the first
     ``num_trees`` trees (sub-ensemble evaluation for the learning-cycle sweep).
     A sequence of counts gives one matrix per count, stacked, while each tree
     predicts ``x`` once."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _check_dim(model, x)
-    check_finite(x, "query rows")
+    x = query_rows(x, model.feature_dim)
     counts = np.atleast_1d(model.num_trees if num_trees is None else num_trees)
     counts = np.minimum(counts, model.num_trees)
     if not counts.size or (counts < 1).any():
@@ -281,13 +267,13 @@ def vote_matrix(model: ForestModel, x, num_trees: int | list[int] | None = None)
     return prefixes if np.ndim(num_trees) else prefixes[0]
 
 
-def predict_forest_batch(model: ForestModel, x, num_trees: int | None = None) -> np.ndarray:
-    return vote_matrix(model, x, num_trees).argmax(axis=1)
+def predict_forest_batch(model: ForestModel, x) -> np.ndarray:
+    return vote_matrix(model, x).argmax(axis=1)
 
 
-def margins(model: ForestModel, x, y_true, num_trees: int | None = None) -> np.ndarray:
+def margins(model: ForestModel, x, y_true) -> np.ndarray:
     """Voting margins in [-1, 1] for a batch of labeled points."""
-    return vote_margins(vote_matrix(model, x, num_trees), y_true)
+    return vote_margins(vote_matrix(model, x), y_true)
 
 
 def vote_margins(votes: np.ndarray, y_true) -> np.ndarray:
@@ -306,7 +292,7 @@ def vote_error(votes: np.ndarray, y_true) -> float:
     return float(np.mean(vote_margins(votes, y_true) < 0))
 
 
-def generalization_error(model: ForestModel, data=None, num_trees: int | None = None) -> float:
+def generalization_error(model: ForestModel, data=None) -> float:
     """Fraction of points with negative margin; without data, the OOB estimate."""
     if data is None:
         if model.oob_error is None:
@@ -316,7 +302,7 @@ def generalization_error(model: ForestModel, data=None, num_trees: int | None = 
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if len(x) == 0:
         raise ParameterError("data must be non-empty")
-    return vote_error(vote_matrix(model, x, num_trees), y)
+    return vote_error(vote_matrix(model, x), y)
 
 
 def save_model(model: ForestModel, path) -> None:
@@ -362,11 +348,8 @@ def _read_trees(fh, path, fields) -> ForestModel:
     if num_trees < 1 or not 1 <= features_per_split <= dim or not np.isfinite(oob or 0.0):
         raise ValueError("the header needs trees >= 1, features_per_split in [1, dim] and a finite oob")
     trees, lineno = [], 2
-    for _ in range(num_trees):
-        words = next(fh, "").split()
-        if len(words) != 3 or words[0] != "tree":
-            raise DataFormatError(f"{path}:{lineno}: malformed tree line")
-        nodes = int(words[2].split("=", 1)[1])
+    for index in range(num_trees):
+        nodes = int(block_values(fh, path, lineno, f"tree {index} nodes=...")[0])
         # a split row has as many cells as a leaf row
         rows = read_rows(islice(fh, nodes), path, NUM_CLASSES + 1, _node_row, lineno + 1)
         if len(rows) != nodes:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import features
 from .types import NUM_CLASSES, ParameterError
-from .utils import check_finite, distinct_rows, fmt_float, pairwise_sq_dists, read_model, write_model
+from .utils import distinct_rows, fmt_float, pairwise_sq_dists, query_rows, read_model, training_rows
+from .utils import write_model
 
 METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
@@ -82,11 +83,7 @@ class KnnModel:
     p: float = 2.0
 
     def __post_init__(self):
-        self.train_x = np.ascontiguousarray(self.train_x, dtype=np.float64)
-        self.train_y = np.asarray(self.train_y, dtype=np.int64).ravel()
-        if self.train_x.ndim != 2 or len(self.train_x) != len(self.train_y):
-            raise ParameterError("training data must be (n, d) with one label per row")
-        check_finite(self.train_x, "training rows")
+        self.train_x, self.train_y = training_rows(self.train_x, self.train_y)
         if not 1 <= self.k <= len(self.train_y):
             raise ParameterError(f"k must lie in [1, {len(self.train_y)}]")
         if self.metric not in METRICS:
@@ -170,12 +167,7 @@ def classify(dists: np.ndarray, train_y: np.ndarray, ks) -> np.ndarray:
 
 
 def predict_knn_batch(model: KnnModel, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.train_x.shape[1]:
-        raise ParameterError(
-            f"input dimension {x.shape[1]} != training dimension {model.train_x.shape[1]}"
-        )
-    check_finite(x, "query rows")
+    x = query_rows(x, model.train_x.shape[1])
     dists = _distance_matrix(model.metric, x, model.train_x, model.p)
     return classify(dists, model.train_y, [model.k])[0]
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import svm
 from .types import NUM_CLASSES, ParameterError
-from .utils import derive_seed, pairwise_sq_dists
+from .utils import derive_seed, pairwise_sq_dists, training_rows
 
 DEFAULT_LOG10_C_BOUNDS = (-1.0, 3.0)
 DEFAULT_LOG10_GAMMA_BOUNDS = (-4.0, 1.0)
@@ -118,8 +118,7 @@ class CvSvmFitness:
     """
 
     def __init__(self, x, codes, folds: int, seed: int, tolerance: float = 1e-3):
-        x = np.asarray(x, dtype=np.float64)
-        codes = np.asarray(codes, dtype=np.int64)
+        x, codes = training_rows(x, codes)
         counts = np.bincount(codes, minlength=NUM_CLASSES)
         short = [c for c in range(NUM_CLASSES) if counts[c] < folds]
         if short:

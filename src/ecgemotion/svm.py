@@ -23,8 +23,8 @@ from itertools import islice
 import numpy as np
 
 from .types import DataFormatError, EMOTIONS, NUM_CLASSES, ParameterError
-from .utils import check_finite, csv_text, derive_seed, distinct_rows, fmt_float, pairwise_sq_dists
-from .utils import read_model, read_rows, write_model
+from .utils import block_values, csv_text, derive_seed, distinct_rows, fmt_float, pairwise_sq_dists
+from .utils import query_rows, read_model, read_rows, training_rows, write_model
 
 _EPS = 1e-12
 
@@ -311,18 +311,10 @@ def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
     distinct multiplier evenly over its copies: a feasible point of the
     drawn-row dual with the same objective and decision function.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if x.ndim != 2 or len(x) != len(y):
-        raise ParameterError("x must be (n, d) with one label per row")
-    if len(y) < 2:
-        raise ParameterError("need at least two training points")
-    labels = set(np.unique(y))
-    if not labels <= {-1.0, 1.0}:
-        raise ParameterError("binary labels must be -1 or +1")
-    if len(labels) < 2:
-        raise ParameterError("both classes must be present")
-    check_finite(x, "training rows")
+    if set(np.unique(y)) != {-1.0, 1.0}:
+        raise ParameterError("binary labels must be -1 or +1, both present")
+    x, _ = training_rows(x, y > 0)  # the labels as codes 0 and 1
 
     n = len(y)
     max_steps = params.max_passes if params.max_passes else 10 * n
@@ -347,13 +339,7 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
     """Raw decision values for a batch of inputs; sign gives the class."""
     if model.num_support == 0:
         raise ParameterError("model has no support vectors")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.support_vectors.shape[1]:
-        raise ParameterError(
-            f"input dimension {x.shape[1]} != support vector dimension "
-            f"{model.support_vectors.shape[1]}"
-        )
-    check_finite(x, "query rows")
+    x = query_rows(x, model.support_vectors.shape[1])
     k = rbf_kernel_matrix(x, model.support_vectors, model.params.gamma)
     return k @ model.dual_coefs + model.bias
 
@@ -413,12 +399,8 @@ def vote(decisions) -> np.ndarray:
 def train_multiclass(train, params: SvmParams, seed: int = 0) -> MulticlassSvmModel:
     """Train all six pairwise models on the pair-restricted subsets of
     ``(x, codes)``."""
-    x, codes = train
-    x = np.asarray(x, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.int64)
-    check_finite(x, "training rows")
-    present = set(int(c) for c in np.unique(codes))
-    missing = [e.name for e in EMOTIONS if int(e) not in present]
+    x, codes = training_rows(*train)
+    missing = [e.name for e in EMOTIONS if int(e) not in codes]
     if missing:
         raise ParameterError(f"training data lacks emotions: {', '.join(missing)}")
 
@@ -431,7 +413,7 @@ def train_multiclass(train, params: SvmParams, seed: int = 0) -> MulticlassSvmMo
 
 def predict_multiclass_batch(model: MulticlassSvmModel, x) -> np.ndarray:
     """Predicted emotion codes by one-vs-one majority vote (ties -> lowest code)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = query_rows(x, model.feature_count)
     return vote([decision_values(model.models[pair], x) for pair in PAIRS])
 
 
@@ -447,23 +429,18 @@ def save_model(model: MulticlassSvmModel, path) -> None:
 
 def _read_pairs(fh, path, fields) -> MulticlassSvmModel:
     params = SvmParams(c=float(fields["c"]), gamma=float(fields["gamma"]))
-    if not np.isfinite([params.c, params.gamma]).all():
-        raise ValueError("non-finite c or gamma")
+    if int(fields["classes"]) != NUM_CLASSES or not np.isfinite([params.c, params.gamma]).all():
+        raise ValueError(f"the header needs classes={NUM_CLASSES} and finite c and gamma")
     width, models, lineno = int(fields["features"]) + 1, {}, 2
-    for line in fh:
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "pair":
-            raise DataFormatError(f"{path}:{lineno}: malformed pair line {line.strip()!r}")
-        a, b = int(parts[1]), int(parts[2])
-        bias, nsv = float(parts[3].split("=", 1)[1]), int(parts[4].split("=", 1)[1])
+    for a, b in PAIRS:
+        bias, nsv = block_values(fh, path, lineno, f"pair {a} {b} bias=... nsv=...")
+        bias, nsv = float(bias), int(nsv)
         rows = read_rows(islice(fh, nsv), path, width, lambda cells: [float(c) for c in cells], lineno + 1)
         rows = np.array(rows)
         if len(rows) != nsv or not (np.isfinite(bias) and np.isfinite(rows).all()):
             raise DataFormatError(f"{path}:{lineno}: pair {a},{b} needs {nsv} rows of finite numbers")
         models[(a, b)] = BinarySvmModel(rows[:, 1:].copy(), rows[:, 0].copy(), bias, params)
         lineno += nsv + 1
-    if sorted(models) != list(PAIRS):
-        raise DataFormatError(f"{path}: expected the pairwise models {PAIRS}, found {sorted(models)}")
     return MulticlassSvmModel(models, width - 1, params)
 
 

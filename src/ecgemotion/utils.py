@@ -1,14 +1,15 @@
-"""Seed derivation, input checks, the squared-distance kernel, text
-formatting, the one CSV writer and row reader, and the model-file header
-writer and reader shared across the pipeline."""
+"""Seed derivation, the learners' input contract, the squared-distance
+kernel, text formatting, the one CSV writer and row reader, and the
+model-file header writer and reader shared across the pipeline."""
 
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 
-from .types import DataFormatError, ParameterError
+from .types import DataFormatError, NUM_CLASSES, ParameterError
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -31,6 +32,29 @@ def check_finite(x: np.ndarray, what: str) -> None:
     into a silent answer or an error far from their cause."""
     if not np.isfinite(x).all():
         raise ParameterError(f"{what} contain non-finite values")
+
+
+def training_rows(x, codes) -> tuple[np.ndarray, np.ndarray]:
+    """A training set as a contiguous float64 ``(n, d)`` array and int64
+    emotion codes: at least one row, one code per row, finite values and
+    codes in ``[0, NUM_CLASSES)``, or a ParameterError."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.int64).ravel()
+    if x.ndim != 2 or not len(x) or len(x) != len(codes):
+        raise ParameterError("training data must be (n, d), n >= 1, with one label per row")
+    check_finite(x, "training rows")
+    if codes.min() < 0 or codes.max() >= NUM_CLASSES:
+        raise ParameterError(f"emotion codes must lie in [0, {NUM_CLASSES})")
+    return x, codes
+
+
+def query_rows(x, dim: int) -> np.ndarray:
+    """Rows to predict as a float64 ``(m, dim)`` array of finite values, or a ParameterError."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ParameterError(f"input dimension {x.shape[-1]} != training dimension {dim}")
+    check_finite(x, "query rows")
+    return x
 
 
 def distinct_rows(x: np.ndarray):
@@ -108,14 +132,29 @@ def read_model(path, kind, parse):
     """``parse(fh, path, fields)`` for the model file at ``path``: ``fh`` is
     past the header ``<kind> v1 key=value ...`` and ``fields`` is its dict.
     A KeyError, IndexError, OverflowError or other ValueError from parsing
-    becomes a DataFormatError naming ``path``."""
+    becomes a DataFormatError naming ``path``, as does a non-blank line
+    after those ``parse`` reads."""
     with open(path) as fh:
         words = fh.readline().split()
         if words[:2] != [kind, "v1"]:
             raise DataFormatError(f"{path}: not a {kind} v1 model file")
         try:
-            return parse(fh, path, dict(word.split("=", 1) for word in words[2:]))
+            model = parse(fh, path, dict(word.split("=", 1) for word in words[2:]))
         except DataFormatError:
             raise
         except (KeyError, IndexError, OverflowError, ValueError) as exc:
             raise DataFormatError(f"{path}: malformed {kind} model: {exc}") from exc
+        if any(line.strip() for line in fh):
+            raise DataFormatError(f"{path}: text after the last {kind} model block")
+        return model
+
+
+def block_values(fh, path, lineno, template: str) -> tuple:
+    """The values of the next line of ``fh``, line ``lineno`` of a model file,
+    which must read ``template`` with one value in place of each ``...``;
+    any other line is a DataFormatError naming ``path:lineno``."""
+    line = next(fh, "")
+    match = re.fullmatch(re.escape(template).replace(r"\.\.\.", r"(\S+)"), " ".join(line.split()))
+    if match is None:
+        raise DataFormatError(f"{path}:{lineno}: expected {template!r}, got {line.strip()!r}")
+    return match.groups()

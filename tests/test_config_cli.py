@@ -462,6 +462,21 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         argv = ["predict", "--model", str(tmp_path / name), "--out", str(out)]
         assert cli.main([*argv, "--features", str(good_csv)]) == 0
         assert cli.main([*argv, "--features", str(nan_csv)]) == 1
+    # 3: model files that name other keys or classes, repeat or misnumber a
+    # block, or go on after the last block
+    svm_header = "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n"
+    for name, text in (
+        ("keys.svm", svm_header + six_pairs.replace("bias=0.0 nsv=1", "foo=0.0 bar=1", 1)),
+        ("classes.svm", svm_header.replace("classes=4", "classes=9") + six_pairs),
+        ("seventh.svm", svm_header + six_pairs + "pair 0 1 bias=0.0 nsv=1\n1.0,0.5\n"),
+        ("index.forest", forest_header.format(1) + "tree 7 size=1\nl,1,0,0,0\n"),
+        ("tail.forest", forest_header.format(1) + "tree 0 nodes=1\nl,1,0,0,0\nl,0,1,0,0\n"),
+    ):
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        argv = ["predict", "--model", str(tmp_path / name), "--features", str(good_csv)]
+        assert cli.main([*argv, "--out", str(tmp_path / "p.csv")]) == 3
+        assert capsys.readouterr().err.startswith(f"error:data: {tmp_path / name}")
     # 3: emotion codes outside [0, 4) in predictions or a knn model,
     # non-finite numbers in svm and forest models, and header values that
     # parse but lie out of range
@@ -538,6 +553,20 @@ def test_svm_train_rejects_non_finite_features(tmp_path, mini_cfg_file):
     args = ["train", "--config", mini_cfg_file, "--classifier", "svm"]
     assert cli.main([*args, "--features", str(features_csv), "--model", str(model)]) == 1
     assert not model.exists()
+
+
+def test_tune_rejects_non_finite_features(tmp_path, mini_cfg_file, capsys):
+    # three rows per class, enough for two folds: only the NaN cell is wrong
+    rows = "".join(f"{i % 4},{i * 0.5},{1.0 - i}\n" for i in range(12)).replace("1.5,-2.0", "1.5,nan")
+    features_csv = tmp_path / "nan.csv"
+    features_csv.write_text("label,f1,f2\n" + rows)
+    overlay = tmp_path / "pso.cfg"
+    overlay.write_text("pso_swarm_size=2\npso_iterations=1\npso_cv_folds=2\n")
+    trace = tmp_path / "trace.csv"
+    argv = ["tune", "--config", mini_cfg_file, "--config", str(overlay), "--features", str(features_csv)]
+    assert cli.main([*argv, "--trace-out", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error:usage:")
+    assert not trace.exists()
 
 
 def test_seed_flag_overrides_config(pipeline_dirs, mini_cfg_file, tmp_path):

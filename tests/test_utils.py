@@ -1,6 +1,46 @@
 import numpy as np
+import pytest
 
+from ecgemotion import evaluation, forest, knn, pso, svm
+from ecgemotion.config import PipelineConfig
+from ecgemotion.types import ParameterError
 from ecgemotion.utils import distinct_rows
+
+# the PSO subsample draws codes 0-3 only, two rows each
+TUNE_CFG = PipelineConfig(pso_subsample=8, pso_swarm_size=2, pso_iterations=0, pso_cv_folds=2)
+
+# each learner as (fit(x, codes) -> model, batch predictor or None)
+LEARNERS = {
+    "svm": (lambda x, codes: svm.train_multiclass((x, codes), svm.SvmParams(c=1.0, gamma=0.5)),
+            svm.predict_multiclass_batch),
+    "forest": (lambda x, codes: forest.train_forest(x, codes, num_trees=2), forest.predict_forest_batch),
+    "knn": (lambda x, codes: knn.KnnModel(x, codes, 1), knn.predict_knn_batch),
+    "pso": (lambda x, codes: pso.CvSvmFitness(x, codes, folds=2, seed=0), None),
+    "tune": (lambda x, codes: evaluation.tune_svm((x, codes), TUNE_CFG, 0), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNERS))
+def test_learners_share_the_input_contract(name):
+    fit, predict = LEARNERS[name]
+    x = np.random.default_rng(0).normal(size=(12, 3))
+    codes = np.arange(12) % 4
+    poisoned = x.copy()
+    poisoned[4, 1] = np.nan
+    for bad_code in (7, -1):
+        bad = codes.copy()
+        bad[5] = bad_code
+        with pytest.raises(ParameterError):
+            fit(x, bad)
+    for rows, labels in ((poisoned, codes), (x, codes[:-1]), (x[:0], codes[:0])):
+        with pytest.raises(ParameterError):
+            fit(rows, labels)
+    if predict is not None:
+        model = fit(x, codes)
+        assert predict(model, x[:2]).shape == (2,)
+        for queries in (np.zeros((2, 4)), np.zeros((2, 2)), poisoned[3:6]):
+            with pytest.raises(ParameterError):
+                predict(model, queries)
 
 
 def test_distinct_rows_first_occurrence_order_and_counts():
