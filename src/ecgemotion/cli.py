@@ -90,7 +90,7 @@ def cmd_extract(args) -> int:
     features.save_features(*dataset.train_arrays(), args.train_out)
     features.save_features(*dataset.test_arrays(), args.test_out)
     print(
-        f"wrote {len(dataset.train)} train and {len(dataset.test)} test vectors "
+        f"wrote {len(dataset.codes_train)} train and {len(dataset.codes_test)} test vectors "
         f"({cfg.feature_count} features)"
     )
     return 0

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import dsp, features, forest, knn, pso, svm, synthgen
 from .config import PipelineConfig
-from .types import (
-    Dataset,
-    DataFormatError,
-    EMOTIONS,
-    FeatureVector,
-    NUM_CLASSES,
-    ParameterError,
-)
+from .types import Dataset, DataFormatError, EMOTIONS, NUM_CLASSES, ParameterError
 from .utils import csv_text, derive_seed, fmt_percent, read_rows, training_rows
 
 
@@ -183,9 +176,10 @@ class FeatureCache:
             raise ParameterError("corpus yielded no segments")
         # one temporary window matrix, freed as soon as it is transformed
         self.coeffs = np.concatenate([windows for windows, _ in cuts]) @ features.dct_matrix(cfg.segment_len).T
-        self.labels = np.repeat([int(r.label) for r in records], counts)
+        self.labels = np.repeat(np.array([int(r.label) for r in records], dtype=np.int64), counts)
         self.subjects = np.repeat([r.subject_id for r in records], counts)
         self.starts = np.concatenate([starts for _, starts in cuts])
+        self.sources = np.column_stack((self.subjects, self.starts)).astype(np.int64)
         # per side, one array of row indices per emotion, in corpus order
         self.pools = {}
         for side, subjects in (("train", cfg.train_subjects), ("test", cfg.test_subjects)):
@@ -203,7 +197,8 @@ class FeatureCache:
         if self.cfg.zscore:
             # every cached row, scaled by the training sample's statistics
             _, x = features.standardize(x[train], x)
-        return Dataset(self._vectors(x, train), self._vectors(x, test), n)
+        return Dataset(x[train], self.labels[train], self.sources[train],
+                       x[test], self.labels[test], self.sources[test])
 
     def splits(self, n: int, master: int, tag: str, runs: int):
         """Yield ``(run_seed, (x, codes), (x_test, codes_test))`` for runs
@@ -214,13 +209,6 @@ class FeatureCache:
             run_seed = derive_seed(master, tag, run)
             dataset = self.dataset(n, run_seed)
             yield run_seed, dataset.train_arrays(), dataset.test_arrays()
-
-    def _vectors(self, x, rows) -> list:
-        """One row view of x per drawn row index, with its provenance."""
-        return [
-            FeatureVector(x[row], self.labels[row], (self.subjects[row], self.starts[row]))
-            for row in rows
-        ]
 
 
 def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
@@ -241,7 +229,7 @@ def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
         keep = np.concatenate(keep)
         x, codes = x[keep], codes[keep]
     config = cfg.pso_config(derive_seed(seed, "pso"))
-    return pso.optimize((x, codes), config)
+    return pso.optimize(config, pso.CvSvmFitness(x, codes, config.cv_folds, config.seed, cfg.svm_tolerance))
 
 
 def _fit_svm(train, cfg: PipelineConfig, seed: int, tuned):

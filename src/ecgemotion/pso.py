@@ -114,17 +114,15 @@ class CvSvmFitness:
 
     Folds are stratified by class and fixed at construction; squared-distance
     matrices for every (fold, pair) subproblem are precomputed because they do
-    not depend on (C, gamma).
+    not depend on (C, gamma). Each dual stops at ``tolerance`` or after 10
+    steps per row: ``svm_max_passes`` caps only the final pair duals.
     """
 
     def __init__(self, x, codes, folds: int, seed: int, tolerance: float = 1e-3):
         x, codes = training_rows(x, codes)
         counts = np.bincount(codes, minlength=NUM_CLASSES)
-        short = [c for c in range(NUM_CLASSES) if counts[c] < folds]
-        if short:
-            raise ParameterError(
-                f"classes {short} have fewer samples than cv_folds={folds}"
-            )
+        if not 2 <= folds <= counts.min():
+            raise ParameterError(f"cv_folds={folds} must lie in [2, smallest class count {counts.min()}]")
         self.tolerance = tolerance
         self.seed = seed
 
@@ -210,18 +208,12 @@ def _generation_scorer(fitness_fn):
     return lambda positions: ([float(fitness_fn(p)) for p in positions], np.zeros(3, dtype=np.int64))
 
 
-def optimize(train, config: PsoConfig, fitness_fn=None) -> PsoResult:
+def optimize(config: PsoConfig, fitness_fn) -> PsoResult:
     """Run the swarm and return the best (C, gamma) with its history and trace.
 
-    ``fitness_fn`` replaces the cross-validation fitness when given (used by
-    the benchmark suite); it receives a log10-space position and returns a
-    score to maximize.
+    ``fitness_fn`` receives a log10-space position and returns a score to
+    maximize; a ``CvSvmFitness`` is scored one generation per batch.
     """
-    if fitness_fn is None:
-        if train is None:
-            raise ParameterError("either training data or a fitness function is required")
-        x, codes = train
-        fitness_fn = CvSvmFitness(x, codes, config.cv_folds, config.seed)
     score = _generation_scorer(fitness_fn)
 
     rng = np.random.default_rng(derive_seed(config.seed, "swarm"))

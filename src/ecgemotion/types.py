@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -84,34 +84,36 @@ class FeatureVector:
 
 @dataclass(eq=False)
 class Dataset:
-    """Labeled feature vectors split into training and test sides.
+    """A train/test split held as arrays, three per side: the rows (float64,
+    ``(n, d)``), their emotion codes (int64, ``(n,)``) and their
+    ``(subject, start)`` sources (int64, ``(n, 2)``).
 
     Train and test provenance never overlap because they are drawn from
-    disjoint subject groups.
+    disjoint subject groups. ``train`` and ``test`` are per-row
+    ``FeatureVector`` views, built each time they are read.
     """
 
-    train: list = field(default_factory=list)
-    test: list = field(default_factory=list)
-    feature_count: int = 0
-    emotions: tuple[Emotion, ...] = EMOTIONS
-
-    def __post_init__(self):
-        for fv in list(self.train) + list(self.test):
-            if len(fv) != self.feature_count:
-                raise ParameterError(
-                    f"feature vector length {len(fv)} != feature_count {self.feature_count}"
-                )
+    x_train: np.ndarray
+    codes_train: np.ndarray
+    sources_train: np.ndarray
+    x_test: np.ndarray
+    codes_test: np.ndarray
+    sources_test: np.ndarray
 
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _to_arrays(self.train, self.feature_count)
+        return self.x_train, self.codes_train
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _to_arrays(self.test, self.feature_count)
+        return self.x_test, self.codes_test
+
+    @property
+    def train(self) -> list:
+        return _vectors(self.x_train, self.codes_train, self.sources_train)
+
+    @property
+    def test(self) -> list:
+        return _vectors(self.x_test, self.codes_test, self.sources_test)
 
 
-def _to_arrays(vectors, feature_count: int) -> tuple[np.ndarray, np.ndarray]:
-    if not vectors:
-        return np.empty((0, feature_count)), np.empty(0, dtype=np.int64)
-    x = np.stack([fv.values for fv in vectors])
-    y = np.array([int(fv.label) for fv in vectors], dtype=np.int64)
-    return x, y
+def _vectors(x, codes, sources) -> list:
+    return [FeatureVector(*row) for row in zip(x, codes, sources)]

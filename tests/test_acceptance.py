@@ -116,7 +116,7 @@ def test_criterion_4_pso_sphere():
     start = time.perf_counter()
     target = np.array([1.5, -1.0])
     config = pso.PsoConfig(swarm_size=20, iterations=100, inertia=0.7, seed=11)
-    result = pso.optimize(None, config, fitness_fn=lambda p: -float(np.sum((p - target) ** 2)))
+    result = pso.optimize(config, lambda p: -float(np.sum((p - target) ** 2)))
     best = np.array([np.log10(result.c), np.log10(result.gamma)])
     distance = float(np.linalg.norm(best - target))
     assert distance < 1e-2

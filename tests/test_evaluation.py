@@ -212,6 +212,17 @@ def test_protocol_tunes_on_run_zero_split(mini_config, mini_corpus, monkeypatch)
     assert result.tuned == (separate.c, separate.gamma)
 
 
+def test_tune_svm_solves_the_fitness_duals_at_svm_tolerance(mini_config, mini_corpus):
+    cfg = mini_config.replace(pso_subsample=0, pso_iterations=1)
+    train = FeatureCache(mini_corpus, cfg).dataset(cfg.feature_count, 3).train_arrays()
+    loose = cfg.replace(svm_tolerance=0.5)
+    tuned = evaluation.tune_svm(train, loose, 0)
+    assert tuned.trace != evaluation.tune_svm(train, cfg, 0).trace
+    config = loose.pso_config(derive_seed(0, "pso"))
+    expected = pso.optimize(config, pso.CvSvmFitness(*train, config.cv_folds, config.seed, tolerance=0.5))
+    assert tuned.trace == expected.trace
+
+
 def test_feature_cache_rows_are_dct_prefix(mini_config, mini_corpus):
     from ecgemotion.features import dct
 

@@ -13,18 +13,12 @@ from ecgemotion.features import (
     dct,
     dct_matrix,
     load_features,
+    sample_balanced,
     save_features,
     standardize,
 )
 from ecgemotion.synthgen import EmotionProfile, generate_clean
-from ecgemotion.types import (
-    ConfigError,
-    Dataset,
-    Emotion,
-    FeatureVector,
-    ParameterError,
-    SignalRecord,
-)
+from ecgemotion.types import ConfigError, Emotion, FeatureVector, ParameterError, SignalRecord
 
 from oracles import naive_dct
 
@@ -231,13 +225,6 @@ def test_balanced_counts():
     assert balanced_counts(4) == [1, 1, 1, 1]
 
 
-def test_dataset_rejects_mixed_lengths():
-    good = FeatureVector(np.ones(5), Emotion.HAPPY, (1, 0))
-    bad = FeatureVector(np.ones(4), Emotion.HAPPY, (1, 0))
-    with pytest.raises(ParameterError):
-        Dataset([good, bad], [], 5)
-
-
 def test_standardize_uses_train_statistics():
     x_train = np.array([[1.0, 10.0], [3.0, 30.0]])
     x_test = np.array([[2.0, 20.0]])
@@ -258,3 +245,36 @@ def test_features_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded_codes, codes) and loaded_codes.dtype == np.int64
     header = path.read_text().splitlines()[0]
     assert header == "label,f1,f2,f3,f4,f5,f6,f7"
+
+
+def test_splits_build_no_feature_vector(monkeypatch):
+    built = []
+    monkeypatch.setattr(FeatureVector, "__post_init__", lambda fv: built.append(fv))
+    cache = FeatureCache(corpus(), split_config())
+    for _, (x, codes), (x_test, codes_test) in cache.splits(30, 5, "run", 2):
+        assert x.shape == (40, 30) and x_test.shape == (20, 30)
+    assert built == []
+    assert len(cache.dataset(30, 5).train) == 40  # the view builds its vectors when read
+    assert len(built) == 40
+
+
+def test_dataset_arrays_are_the_drawn_rows():
+    cfg = split_config()
+    cache = FeatureCache(corpus(), cfg)
+    dataset = cache.dataset(30, 5)
+    rng = np.random.default_rng(5)
+    drawn = [sample_balanced(cache.pools[side], size, rng, side)
+             for side, size in (("train", cfg.train_size), ("test", cfg.test_size))]
+    sides = (
+        (dataset.train_arrays(), dataset.sources_train, dataset.train),
+        (dataset.test_arrays(), dataset.sources_test, dataset.test),
+    )
+    for rows, ((x, codes), sources, vectors) in zip(drawn, sides):
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert codes.dtype == sources.dtype == np.int64
+        assert np.array_equal(x, cache.coeffs[rows, :30])
+        assert np.array_equal(codes, cache.labels[rows])
+        assert np.array_equal(sources, np.column_stack((cache.subjects[rows], cache.starts[rows])))
+        assert np.array_equal(x, [fv.values for fv in vectors])
+        assert codes.tolist() == [fv.label for fv in vectors]
+        assert sources.tolist() == [list(fv.source) for fv in vectors]

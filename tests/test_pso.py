@@ -98,16 +98,16 @@ def test_velocity_clamped_and_zeroed_at_bounds():
 def test_single_static_particle_returns_start():
     cfg = PsoConfig(swarm_size=1, iterations=25, c1=0.0, c2=0.0, seed=5)
     target = np.array([0.5, -0.5])
-    result = optimize(None, cfg, fitness_fn=lambda p: -float(np.sum((p - target) ** 2)))
+    result = optimize(cfg, lambda p: -float(np.sum((p - target) ** 2)))
     cfg2 = PsoConfig(swarm_size=1, iterations=0, c1=0.0, c2=0.0, seed=5)
-    start = optimize(None, cfg2, fitness_fn=lambda p: -float(np.sum((p - target) ** 2)))
+    start = optimize(cfg2, lambda p: -float(np.sum((p - target) ** 2)))
     assert result.c == start.c and result.gamma == start.gamma
 
 
 def test_sphere_benchmark_converges():
     target = np.array([1.5, -1.0])
     cfg = PsoConfig(swarm_size=20, iterations=100, inertia=0.7, seed=11)
-    result = optimize(None, cfg, fitness_fn=lambda p: -float(np.sum((p - target) ** 2)))
+    result = optimize(cfg, lambda p: -float(np.sum((p - target) ** 2)))
     best = np.array([np.log10(result.c), np.log10(result.gamma)])
     assert np.linalg.norm(best - target) < 1e-2
     history = np.array(result.history)
@@ -118,15 +118,15 @@ def test_optimize_deterministic():
     target = np.array([0.0, 0.0])
     fn = lambda p: -float(np.sum((p - target) ** 2))
     cfg = PsoConfig(swarm_size=8, iterations=20, inertia=0.7, seed=3)
-    a = optimize(None, cfg, fitness_fn=fn)
-    b = optimize(None, cfg, fitness_fn=fn)
+    a = optimize(cfg, fn)
+    b = optimize(cfg, fn)
     assert a.c == b.c and a.gamma == b.gamma and a.history == b.history
     assert a.trace == b.trace
 
 
 def test_trace_shape_and_history_length():
     cfg = PsoConfig(swarm_size=5, iterations=7, inertia=0.7, seed=2)
-    result = optimize(None, cfg, fitness_fn=lambda p: float(-p @ p))
+    result = optimize(cfg, lambda p: float(-p @ p))
     assert len(result.history) == 8  # initialization plus 7 iterations
     assert len(result.trace) == 5 * 8
     iterations = {row[0] for row in result.trace}
@@ -164,7 +164,7 @@ def test_personal_best_dominates():
         seen.append(value)
         return value
 
-    result = optimize(None, cfg, fitness_fn=fn)
+    result = optimize(cfg, fn)
     assert result.fitness == max(seen)
     for row in result.trace:
         assert row[5] >= row[4] or np.isclose(row[5], row[4])
@@ -194,9 +194,9 @@ def test_optimize_matches_per_pair_oracle():
     rng = np.random.default_rng(13)
     x, y = make_blobs(rng, 12, std=0.35)
     cfg = PsoConfig(swarm_size=6, iterations=3, seed=7, cv_folds=3)
-    result = optimize((x, y), cfg)
     oracle = CvSvmFitness(x, y, cfg.cv_folds, cfg.seed)
-    expected = optimize(None, cfg, fitness_fn=lambda p: per_pair_cv_fitness(oracle, p))
+    result = optimize(cfg, oracle)
+    expected = optimize(cfg, lambda p: per_pair_cv_fitness(oracle, p))
     assert (result.c, result.gamma, result.fitness) == (expected.c, expected.gamma, expected.fitness)
     assert result.history == expected.history
     assert result.trace == expected.trace
@@ -216,7 +216,7 @@ def test_optimize_tunes_blobs():
     rng = np.random.default_rng(12)
     x, y = make_blobs(rng, 10, std=0.1)
     cfg = PsoConfig(swarm_size=5, iterations=4, inertia=0.7, seed=4, cv_folds=2)
-    result = optimize((x, y), cfg)
+    result = optimize(cfg, CvSvmFitness(x, y, cfg.cv_folds, cfg.seed))
     assert 10.0**-1 <= result.c <= 10.0**3
     assert 10.0**-4 <= result.gamma <= 10.0**1
     assert result.fitness >= 0.8
@@ -286,14 +286,14 @@ def assert_same_result(result, expected):
 @pytest.mark.parametrize("fitness", [sphere([1.5, -1.0]), sphere([3.0, 1.0]), holes, plateau])
 def test_optimize_equals_particle_loop(settings, fitness):
     cfg = PsoConfig(**settings)
-    assert_same_result(optimize(None, cfg, fitness_fn=fitness), optimize_loop(cfg, fitness))
+    assert_same_result(optimize(cfg, fitness), optimize_loop(cfg, fitness))
 
 
 def test_optimize_equals_particle_loop_on_cv_fitness():
     rng = np.random.default_rng(13)
     x, y = make_blobs(rng, 12, std=0.35)
     cfg = PsoConfig(swarm_size=5, iterations=3, inertia=0.7, seed=21, cv_folds=3)
-    result = optimize((x, y), cfg)
+    result = optimize(cfg, CvSvmFitness(x, y, cfg.cv_folds, cfg.seed))
     expected = optimize_loop(cfg, CvSvmFitness(x, y, cfg.cv_folds, cfg.seed))
     assert_same_result(result, expected)
     assert result.trace == expected.trace and result.solves == 4 * 5 * 3 * 6

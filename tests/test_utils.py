@@ -35,6 +35,10 @@ def test_learners_share_the_input_contract(name):
     for rows, labels in ((poisoned, codes), (x, codes[:-1]), (x[:0], codes[:0])):
         with pytest.raises(ParameterError):
             fit(rows, labels)
+    if name == "pso":
+        for folds in (1, 0):  # one fold leaves no rows to fit on, zero no fold at all
+            with pytest.raises(ParameterError, match="cv_folds"):
+                pso.CvSvmFitness(x, codes, folds, seed=0)
     if predict is not None:
         model = fit(x, codes)
         assert predict(model, x[:2]).shape == (2,)
