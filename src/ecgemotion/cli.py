@@ -67,7 +67,7 @@ def cmd_synth(args) -> int:
 
 def cmd_filter(args) -> int:
     cfg = load_config(args)
-    fir = evaluation.design_filter(cfg)
+    fir = cfg.fir_filter()
     if fir.warning:
         print(f"warning: {fir.warning}", file=sys.stderr)
     out = Path(args.out)
@@ -147,6 +147,9 @@ def cmd_evaluate(args) -> int:
     x, truth = features.load_features(args.features)
     if args.predictions is not None:
         predicted = _load_predictions(args.predictions)
+        if len(predicted) != len(truth):
+            raise DataFormatError(
+                f"{args.predictions}: {len(predicted)} predictions for {len(truth)} feature rows")
     else:
         model, predict = _load_any_model(args.model)
         predicted = predict(model, x)

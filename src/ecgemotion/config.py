@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from . import dsp, knn, svm
+from . import dsp, forest, knn, svm
 from .pso import PsoConfig
 from .synthgen import EmotionProfile, NoiseSpec, check_sampling
 from .types import EMOTIONS, ConfigError, ParameterError
@@ -123,22 +123,12 @@ class PipelineConfig:
         train, test = set(self.train_subjects), set(self.test_subjects)
         if not train or not test or train & test:
             raise ConfigError("train_subjects and test_subjects must be non-empty and disjoint")
-        if min(self.train_size, self.test_size, self.forest_trees, self.forest_min_leaf) < 1:
-            raise ConfigError("train_size, test_size, forest_trees and forest_min_leaf must be >= 1")
-        if self.forest_max_depth < 0 or self.forest_features_per_split < 0:
-            raise ConfigError("forest_max_depth and forest_features_per_split must be >= 0 (0 for the default)")
+        if min(self.train_size, self.test_size, self.knn_k) < 1:
+            raise ConfigError("train_size, test_size and knn_k must be >= 1")
         if not 1 <= self.feature_count <= self.segment_len:
             raise ConfigError("feature_count must lie in [1, segment_len]")
-        if self.forest_features_per_split > self.feature_count:
-            raise ConfigError("forest_features_per_split must not exceed feature_count")
         if self.pso_subsample < 0:
             raise ConfigError("pso_subsample must be >= 0 (0 for the full training split)")
-        if self.knn_k < 1:
-            raise ConfigError("knn_k must be >= 1")
-        if self.knn_metric not in knn.METRICS:
-            raise ConfigError(f"knn_metric must be one of {knn.METRICS}, not {self.knn_metric!r}")
-        if self.knn_metric == "minkowski" and not self.knn_minkowski_p >= 1:
-            raise ConfigError("knn_minkowski_p must be >= 1")
         if self.segment_len < dsp.MIN_SEGMENT_LEN or self.segment_stride < 1:
             raise ConfigError(f"segment_len must be >= {dsp.MIN_SEGMENT_LEN} and segment_stride >= 1")
         if min(self.sweep_features_step, self.sweep_trees_step) < 1 or not (
@@ -153,9 +143,10 @@ class PipelineConfig:
             self.profiles()
             check_sampling(self.record_duration_s, self.sample_rate_hz)
             self.noise_spec(self.seed).check(self.sample_rate_hz)
-            dsp.design_bandpass(
-                self.fir_low_hz, self.fir_high_hz, self.sample_rate_hz, self.fir_num_taps, self.fir_window
-            )
+            self.fir_filter()
+            forest.check_params(self.forest_trees, self.forest_features_per_split or None,
+                                self.forest_max_depth or None, self.forest_min_leaf, self.feature_count)
+            knn.check_metric(self.knn_metric, self.knn_minkowski_p)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -181,6 +172,11 @@ class PipelineConfig:
             electrode_amp=self.noise_electrode_amp,
             electrode_band_hz=(self.noise_electrode_low_hz, self.noise_electrode_high_hz),
             seed=seed,
+        )
+
+    def fir_filter(self) -> dsp.FirFilter:
+        return dsp.design_bandpass(
+            self.fir_low_hz, self.fir_high_hz, self.sample_rate_hz, self.fir_num_taps, self.fir_window
         )
 
     def pso_config(self, seed: int) -> PsoConfig:

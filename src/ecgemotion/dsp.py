@@ -43,7 +43,7 @@ def window_taps(kind: str, n: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class FirFilter:
-    """Linear-phase FIR band-pass filter (odd tap count, symmetric taps)."""
+    """Linear-phase FIR band-pass; ``design_bandpass`` ensures odd symmetric taps and 0 < low < high < fs/2."""
 
     taps: np.ndarray
     window_kind: str
@@ -51,18 +51,6 @@ class FirFilter:
     high_cut_hz: float
     sample_rate_hz: float
     warning: str | None = None
-
-    def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.float64)
-        n = len(self.taps)
-        if n < 3 or n % 2 == 0:
-            raise ParameterError("tap count must be odd and >= 3")
-        if not np.allclose(self.taps, self.taps[::-1], rtol=0.0, atol=1e-12):
-            raise ParameterError("taps must be symmetric (linear phase)")
-        if not 0.0 < self.low_cut_hz < self.high_cut_hz < self.sample_rate_hz / 2.0:
-            raise ParameterError("cutoffs must satisfy 0 < low < high < fs/2")
-        if self.window_kind not in WINDOW_KINDS:
-            raise ParameterError(f"unknown window kind {self.window_kind!r}")
 
     @property
     def num_taps(self) -> int:

@@ -146,14 +146,8 @@ def synth_corpus(cfg: PipelineConfig) -> list:
     return records
 
 
-def design_filter(cfg: PipelineConfig) -> dsp.FirFilter:
-    return dsp.design_bandpass(
-        cfg.fir_low_hz, cfg.fir_high_hz, cfg.sample_rate_hz, cfg.fir_num_taps, cfg.fir_window
-    )
-
-
 def filter_corpus(records, cfg: PipelineConfig):
-    fir = design_filter(cfg)
+    fir = cfg.fir_filter()
     if fir.warning:
         warnings.warn(fir.warning, stacklevel=2)
     return [dsp.apply(fir, record) for record in records], fir

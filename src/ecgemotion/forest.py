@@ -197,6 +197,17 @@ class ForestModel:
         return len(self.trees)
 
 
+def check_params(num_trees: int, features_per_split: int | None, max_depth: int | None, min_leaf: int, d: int):
+    """The forest settings for ``d`` features; ``None`` selects the default
+    features per split, ceil(sqrt(d)), or an unlimited depth."""
+    if num_trees < 1 or min_leaf < 1:
+        raise ParameterError("num_trees and min_leaf must be >= 1")
+    if max_depth is not None and max_depth < 0:
+        raise ParameterError("max_depth must be >= 0 (None for unlimited)")
+    if features_per_split is not None and not 1 <= features_per_split <= d:
+        raise ParameterError(f"features_per_split must lie in [1, {d}]")
+
+
 def train_forest(
     x,
     y,
@@ -211,17 +222,10 @@ def train_forest(
     tree on the full sample, which with all features per split makes the
     trees identical."""
     x, y = training_rows(x, y)
-    if num_trees < 1:
-        raise ParameterError("num_trees must be >= 1")
-    if min_leaf < 1:
-        raise ParameterError("min_leaf must be >= 1")
-    if max_depth is not None and max_depth < 0:
-        raise ParameterError("max_depth must be >= 0 (None for unlimited)")
     d = x.shape[1]
+    check_params(num_trees, features_per_split, max_depth, min_leaf, d)
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(d)))
-    if not 1 <= features_per_split <= d:
-        raise ParameterError(f"features_per_split must lie in [1, {d}]")
 
     n = len(y)
     ranks = _dense_ranks(x)
@@ -345,8 +349,9 @@ def _read_tree(rows, path, first_line, dim) -> DecisionTree:
 def _read_trees(fh, path, fields) -> ForestModel:
     num_trees, features_per_split, dim = (int(fields[key]) for key in ("trees", "features_per_split", "dim"))
     oob = float(fields["oob"]) if fields.get("oob") else None
-    if num_trees < 1 or not 1 <= features_per_split <= dim or not np.isfinite(oob or 0.0):
-        raise ValueError("the header needs trees >= 1, features_per_split in [1, dim] and a finite oob")
+    check_params(num_trees, features_per_split, None, 1, dim)
+    if not np.isfinite(oob or 0.0):
+        raise ValueError("the header needs a finite oob")
     trees, lineno = [], 2
     for index in range(num_trees):
         nodes = int(block_values(fh, path, lineno, f"tree {index} nodes=...")[0])

@@ -28,7 +28,16 @@ METRICS = ("euclidean", "cosine", "minkowski", "chisquare")
 CHI_SQUARE_EPS = 1e-12
 
 
+def check_metric(metric: str, p: float) -> None:
+    """A metric of ``METRICS``; Minkowski needs an order ``p >= 1`` (not NaN)."""
+    if metric not in METRICS:
+        raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if metric == "minkowski" and not p >= 1:
+        raise ParameterError("minkowski order p must be >= 1")
+
+
 def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: float) -> np.ndarray:
+    check_metric(metric, p)
     if metric == "euclidean":
         return np.sqrt(pairwise_sq_dists(queries, train))
     if metric == "cosine":
@@ -37,11 +46,6 @@ def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: flo
         if np.any(qn == 0.0) or np.any(tn == 0.0):
             raise ParameterError("cosine distance is undefined for zero vectors")
         return 1.0 - (queries @ train.T) / np.outer(qn, tn)
-    if metric == "minkowski":
-        if p < 1:
-            raise ParameterError("minkowski order p must be >= 1")
-    elif metric != "chisquare":
-        raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
     # Elementwise metrics: each distinct (query, training) row pair once, one
     # distinct query row at a time through an (n_train, d) buffer, then
     # gathered out to the drawn rows. Each element and each row sum is
@@ -86,10 +90,7 @@ class KnnModel:
         self.train_x, self.train_y = training_rows(self.train_x, self.train_y)
         if not 1 <= self.k <= len(self.train_y):
             raise ParameterError(f"k must lie in [1, {len(self.train_y)}]")
-        if self.metric not in METRICS:
-            raise ParameterError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
-        if self.metric == "minkowski" and not self.p >= 1:
-            raise ParameterError("minkowski order p must be >= 1")
+        check_metric(self.metric, self.p)
 
 
 def nearest(dists: np.ndarray, kmax: int) -> np.ndarray:

@@ -487,6 +487,13 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         predictions.write_text(f"label\n0\n1\n2\n{code}\n" if code else "label\n")
         argv = ["evaluate", "--features", str(four_csv), "--predictions", str(predictions)]
         assert cli.main([*argv, "--out-prefix", str(tmp_path / "eval")]) == status
+    # 3: predictions that do not match the feature rows in number
+    predictions = tmp_path / "three.csv"
+    predictions.write_text("label\n0\n1\n2\n")
+    capsys.readouterr()
+    argv = ["evaluate", "--features", str(four_csv), "--predictions", str(predictions)]
+    assert cli.main([*argv, "--out-prefix", str(tmp_path / "eval")]) == 3
+    assert capsys.readouterr().err.startswith(f"error:data: {predictions}: 3 predictions for 4 feature rows")
     six_pairs_nan = six_pairs.replace("1.0,0.5", "nan,0.5", 1)
     for name, text in (
         ("labels.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\n7,0.0\n-2,5.0\n1,9.0\n"),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ecgemotion.dsp import (
-    FirFilter,
     apply,
     design_bandpass,
     save_taps,
@@ -27,10 +26,18 @@ def test_reference_design_clamps_to_57_6():
     assert fir.num_taps == 257
 
 
-@pytest.mark.parametrize("window", ["hamming", "hanning", "blackman", "rectangular"])
-def test_taps_symmetric(window):
-    fir = design_bandpass(3, 40, 128, 101, window)
+@pytest.mark.parametrize(
+    "low, high, taps, window",
+    [pytest.param(3, 40, 101, w, id=w) for w in ("hamming", "hanning", "blackman", "rectangular")]
+    # high cutoffs clamped to 57.6 Hz: the reference design and the shortest filter
+    + [pytest.param(3, 100, 257, "hamming", id="reference"), pytest.param(0.5, 63.9, 3, "hamming", id="three-taps")],
+)
+def test_taps_symmetric(low, high, taps, window):
+    # the FirFilter invariants, which only design_bandpass establishes
+    fir = design_bandpass(low, high, 128, taps, window)
     assert np.allclose(fir.taps, fir.taps[::-1], rtol=0.0, atol=1e-12)
+    assert fir.num_taps == taps and fir.num_taps % 2 == 1 and fir.num_taps >= 3
+    assert 0 < fir.low_cut_hz < fir.high_cut_hz < fir.sample_rate_hz / 2
 
 
 def test_dc_blocked():
@@ -160,13 +167,6 @@ def test_segment_provenance_and_errors():
         segment(record, 64, 64)  # below the minimum segment length
     with pytest.raises(ParameterError):
         segment(record, 256, 0)
-
-
-def test_firfilter_invariants():
-    with pytest.raises(ParameterError):
-        FirFilter(np.array([1.0, 2.0, 3.0]), "hamming", 3, 40, 128)  # asymmetric
-    with pytest.raises(ParameterError):
-        FirFilter(np.array([1.0, 2.0, 1.0, 2.0]), "hamming", 3, 40, 128)  # even
 
 
 def test_taps_csv_roundtrip(tmp_path):

@@ -51,6 +51,8 @@ def test_distance_errors():
         distance("minkowski", np.zeros(3), np.ones(3), p=0.5)
     with pytest.raises(ParameterError):
         distance("mahalanobis", np.zeros(3), np.ones(3))
+    with pytest.raises(ParameterError):  # not an all-NaN matrix
+        distance("minkowski", np.zeros(3), np.ones(3), p=np.nan)
 
 
 vectors = arrays(np.float64, 4, elements=st.floats(-50, 50, allow_nan=False))

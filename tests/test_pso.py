@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ecgemotion import pso, svm
 from ecgemotion.pso import CvSvmFitness, PsoConfig, optimize, step
 from ecgemotion.types import ParameterError
 
@@ -188,6 +189,32 @@ def test_cv_fitness_batch_matches_per_pair_oracle():
     assert values == [per_pair_cv_fitness(fitness, p) for p in positions]
     assert fitness(positions[3]) == values[3]
     assert stops.sum() == len(positions) * 3 * 6
+
+
+def test_cv_fitness_chunks_equal_one_batch(monkeypatch):
+    rng = np.random.default_rng(8)
+    x, y = make_blobs(rng, 12, std=0.35)
+    fitness = CvSvmFitness(x, y, folds=3, seed=2)
+    positions = [np.array([rng.uniform(-1.0, 3.0), rng.uniform(-4.0, 1.0)]) for _ in range(12)]
+    calls, solve_dual_batch = [], svm.solve_dual_batch
+
+    def solve(kmats, *args):
+        calls.append(kmats.nbytes)
+        return solve_dual_batch(kmats, *args)
+
+    monkeypatch.setattr(svm, "solve_dual_batch", solve)
+    values, stops = fitness.evaluate(positions)
+    assert len(calls) == 1
+
+    width = max(len(y_pair) for _, pairs in fitness.folds for _, _, y_pair, _, _ in pairs)
+    budget = 5 * 8 * width**2 + 100  # five duals per call
+    monkeypatch.setattr(pso, "FITNESS_BATCH_BYTES", budget)
+    calls.clear()
+    chunked, chunked_stops = fitness.evaluate(positions)
+    assert chunked == values
+    assert np.array_equal(chunked_stops, stops)
+    assert len(calls) == -(-len(positions) * 3 * 6 // 5)
+    assert max(calls) <= budget
 
 
 def test_optimize_matches_per_pair_oracle():
