@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     if result.pso_result is not None:
         (out / "pso_trace.csv").write_text(evaluation.pso_trace_csv(result.pso_result))
         print(
-            f"tuned: c={fmt_float(result.tuned[0])} gamma={fmt_float(result.tuned[1])} "
+            f"tuned: c={fmt_float(result.pso_result.c)} gamma={fmt_float(result.pso_result.gamma)} "
             f"cv_fitness={fmt_float(result.pso_result.fitness)}"
         )
         print(

@@ -46,10 +46,18 @@ def _signal_files(directory: Path) -> list:
     return paths
 
 
-def _load_corpus(directory: Path) -> list:
+def _load_signal(path, cfg: PipelineConfig):
+    """The signal record at ``path``, which must be sampled at the config's rate."""
+    record = synthgen.load_record(path)
+    if record.sample_rate_hz != cfg.sample_rate_hz:
+        raise DataFormatError(f"{path}: sample rate {record.sample_rate_hz} != config's {cfg.sample_rate_hz}")
+    return record
+
+
+def _load_corpus(directory: Path, cfg: PipelineConfig) -> list:
     """Signal records in the order ``evaluation.synth_corpus`` makes them:
     by subject, then emotion code."""
-    records = [synthgen.load_record(path) for path in _signal_files(directory)]
+    records = [_load_signal(path, cfg) for path in _signal_files(directory)]
     return sorted(records, key=lambda r: (r.subject_id, int(r.label)))
 
 
@@ -74,8 +82,7 @@ def cmd_filter(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     count = 0
     for path in _signal_files(Path(args.input)):
-        record = synthgen.load_record(path)
-        synthgen.save_record(dsp.apply(fir, record), out / path.name)
+        synthgen.save_record(dsp.apply(fir, _load_signal(path, cfg)), out / path.name)
         count += 1
     if args.taps_out:
         dsp.save_taps(fir, args.taps_out)
@@ -85,7 +92,7 @@ def cmd_filter(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = load_config(args)
-    cache = evaluation.FeatureCache(_load_corpus(Path(args.input)), cfg)
+    cache = evaluation.FeatureCache(_load_corpus(Path(args.input), cfg), cfg)
     dataset = cache.dataset(cfg.feature_count, derive_seed(cfg.seed, "run", args.run))
     features.save_features(*dataset.train_arrays(), args.train_out)
     features.save_features(*dataset.test_arrays(), args.test_out)
@@ -98,7 +105,7 @@ def cmd_extract(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = load_config(args)
-    result = evaluation.tune_svm(features.load_features(args.features), cfg, cfg.seed)
+    result = evaluation.tune_svm(features.load_features(args.features), cfg)
     Path(args.trace_out).write_text(evaluation.pso_trace_csv(result))
     if args.params_out:
         Path(args.params_out).write_text(f"svm_c={fmt_float(result.c)}\nsvm_gamma={fmt_float(result.gamma)}\n")
@@ -111,7 +118,7 @@ def cmd_train(args) -> int:
     if args.classifier:
         cfg = cfg.replace(classifier=args.classifier)
     x, codes = features.load_features(args.features)
-    model, _ = evaluation.train_classifier((x, codes), cfg, derive_seed(cfg.seed, "train"))
+    model = evaluation.train_classifier((x, codes), cfg, derive_seed(cfg.seed, "train"))
     _, _, save, _ = evaluation.CLASSIFIERS[cfg.classifier]
     save(model, args.model)
     print(f"trained {cfg.classifier} on {len(codes)} vectors -> {args.model}")
@@ -163,15 +170,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_records(args):
+def _sweep_records(args, cfg: PipelineConfig):
     """The records under ``--signals``, or None for the synthesized corpus."""
-    return _load_corpus(Path(args.signals)) if args.signals else None
+    return _load_corpus(Path(args.signals), cfg) if args.signals else None
 
 
 def cmd_sweep(args) -> int:
     """sweep-features and sweep-k: ``args.sweep`` over ``args.axis``."""
     cfg = load_config(args)
-    curve = args.sweep(cfg, records=_sweep_records(args))
+    curve = args.sweep(cfg, records=_sweep_records(args, cfg))
     Path(args.out).write_text(evaluation.curve_csv(args.axis, curve.points))
     print(f"best {args.axis}={curve.best}")
     return 0
@@ -179,7 +186,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_sweep_trees(args) -> int:
     cfg = load_config(args)
-    curve, ge_points = evaluation.sweep_trees(cfg, records=_sweep_records(args))
+    curve, ge_points = evaluation.sweep_trees(cfg, records=_sweep_records(args, cfg))
     Path(args.out).write_text(evaluation.curve_csv("trees", curve.points))
     if args.ge_out:
         Path(args.ge_out).write_text(evaluation.ge_curve_csv(ge_points))

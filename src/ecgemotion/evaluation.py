@@ -105,17 +105,18 @@ def _overall_rate(y_test, labels) -> float:
     return float(recognition_rates(confusion(y_test, labels)).mean())
 
 
-def run_repeated(fit, splits):
-    """Train and score once per split.
+def run_repeated(cfg: PipelineConfig, splits):
+    """Train ``cfg.classifier`` and score it once per split.
 
     ``splits`` yields ``(run_seed, (x, codes), (x_test, codes_test))``, as
-    ``FeatureCache.splits`` does; ``fit(train, run_seed)`` returns a batch
-    predictor. Returns the report plus the per-run confusion matrices.
+    ``FeatureCache.splits`` does. Returns the report plus the per-run
+    confusion matrices.
     """
+    predict = CLASSIFIERS[cfg.classifier][1]
     all_rates = []
     confusions = []
     for run_seed, train, (x_test, y_test) in splits:
-        cm = confusion(y_test, fit(train, run_seed)(x_test))
+        cm = confusion(y_test, predict(train_classifier(train, cfg, run_seed), x_test))
         confusions.append(cm)
         all_rates.append(recognition_rates(cm))
     if not confusions:
@@ -205,45 +206,44 @@ class FeatureCache:
             yield run_seed, dataset.train_arrays(), dataset.test_arrays()
 
 
-def tune_svm(train_arrays, cfg: PipelineConfig, seed: int) -> pso.PsoResult:
+def tune_svm(train_arrays, cfg: PipelineConfig) -> pso.PsoResult:
     """PSO-tune (C, gamma) by cross-validated accuracy on the training split.
 
     When ``pso_subsample`` is positive the fitness runs on a seed-fixed
     stratified subsample of the training data, keeping the 600-evaluation
     swarm affordable; the final model always trains on the full split, so
-    the full split must be a valid training set.
+    the full split must be a valid training set. Both draw from ``cfg.seed``.
     """
     x, codes = training_rows(*train_arrays)
     if cfg.pso_subsample and cfg.pso_subsample < len(codes):
-        rng = np.random.default_rng(derive_seed(seed, "pso-subsample"))
+        rng = np.random.default_rng(derive_seed(cfg.seed, "pso-subsample"))
         keep = []
         for code, want in enumerate(features.balanced_counts(cfg.pso_subsample)):
             idx = np.flatnonzero(codes == code)  # an empty class fails the fitness's fold check
             keep.append(rng.choice(idx, size=min(want, len(idx)), replace=False))
         keep = np.concatenate(keep)
         x, codes = x[keep], codes[keep]
-    config = cfg.pso_config(derive_seed(seed, "pso"))
+    config = cfg.pso_config(derive_seed(cfg.seed, "pso"))
     return pso.optimize(config, pso.CvSvmFitness(x, codes, config.cv_folds, config.seed, cfg.svm_tolerance))
 
 
-def _fit_svm(train, cfg: PipelineConfig, seed: int, tuned):
-    c, gamma = tuned if tuned else (cfg.svm_c, cfg.svm_gamma)
-    params = svm.SvmParams(c, gamma, cfg.svm_tolerance, cfg.svm_max_passes or None)
+def _fit_svm(train, cfg: PipelineConfig, seed: int):
+    params = svm.SvmParams(cfg.svm_c, cfg.svm_gamma, cfg.svm_tolerance, cfg.svm_max_passes)
     return svm.train_multiclass(train, params, derive_seed(seed, "svm"))
 
 
-def _fit_forest(train, cfg: PipelineConfig, seed: int, tuned):
+def _fit_forest(train, cfg: PipelineConfig, seed: int):
     return forest.train_forest(*train, num_trees=cfg.forest_trees, seed=derive_seed(seed, "forest"),
                                features_per_split=cfg.forest_features_per_split or None,
                                max_depth=cfg.forest_max_depth or None, min_leaf=cfg.forest_min_leaf)
 
 
-def _fit_knn(train, cfg: PipelineConfig, seed: int, tuned):
+def _fit_knn(train, cfg: PipelineConfig, seed: int):
     return knn.KnnModel(*train, cfg.knn_k, cfg.knn_metric, cfg.knn_minkowski_p)
 
 
 # classifier kind, also the first word of its model file -> (fit, predict,
-# save, load); fit(train, cfg, seed, tuned) returns the model. The functions
+# save, load); fit(train, cfg, seed) returns the model. The functions
 # perfbench's span tracer wraps (svm.train_multiclass, forest.train_forest,
 # svm.predict_multiclass_batch) are looked up at each call.
 CLASSIFIERS = {
@@ -253,19 +253,15 @@ CLASSIFIERS = {
 }
 
 
-def train_classifier(train, cfg: PipelineConfig, seed: int, tuned=None):
-    """Train the configured classifier on ``(x, codes)``; returns (model,
-    batch predictor)."""
-    fit, predict, _, _ = CLASSIFIERS[cfg.classifier]
-    model = fit(train, cfg, seed, tuned)
-    return model, lambda q: predict(model, q)
+def train_classifier(train, cfg: PipelineConfig, seed: int):
+    """The configured classifier trained on ``(x, codes)``."""
+    return CLASSIFIERS[cfg.classifier][0](train, cfg, seed)
 
 
 @dataclass(eq=False)
 class ProtocolResult:
     report: RecognitionReport
     confusions: list
-    tuned: tuple | None = None
     pso_result: pso.PsoResult | None = None
 
 
@@ -281,19 +277,16 @@ def run_protocol(cfg: PipelineConfig, records=None) -> ProtocolResult:
     """The full reference experiment: synth -> filter -> features -> tune ->
     repeated train/score runs. PSO tunes on run 0's training split."""
     splits = _feature_cache(cfg, records).splits(cfg.feature_count, cfg.seed, "run", cfg.runs)
-    tuned = pso_result = None
+    pso_result = None
     if cfg.classifier == "svm" and cfg.svm_tune:
         first = next(splits)
-        pso_result = tune_svm(first[1], cfg, cfg.seed)
-        tuned = (pso_result.c, pso_result.gamma)
+        pso_result = tune_svm(first[1], cfg)
+        # the overlay ``ecgemotion tune --params-out`` writes
+        cfg = cfg.replace(svm_c=pso_result.c, svm_gamma=pso_result.gamma)
         splits = itertools.chain([first], splits)
         del first  # held through the later runs' training, where memory peaks, it raises the peak
-
-    def fit(train, run_seed):
-        return train_classifier(train, cfg, run_seed, tuned)[1]
-
-    report, confusions = run_repeated(fit, splits)
-    return ProtocolResult(report, confusions, tuned, pso_result)
+    report, confusions = run_repeated(cfg, splits)
+    return ProtocolResult(report, confusions, pso_result)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +322,10 @@ def sweep_features(cfg: PipelineConfig, records=None, values=None, runs=None) ->
     values = _sweep_values(values, cfg.sweep_features_values(), "feature")
     runs = cfg.runs if runs is None else runs
     cache = _feature_cache(cfg, records)
-
-    def fit(train, run_seed):
-        return train_classifier(train, cfg, run_seed)[1]
-
     rates = []
     for n in values:
         splits = cache.splits(n, derive_seed(cfg.seed, "sweep-features", n), "run", runs)
-        rates.append(run_repeated(fit, splits)[0].overall_average)
+        rates.append(run_repeated(cfg, splits)[0].overall_average)
     return _curve("features", values, rates)
 
 
@@ -354,7 +343,7 @@ def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
     rate_rows = []
     ge_rows = []
     for run_seed, train, (x_test, y_test) in cache.splits(cfg.feature_count, cfg.seed, "sweep-trees", runs):
-        model, _ = train_classifier(train, largest, run_seed)
+        model = train_classifier(train, largest, run_seed)
         votes = forest.vote_matrix(model, x_test, values)
         rate_rows.append([_overall_rate(y_test, v.argmax(axis=1)) for v in votes])
         ge_rows.append([forest.vote_error(v, y_test) for v in votes])

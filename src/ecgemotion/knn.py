@@ -29,11 +29,11 @@ CHI_SQUARE_EPS = 1e-12
 
 
 def check_metric(metric: str, p: float) -> None:
-    """A metric of ``METRICS``; Minkowski needs an order ``p >= 1`` (not NaN)."""
+    """A metric of ``METRICS``; Minkowski needs a finite order ``p >= 1`` (not NaN)."""
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if metric == "minkowski" and not p >= 1:
-        raise ParameterError("minkowski order p must be >= 1")
+    if metric == "minkowski" and not 1 <= p < np.inf:
+        raise ParameterError("minkowski order p must be finite and >= 1")
 
 
 def _distance_matrix(metric: str, queries: np.ndarray, train: np.ndarray, p: float) -> np.ndarray:

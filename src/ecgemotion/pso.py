@@ -57,11 +57,14 @@ class PsoConfig:
             raise ParameterError("swarm_size must be >= 1")
         if self.iterations < 0:
             raise ParameterError("iterations must be >= 0")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ParameterError("learning factors must be >= 0")
+        # each "not" form also rejects NaN
+        if not (0 <= self.c1 < np.inf and 0 <= self.c2 < np.inf):
+            raise ParameterError("learning factors must be finite and >= 0")
+        if not (np.isfinite(self.inertia) and 0 < self.velocity_clamp < np.inf):
+            raise ParameterError("inertia must be finite and velocity_clamp finite and positive")
         for lo, hi in (self.log10_c_bounds, self.log10_gamma_bounds):
-            if not lo < hi:
-                raise ParameterError("search bounds must be non-degenerate")
+            if not -np.inf < lo < hi < np.inf:
+                raise ParameterError("search bounds must be finite and non-degenerate")
         if self.cv_folds < 2:
             raise ParameterError("cv_folds must be >= 2")
 

@@ -36,17 +36,13 @@ class SvmParams:
     c: float
     gamma: float
     tolerance: float = 1e-3
-    max_passes: int | None = None  # None -> 10 * n_samples
+    max_passes: int = 0  # 0 -> 10 * n_samples
 
     def __post_init__(self):
-        # "not x > 0" also rejects NaN
-        if not self.c > 0:
-            raise ParameterError("c must be positive")
-        if not self.gamma > 0:
-            raise ParameterError("gamma must be positive")
-        if not self.tolerance > 0:
-            raise ParameterError("tolerance must be positive")
-        if self.max_passes is not None and self.max_passes < 0:
+        for name in ("c", "gamma", "tolerance"):
+            if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
+                raise ParameterError(f"{name} must be positive and finite")
+        if self.max_passes and self.max_passes < 0:
             raise ParameterError("max_passes must be >= 0")
 
 
@@ -317,7 +313,7 @@ def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
     x, _ = training_rows(x, y > 0)  # the labels as codes 0 and 1
 
     n = len(y)
-    max_steps = params.max_passes if params.max_passes else 10 * n
+    max_steps = params.max_passes or 10 * n
     rng = np.random.default_rng(seed)
     first, copy_of, counts = distinct_rows(np.column_stack([x, y]))
     x_u, y_u = x[first], y[first]
@@ -429,8 +425,8 @@ def save_model(model: MulticlassSvmModel, path) -> None:
 
 def _read_pairs(fh, path, fields) -> MulticlassSvmModel:
     params = SvmParams(c=float(fields["c"]), gamma=float(fields["gamma"]))
-    if int(fields["classes"]) != NUM_CLASSES or not np.isfinite([params.c, params.gamma]).all():
-        raise ValueError(f"the header needs classes={NUM_CLASSES} and finite c and gamma")
+    if int(fields["classes"]) != NUM_CLASSES:
+        raise ValueError(f"the header needs classes={NUM_CLASSES}")
     width, models, lineno = int(fields["features"]) + 1, {}, 2
     for a, b in PAIRS:
         bias, nsv = block_values(fh, path, lineno, f"pair {a} {b} bias=... nsv=...")

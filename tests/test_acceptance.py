@@ -157,7 +157,7 @@ def test_criterion_6_end_to_end_pipeline():
     assert cfg.feature_count == 75 and cfg.runs == 10
     result = evaluation.run_protocol(cfg)
     report = result.report
-    assert result.tuned is not None, "reference run must be PSO-tuned"
+    assert result.pso_result is not None, "reference run must be PSO-tuned"
     per_emotion = report.average()
     overall = report.overall_average
     assert overall >= 0.85, f"overall average {fmt_percent(overall)} below 85%"
@@ -171,7 +171,7 @@ def test_criterion_6_end_to_end_pipeline():
         600.0,
         f"(overall {fmt_percent(overall)}, per-emotion "
         + " ".join(fmt_percent(v) for v in per_emotion)
-        + f", tuned c={result.tuned[0]:.4g} gamma={result.tuned[1]:.4g})",
+        + f", tuned c={result.pso_result.c:.4g} gamma={result.pso_result.gamma:.4g})",
     )
 
 

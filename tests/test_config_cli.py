@@ -63,8 +63,22 @@ def test_bad_value_rejected():
         "svm_max_passes=-5\n",
         "svm_c=-1\n",
         "svm_gamma=0\n",
+        # non-finite settings, which the PSO, SVM and K-NN stages would run with
+        "svm_c=inf\n",
+        "svm_tolerance=inf\n",
+        "pso_velocity_clamp=-1\n",
+        "pso_velocity_clamp=0\n",
+        "pso_velocity_clamp=nan\n",
+        "pso_velocity_clamp=inf\n",
+        "pso_inertia=nan\n",
+        "pso_inertia=-inf\n",
+        "pso_c1=nan\n",
+        "pso_c2=inf\n",
+        "pso_log10_c_max=inf\n",
+        "pso_log10_gamma_min=-inf\n",
         "knn_metric=manhattan\n",
         "knn_metric=minkowski\nknn_minkowski_p=0.5\n",
+        "knn_metric=minkowski\nknn_minkowski_p=inf\n",
         "profile_happy_hr=500\n",
         "profile_calm_hr_std=-1\n",
         "noise_baseline_amp=-1\n",
@@ -416,6 +430,21 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         (signals / "s1_e0.csv").write_text(f"label,subject,fs\n0,1,{fs}\n0.1\n{sample}\n")
         argv = ["sweep-k", "--config", mini_cfg_file, "--signals", str(signals)]
         assert cli.main([*argv, "--out", str(tmp_path / "k.csv")]) == 3
+    # 3: a signal sampled at another rate than the config's, raw or filtered
+    (signals / "s1_e0.csv").write_text("label,subject,fs\n0,1,256.0\n0.1\n0.2\n")
+    out = tmp_path / "rate"
+    for argv in (
+        ["filter", "--in", str(signals), "--out", str(out)],
+        ["extract", "--in", str(signals), "--train-out", str(out / "a.csv"), "--test-out", str(out / "b.csv")],
+        ["sweep-k", "--signals", str(signals), "--out", str(out / "k.csv")],
+        ["sweep-features", "--signals", str(signals), "--out", str(out / "f.csv")],
+        ["sweep-trees", "--signals", str(signals), "--out", str(out / "t.csv")],
+    ):
+        capsys.readouterr()
+        assert cli.main([*argv, "--config", mini_cfg_file]) == 3
+        error = capsys.readouterr().err.splitlines()[-1]  # filter warns of its clamped cutoff first
+        assert error == f"error:data: {signals / 's1_e0.csv'}: sample rate 256.0 != config's 128.0"
+    argv = ["sweep-k", "--config", mini_cfg_file, "--signals", str(signals)]
     # a sample that is not a number is named by its file and line
     (signals / "s1_e0.csv").write_text("label,subject,fs\n0,1,128\n0.1\nabc\n")
     capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ecgemotion import evaluation, forest, knn, pso
+from ecgemotion import evaluation, forest, knn, pso, svm
 from ecgemotion.evaluation import (
     ConfusionMatrix,
     FeatureCache,
@@ -125,7 +125,7 @@ def test_parse_runs_csv_rejects_bad_header():
         parse_runs_csv("nope\n1,2\n")
 
 
-def _tiny_fit_splits(blob_data):
+def _tiny_splits(blob_data):
     x_train, y_train, x_test, y_test = blob_data
 
     def splits(runs, seed):
@@ -134,28 +134,27 @@ def _tiny_fit_splits(blob_data):
             idx = np.random.default_rng(run_seed).permutation(len(x_train))[:80]
             yield run_seed, (x_train[idx], y_train[idx]), (x_test[::2], y_test[::2])
 
-    def fit(train, run_seed):
-        model = knn.KnnModel(*train, 3)
-        return lambda q: knn.predict_knn_batch(model, q)
-
-    return fit, splits
+    return splits
 
 
 def test_run_repeated_deterministic(blob_data):
-    fit, splits = _tiny_fit_splits(blob_data)
-    report_a, confusions_a = run_repeated(fit, splits(runs=3, seed=5))
-    report_b, confusions_b = run_repeated(fit, splits(runs=3, seed=5))
+    splits = _tiny_splits(blob_data)
+    cfg = PipelineConfig(classifier="knn")
+    report_a, confusions_a = run_repeated(cfg, splits(runs=3, seed=5))
+    report_b, confusions_b = run_repeated(cfg, splits(runs=3, seed=5))
     assert np.array_equal(report_a.rates, report_b.rates)
     for ca, cb in zip(confusions_a, confusions_b):
         assert np.array_equal(ca.counts, cb.counts)
     assert report_a.num_runs == 3
-    for cm in confusions_a:
+    for (_, train, (x_test, y_test)), cm in zip(splits(runs=3, seed=5), confusions_a):
         assert cm.total == 100  # every second test point
+        model = knn.KnnModel(*train, cfg.knn_k)
+        assert np.array_equal(cm.counts, confusion(y_test, knn.predict_knn_batch(model, x_test)).counts)
 
 
 def test_run_repeated_requires_runs():
     with pytest.raises(ParameterError):
-        run_repeated(lambda train, s: None, [])
+        run_repeated(PipelineConfig(classifier="knn"), [])
 
 
 def test_splits_draw_each_run_from_its_derived_seed(mini_config, mini_corpus):
@@ -208,16 +207,40 @@ def test_protocol_tunes_on_run_zero_split(mini_config, mini_corpus, monkeypatch)
 
     monkeypatch.undo()
     split = FeatureCache(mini_corpus, cfg).dataset(cfg.feature_count, derive_seed(cfg.seed, "run", 0))
-    separate = evaluation.tune_svm(split.train_arrays(), cfg, cfg.seed)
-    assert result.tuned == (separate.c, separate.gamma)
+    separate = evaluation.tune_svm(split.train_arrays(), cfg)
+    assert (result.pso_result.c, result.pso_result.gamma) == (separate.c, separate.gamma)
+
+
+def test_protocol_trains_every_run_at_the_tuned_point(mini_config, mini_corpus, monkeypatch):
+    """The final models train at PSO's (C, gamma), the overlay that
+    ``ecgemotion tune --params-out`` writes, not at the configured one."""
+    cfg = mini_config.replace(svm_tune=True, runs=2)
+    params = []
+    train_multiclass = svm.train_multiclass
+
+    def spy(train, p, seed=0):
+        params.append(p)
+        return train_multiclass(train, p, seed)
+
+    monkeypatch.setattr(svm, "train_multiclass", spy)
+    result = run_protocol(cfg, records=mini_corpus)
+    assert len(params) == cfg.runs
+    assert (result.pso_result.c, result.pso_result.gamma) != (cfg.svm_c, cfg.svm_gamma)
+    for p in params:
+        assert (p.c, p.gamma) == (result.pso_result.c, result.pso_result.gamma)
+    tuned = cfg.replace(svm_c=result.pso_result.c, svm_gamma=result.pso_result.gamma, svm_tune=False)
+    untuned = run_protocol(tuned, records=mini_corpus)
+    assert untuned.pso_result is None
+    assert np.array_equal(untuned.report.rates, result.report.rates)
 
 
 def test_tune_svm_solves_the_fitness_duals_at_svm_tolerance(mini_config, mini_corpus):
     cfg = mini_config.replace(pso_subsample=0, pso_iterations=1)
     train = FeatureCache(mini_corpus, cfg).dataset(cfg.feature_count, 3).train_arrays()
+    cfg = cfg.replace(seed=0)
     loose = cfg.replace(svm_tolerance=0.5)
-    tuned = evaluation.tune_svm(train, loose, 0)
-    assert tuned.trace != evaluation.tune_svm(train, cfg, 0).trace
+    tuned = evaluation.tune_svm(train, loose)
+    assert tuned.trace != evaluation.tune_svm(train, cfg).trace
     config = loose.pso_config(derive_seed(0, "pso"))
     expected = pso.optimize(config, pso.CvSvmFitness(*train, config.cv_folds, config.seed, tolerance=0.5))
     assert tuned.trace == expected.trace

@@ -53,6 +53,8 @@ def test_distance_errors():
         distance("mahalanobis", np.zeros(3), np.ones(3))
     with pytest.raises(ParameterError):  # not an all-NaN matrix
         distance("minkowski", np.zeros(3), np.ones(3), p=np.nan)
+    with pytest.raises(ParameterError):  # not an all-ones matrix
+        distance("minkowski", np.zeros(3), np.ones(3), p=np.inf)
 
 
 vectors = arrays(np.float64, 4, elements=st.floats(-50, 50, allow_nan=False))

@@ -206,7 +206,8 @@ def test_train_binary_errors():
         train_binary(np.zeros((2, 1)), np.array([0.0, 1.0]), SvmParams(c=1, gamma=1))
     with pytest.raises(ParameterError):
         SvmParams(c=-1, gamma=1)
-    for bad in (dict(c=np.nan), dict(gamma=np.nan), dict(tolerance=np.nan), dict(max_passes=-1)):
+    for bad in (dict(c=np.nan), dict(gamma=np.nan), dict(tolerance=np.nan), dict(max_passes=-1),
+                dict(c=np.inf), dict(gamma=np.inf), dict(tolerance=np.inf)):
         with pytest.raises(ParameterError):
             SvmParams(**{"c": 1.0, "gamma": 1.0, **bad})
 

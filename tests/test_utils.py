@@ -7,7 +7,7 @@ from ecgemotion.types import ParameterError
 from ecgemotion.utils import distinct_rows
 
 # the PSO subsample draws codes 0-3 only, two rows each
-TUNE_CFG = PipelineConfig(pso_subsample=8, pso_swarm_size=2, pso_iterations=0, pso_cv_folds=2)
+TUNE_CFG = PipelineConfig(pso_subsample=8, pso_swarm_size=2, pso_iterations=0, pso_cv_folds=2, seed=0)
 
 # each learner as (fit(x, codes) -> model, batch predictor or None)
 LEARNERS = {
@@ -16,7 +16,7 @@ LEARNERS = {
     "forest": (lambda x, codes: forest.train_forest(x, codes, num_trees=2), forest.predict_forest_batch),
     "knn": (lambda x, codes: knn.KnnModel(x, codes, 1), knn.predict_knn_batch),
     "pso": (lambda x, codes: pso.CvSvmFitness(x, codes, folds=2, seed=0), None),
-    "tune": (lambda x, codes: evaluation.tune_svm((x, codes), TUNE_CFG, 0), None),
+    "tune": (lambda x, codes: evaluation.tune_svm((x, codes), TUNE_CFG), None),
 }
 
 
