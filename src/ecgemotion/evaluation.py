@@ -165,6 +165,9 @@ class FeatureCache:
 
     def __init__(self, records, cfg: PipelineConfig):
         self.cfg = cfg
+        other_rates = {record.sample_rate_hz for record in records} - {cfg.sample_rate_hz}
+        if other_rates:
+            raise ParameterError(f"record sample rate {min(other_rates)} != config's {cfg.sample_rate_hz}")
         cuts = [dsp.segment(record, cfg.segment_len, cfg.segment_stride) for record in records]
         counts = [len(starts) for _, starts in cuts]
         if not sum(counts):
@@ -229,7 +232,7 @@ def tune_svm(train_arrays, cfg: PipelineConfig) -> pso.PsoResult:
 
 def _fit_svm(train, cfg: PipelineConfig, seed: int):
     params = svm.SvmParams(cfg.svm_c, cfg.svm_gamma, cfg.svm_tolerance, cfg.svm_max_passes)
-    return svm.train_multiclass(train, params, derive_seed(seed, "svm"))
+    return svm.train_multiclass(train, params)
 
 
 def _fit_forest(train, cfg: PipelineConfig, seed: int):

@@ -130,7 +130,6 @@ class CvSvmFitness:
         if not 2 <= folds <= counts.min():
             raise ParameterError(f"cv_folds={folds} must lie in [2, smallest class count {counts.min()}]")
         self.tolerance = tolerance
-        self.seed = seed
 
         rng = np.random.default_rng(derive_seed(seed, "cv-folds"))
         fold_of = np.empty(len(codes), dtype=np.int64)
@@ -153,11 +152,6 @@ class CvSvmFitness:
                 d2_val = pairwise_sq_dists(x[val], x[rows])
                 pairs.append((a, b, y_pair, d2_fit, d2_val))
             self.folds.append((codes[val], pairs))
-        self._smo_seeds = [
-            derive_seed(seed, "smo", fold, a, b)
-            for fold, (_, pairs) in enumerate(self.folds)
-            for a, b, *_ in pairs
-        ]
 
     def __call__(self, position: np.ndarray) -> float:
         return self.evaluate([position])[0][0]
@@ -173,23 +167,18 @@ class CvSvmFitness:
         """
         params = [(10.0 ** float(p[0]), 10.0 ** float(p[1])) for p in positions]
         problems = [pair for _, pairs in self.folds for pair in pairs]
-        batch = [
-            (c, gamma, y_pair, d2_fit, seed)
-            for c, gamma in params
-            for (_, _, y_pair, d2_fit, _), seed in zip(problems, self._smo_seeds)
-        ]
+        batch = [(c, gamma, y_pair, d2_fit) for c, gamma in params for _, _, y_pair, d2_fit, _ in problems]
         width = max(len(pair[2]) for pair in problems)
         chunk = max(1, FITNESS_BATCH_BYTES // (8 * width * width))
         solved, stops = [], np.zeros(3, dtype=np.int64)
         for part in (batch[start : start + chunk] for start in range(0, len(batch), chunk)):
             kmats, y = np.zeros((len(part), width, width)), np.zeros((len(part), width))
-            for k, (_, gamma, y_pair, d2_fit, _) in enumerate(part):
+            for k, (_, gamma, y_pair, d2_fit) in enumerate(part):
                 kmats[k, : len(y_pair), : len(y_pair)] = np.exp(-gamma * d2_fit)
                 y[k, : len(y_pair)] = y_pair
             alpha, bias, _, part_stops = svm.solve_dual_batch(
                 kmats, y, [c for c, *_ in part], self.tolerance,
-                [10 * len(y_pair) for _, _, y_pair, *_ in part],
-                [np.random.default_rng(seed) for *_, seed in part],
+                [10 * len(y_pair) for _, _, y_pair, _ in part],
             )
             solved += zip(alpha, bias)
             stops += np.bincount(part_stops, minlength=3)

@@ -8,10 +8,11 @@ The binary trainer optimizes the dual of
 by repeatedly picking the pair of multipliers with the largest KKT
 violation (one from the "can increase" set, one from the "can decrease"
 set), solving the two-variable subproblem analytically, and clipping to
-the box [0, C]. Exact ties in the violation scores are broken randomly
-from the seed. A training row that occurs m times is solved for once, with
-the box [0, m * C], so a model lists each distinct support vector once and
-``num_support`` counts distinct rows. Multiclass is one-vs-one over the six
+the box [0, C]. Exact ties in the violation scores go to the lowest
+index, as LIBSVM's argmax does, so training reads no seed. A training row
+that occurs m times is solved for once, with the box [0, m * C], so a model
+lists each distinct support vector once and ``num_support`` counts distinct
+rows. Multiclass is one-vs-one over the six
 emotion pairs with majority voting.
 """
 
@@ -23,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .types import DataFormatError, EMOTIONS, NUM_CLASSES, ParameterError
-from .utils import block_values, csv_text, derive_seed, distinct_rows, fmt_float, pairwise_sq_dists
+from .utils import block_values, csv_text, distinct_rows, fmt_float, pairwise_sq_dists
 from .utils import query_rows, read_model, read_rows, training_rows, write_model
 
 _EPS = 1e-12
@@ -79,34 +80,21 @@ def _bias(alpha: np.ndarray, e: np.ndarray, y: np.ndarray, c) -> float:
     return 0.0
 
 
-def _pick(scores: np.ndarray, tied: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the maximum of ``scores``, drawn from ``rng`` among exact
-    ties, or -1 when every score is -inf. ``tied`` is a bool scratch buffer."""
+def _pick(scores: np.ndarray) -> int:
+    """Index of the maximum of ``scores``, the lowest among exact ties, or
+    -1 when every score is -inf."""
     k = int(scores.argmax())
-    best = scores[k]
-    if best == -np.inf:
-        return -1
-    np.equal(scores, best, out=tied)
-    if np.count_nonzero(tied) > 1:
-        tied_at = np.flatnonzero(tied)
-        return int(tied_at[rng.integers(len(tied_at))])  # rng.choice(tied_at), draw for draw
-    return k
+    return -1 if scores[k] == -np.inf else k
 
 
-def solve_dual(
-    kmat: np.ndarray,
-    y: np.ndarray,
-    c,
-    tolerance: float,
-    max_steps: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
+def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: int):
     """Maximize the SVM dual for a precomputed kernel matrix.
 
     ``c`` is the upper end of every multiplier's box: one value for all, or
     one per row. Returns (alpha, bias). Stops when no pair violates the KKT
     conditions by more than ``tolerance`` or after ``max_steps`` pair
-    updates.
+    updates. Exact ties in the working-set choice go to the lowest index, so
+    the result depends on the inputs alone.
     """
     n = len(y)
     c_rows = np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
@@ -120,12 +108,12 @@ def solve_dual(
     can_up, can_dn = _movable(y, np.zeros(n), c_rows)
     up = np.where(can_up, 0.0, -np.inf)
     dn = np.where(can_dn, 0.0, np.inf)
-    scores, tied = np.empty(n), np.empty(n, dtype=bool)
+    scores = np.empty(n)
     row_i, row_j = np.empty(n), np.empty(n)
 
     for _ in range(max_steps):
-        i = _pick(np.subtract(up, e, out=scores), tied, rng)
-        j = _pick(np.subtract(e, dn, out=scores), tied, rng)
+        i = _pick(np.subtract(up, e, out=scores))
+        j = _pick(np.subtract(e, dn, out=scores))
         if i < 0 or j < 0:
             break
         e_i, e_j = e.item(i), e.item(j)
@@ -180,17 +168,11 @@ def solve_dual(
 CONVERGED, CAPPED, STALLED = 0, 1, 2
 
 
-def _pick_rows(values, mask, rngs, owners) -> np.ndarray:
-    """Row-wise ``_pick``: exact ties draw from the row owner's rng."""
+def _pick_rows(values, mask) -> np.ndarray:
+    """Row-wise ``_pick`` of ``values`` over ``mask``."""
     scores = np.where(mask, values, -np.inf)
-    best = scores.max(axis=1)
-    ties = scores == best[:, None]
-    picks = ties.argmax(axis=1)
-    picks[best == -np.inf] = -1
-    for r in np.flatnonzero(ties.sum(axis=1) > 1):
-        if best[r] != -np.inf:
-            tied_at = np.flatnonzero(ties[r])
-            picks[r] = tied_at[rngs[owners[r]].integers(len(tied_at))]
+    picks = scores.argmax(axis=1)
+    picks[scores.max(axis=1) == -np.inf] = -1
     return picks
 
 
@@ -198,15 +180,15 @@ def _snap(a, c):
     return np.where(a < _EPS, 0.0, np.where(a > c - _EPS, c, a))
 
 
-def solve_dual_batch(kmats, y, c, tolerance: float, max_steps, rngs):
+def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
     """Solve many small duals in lockstep, each exactly as ``solve_dual`` would.
 
     ``kmats`` is (B, n, n) and ``y`` (B, n); a problem smaller than n is
     padded with y == 0, which keeps the padding out of every working set.
-    ``c`` and ``max_steps`` give one value per problem and ``rngs`` one
-    generator per problem for its tie-breaks. Every step applies the scalar
-    pair update to all unfinished problems at once; a problem leaves the
-    batch when it converges, reaches its cap or stalls.
+    ``c`` and ``max_steps`` give one value per problem. Every step applies
+    the scalar pair update, lowest-index tie rule included, to all
+    unfinished problems at once; a problem leaves the batch when it
+    converges, reaches its cap or stalls.
 
     Returns (alpha (B, n), bias (B,), steps (B,), stop (B,)) where ``stop``
     holds CONVERGED, CAPPED or STALLED. Row b's alpha, bias and step count
@@ -232,8 +214,8 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps, rngs):
     step = 0
     while len(owner):
         rows = np.arange(len(owner))
-        i = _pick_rows(-e, can_up, rngs, owner)
-        j = _pick_rows(e, can_dn, rngs, owner)
+        i = _pick_rows(-e, can_up)
+        j = _pick_rows(e, can_dn)
         e_i, e_j = e[rows, i], e[rows, j]
         y1, y2 = yb[rows, i], yb[rows, j]
         a1, a2 = alpha[rows, i], alpha[rows, j]
@@ -298,7 +280,8 @@ class BinarySvmModel:
 
 
 def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
-    """Train a binary RBF-SVM on labels in {-1, +1}.
+    """Train a binary RBF-SVM on labels in {-1, +1}. ``seed`` is unused:
+    the solve reads no generator.
 
     A (row, label) pair drawn m times defines the same primal as one copy
     with penalty m * C, so the dual is solved over the distinct pairs with
@@ -314,11 +297,10 @@ def train_binary(x, y, params: SvmParams, seed: int = 0) -> BinarySvmModel:
 
     n = len(y)
     max_steps = params.max_passes or 10 * n
-    rng = np.random.default_rng(seed)
     first, copy_of, counts = distinct_rows(np.column_stack([x, y]))
     x_u, y_u = x[first], y[first]
     kmat = rbf_kernel_matrix(x_u, x_u, params.gamma)
-    alpha_u, bias = solve_dual(kmat, y_u, params.c * counts, params.tolerance, max_steps, rng)
+    alpha_u, bias = solve_dual(kmat, y_u, params.c * counts, params.tolerance, max_steps)
 
     sv = alpha_u > 0.0
     return BinarySvmModel(
@@ -392,7 +374,7 @@ def vote(decisions) -> np.ndarray:
     return votes.argmax(axis=1)
 
 
-def train_multiclass(train, params: SvmParams, seed: int = 0) -> MulticlassSvmModel:
+def train_multiclass(train, params: SvmParams) -> MulticlassSvmModel:
     """Train all six pairwise models on the pair-restricted subsets of
     ``(x, codes)``."""
     x, codes = training_rows(*train)
@@ -403,7 +385,7 @@ def train_multiclass(train, params: SvmParams, seed: int = 0) -> MulticlassSvmMo
     models = {}
     for a, b in PAIRS:
         rows, y_pair = pair_labels(codes, a, b)
-        models[(a, b)] = train_binary(x[rows], y_pair, params, derive_seed(seed, "pair", a, b))
+        models[(a, b)] = train_binary(x[rows], y_pair, params)
     return MulticlassSvmModel(models, x.shape[1], params)
 
 

@@ -191,15 +191,12 @@ def kkt_residual_loop(alpha, margins, c: float, eps: float = 1e-12) -> float:
 _SMO_EPS = 1e-12
 
 
-def _masked_argmax_loop(values, mask, rng) -> int:
+def _masked_argmax_loop(values, mask) -> int:
     scores = np.where(mask, values, -np.inf)
     best = scores.max()
     if best == -np.inf:
         return -1
-    candidates = np.flatnonzero(scores == best)
-    if len(candidates) == 1:
-        return int(candidates[0])
-    return int(rng.choice(candidates))
+    return int(np.flatnonzero(scores == best)[0])  # the lowest of the tied maxima
 
 
 def _movable_loop(y, alpha, c):
@@ -227,18 +224,18 @@ def _bias_loop(alpha, e, y, c) -> float:
     return 0.0
 
 
-def solve_dual_loop(kmat, y, c: float, tolerance: float, max_steps: int, rng):
+def solve_dual_loop(kmat, y, c: float, tolerance: float, max_steps: int):
     """``svm.solve_dual`` for a scalar C as it stood before its step was
     trimmed: every step recomputes both working sets over all rows, masks
-    the scores with ``np.where`` and draws among the tied maxima with
-    ``rng.choice`` whenever there is more than one, on NumPy scalars."""
+    the scores with ``np.where`` and takes the lowest index among the tied
+    maxima (LIBSVM's plain argmax), on NumPy scalars."""
     n = len(y)
     alpha = np.zeros(n)
     e = -y.astype(np.float64)
     for _ in range(max_steps):
         can_up, can_dn = _movable_loop(y, alpha, c)
-        i = _masked_argmax_loop(-e, can_up, rng)
-        j = _masked_argmax_loop(e, can_dn, rng)
+        i = _masked_argmax_loop(-e, can_up)
+        j = _masked_argmax_loop(e, can_dn)
         if i < 0 or j < 0 or e[j] - e[i] <= tolerance:
             break
 
@@ -301,19 +298,15 @@ def per_pair_cv_fitness(fitness, position) -> float:
     """
     from ecgemotion import svm
     from ecgemotion.types import NUM_CLASSES
-    from ecgemotion.utils import derive_seed
 
     c = 10.0 ** float(position[0])
     gamma = 10.0 ** float(position[1])
     accuracies = []
-    for fold_index, (val_codes, pairs) in enumerate(fitness.folds):
+    for val_codes, pairs in fitness.folds:
         votes = np.zeros((len(val_codes), NUM_CLASSES), dtype=np.int64)
         for a, b, y_pair, d2_fit, d2_val in pairs:
             kmat = np.exp(-gamma * d2_fit)
-            rng = np.random.default_rng(derive_seed(fitness.seed, "smo", fold_index, a, b))
-            alpha, bias = svm.solve_dual(
-                kmat, y_pair, c, fitness.tolerance, 10 * len(y_pair), rng
-            )
+            alpha, bias = svm.solve_dual(kmat, y_pair, c, fitness.tolerance, 10 * len(y_pair))
             decisions = np.exp(-gamma * d2_val) @ (alpha * y_pair) + bias
             votes[:, a] += decisions >= 0
             votes[:, b] += decisions < 0

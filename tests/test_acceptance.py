@@ -79,7 +79,7 @@ def test_criterion_3_svm_correctness(blob_data):
     worst_gap = 0.0
     worst_kkt = 0.0
     for x, y, c, gamma in instances:
-        model = svm.train_binary(x, y, svm.SvmParams(c=c, gamma=gamma), seed=3)
+        model = svm.train_binary(x, y, svm.SvmParams(c=c, gamma=gamma))
         kmat = rbf_matrix(x, gamma)
         ours = dual_objective(model.alpha, kmat, y)
         reference = dual_objective(maximize_dual(kmat, y, c), kmat, y)
@@ -89,7 +89,7 @@ def test_criterion_3_svm_correctness(blob_data):
 
     # (c) XOR with RBF reaches 100% training accuracy
     x_xor, y_xor = instances[1][0], instances[1][1]
-    xor_model = svm.train_binary(x_xor, y_xor, svm.SvmParams(c=10.0, gamma=1.0), seed=0)
+    xor_model = svm.train_binary(x_xor, y_xor, svm.SvmParams(c=10.0, gamma=1.0))
     assert np.all(np.sign(svm.decision_values(xor_model, x_xor)) == y_xor)
     worst_kkt = max(worst_kkt, svm.kkt_max_violation(xor_model, x_xor, y_xor))
 
@@ -98,9 +98,7 @@ def test_criterion_3_svm_correctness(blob_data):
     for a, b in ((0, 1), (1, 2), (2, 3)):
         mask = (y_train == a) | (y_train == b)
         y_pair = np.where(y_train[mask] == a, 1.0, -1.0)
-        model = svm.train_binary(
-            x_train[mask], y_pair, svm.SvmParams(c=10.0, gamma=1.0), seed=a * 4 + b
-        )
+        model = svm.train_binary(x_train[mask], y_pair, svm.SvmParams(c=10.0, gamma=1.0))
         worst_kkt = max(worst_kkt, svm.kkt_max_violation(model, x_train[mask], y_pair))
     assert worst_kkt <= 1e-3
     _report(

@@ -189,6 +189,18 @@ def test_runs_below_one_fail_before_any_training(mini_config, mini_corpus, monke
     assert calls == []
 
 
+def test_records_at_another_sample_rate_are_rejected(mini_config):
+    # 256 Hz records under the 128 Hz config would be cut at half the time
+    # scale; every library entry point builds a FeatureCache, which refuses
+    records = evaluation.synth_corpus(mini_config.replace(sample_rate_hz=256.0))
+    assert mini_config.sample_rate_hz == 128.0
+    with pytest.raises(ParameterError, match="sample rate 256.0 != config's 128.0"):
+        FeatureCache(records, mini_config)
+    for entry in (run_protocol, sweep_features, sweep_trees, sweep_k):
+        with pytest.raises(ParameterError, match="sample rate"):
+            entry(mini_config, records=records)
+
+
 def test_protocol_tunes_on_run_zero_split(mini_config, mini_corpus, monkeypatch):
     """Tuning takes run 0's split from the protocol's own draws: one draw per
     run, and the same (C, gamma) as tuning on a separately drawn run-0 split."""
@@ -218,9 +230,9 @@ def test_protocol_trains_every_run_at_the_tuned_point(mini_config, mini_corpus, 
     params = []
     train_multiclass = svm.train_multiclass
 
-    def spy(train, p, seed=0):
+    def spy(train, p):
         params.append(p)
-        return train_multiclass(train, p, seed)
+        return train_multiclass(train, p)
 
     monkeypatch.setattr(svm, "train_multiclass", spy)
     result = run_protocol(cfg, records=mini_corpus)

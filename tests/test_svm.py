@@ -64,21 +64,21 @@ def test_gamma_monotonicity():
 def test_separable_pair():
     x = np.array([[0.0], [2.0]])
     y = np.array([-1.0, 1.0])
-    model = train_binary(x, y, SvmParams(c=1e6, gamma=1e-6), seed=0)
+    model = train_binary(x, y, SvmParams(c=1e6, gamma=1e-6))
     assert np.sign(decision_values(model, x)).tolist() == [-1, 1]
 
 
 def test_midpoint_decision_zero():
     x = np.array([[0.0], [2.0]])
     y = np.array([-1.0, 1.0])
-    model = train_binary(x, y, SvmParams(c=1e6, gamma=0.5), seed=0)
+    model = train_binary(x, y, SvmParams(c=1e6, gamma=0.5))
     assert decision_values(model, np.array([[1.0]]))[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_xor_perfect_training_accuracy():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
-    model = train_binary(x, y, SvmParams(c=10.0, gamma=1.0), seed=0)
+    model = train_binary(x, y, SvmParams(c=10.0, gamma=1.0))
     assert np.all(np.sign(decision_values(model, x)) == y)
     assert kkt_max_violation(model, x, y) <= 1e-3
 
@@ -104,7 +104,7 @@ def small_instances():
 def test_dual_objective_matches_oracle(case):
     x, y, c, gamma = small_instances()[case]
     kmat = rbf_matrix(x, gamma)
-    model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=1e-5), seed=3)
+    model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=1e-5))
     ours = dual_objective(model.alpha, kmat, y)
     reference = dual_objective(maximize_dual(kmat, y, c), kmat, y)
     assert ours == pytest.approx(reference, abs=1e-4)
@@ -139,7 +139,7 @@ def _repeat_rows(x, y, rng):
 
 def test_equality_constraint_and_box():
     x, y, c, gamma = small_instances()[2]
-    model = train_binary(x, y, SvmParams(c=c, gamma=gamma), seed=1)
+    model = train_binary(x, y, SvmParams(c=c, gamma=gamma))
     assert abs(np.sum(model.alpha * y)) <= 1e-6
     assert (model.alpha >= 0).all() and (model.alpha <= c).all()
     support = model.alpha > 0
@@ -149,7 +149,7 @@ def test_equality_constraint_and_box():
     # At C = 0.1 multipliers sit on the box, where 3 * 0.1 / 3 > 0.1.
     x, y = _repeat_rows(x, y, np.random.default_rng(8))
     for c in (c, 0.1):
-        model = train_binary(x, y, SvmParams(c=c, gamma=gamma), seed=1)
+        model = train_binary(x, y, SvmParams(c=c, gamma=gamma))
         assert abs(np.sum(model.alpha * y)) <= 1e-6
         assert (model.alpha >= 0).all() and (model.alpha <= c).all()
         distinct_support = {tuple(row) for row in x[model.alpha > 0]}
@@ -165,7 +165,7 @@ def test_repeated_rows_solve_the_drawn_dual(case):
     x, y, c, gamma = small_instances()[case]
     x, y = _repeat_rows(x, y, np.random.default_rng(case))
     kmat = rbf_matrix(x, gamma)
-    model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=1e-5), seed=3)
+    model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=1e-5))
     assert len(model.alpha) == len(y)
     ours = dual_objective(model.alpha, kmat, y)
     reference = dual_objective(maximize_dual(kmat, y, c), kmat, y)
@@ -180,14 +180,14 @@ def test_kkt_invariant_on_blobs(blob_data):
     x_train, y_train, _, _ = blob_data
     mask = (y_train == 0) | (y_train == 1)
     y_pair = np.where(y_train[mask] == 0, 1.0, -1.0)
-    model = train_binary(x_train[mask], y_pair, SvmParams(c=10.0, gamma=1.0), seed=5)
+    model = train_binary(x_train[mask], y_pair, SvmParams(c=10.0, gamma=1.0))
     assert kkt_max_violation(model, x_train[mask], y_pair) <= 1e-3
 
 
 def test_support_vector_margin():
     x = np.array([[0.0], [2.0]])
     y = np.array([-1.0, 1.0])
-    model = train_binary(x, y, SvmParams(c=1e6, gamma=0.5), seed=0)
+    model = train_binary(x, y, SvmParams(c=1e6, gamma=0.5))
     assert np.all(y * decision_values(model, x) >= 1 - 1e-3)
 
 
@@ -214,7 +214,7 @@ def test_train_binary_errors():
 
 def test_dimension_mismatch_on_predict():
     x = np.array([[0.0, 1.0], [2.0, 0.0]])
-    model = train_binary(x, np.array([1.0, -1.0]), SvmParams(c=1, gamma=1), seed=0)
+    model = train_binary(x, np.array([1.0, -1.0]), SvmParams(c=1, gamma=1))
     with pytest.raises(ParameterError):
         decision_values(model, np.zeros((1, 3)))
 
@@ -225,14 +225,14 @@ def test_increasing_c_never_hurts_separable():
     y = np.array([1.0] * 20 + [-1.0] * 20)
     errors = []
     for c in (0.1, 1.0, 10.0, 100.0):
-        model = train_binary(x, y, SvmParams(c=c, gamma=0.5), seed=0)
+        model = train_binary(x, y, SvmParams(c=c, gamma=0.5))
         errors.append(np.mean(np.sign(decision_values(model, x)) != y))
     assert all(b <= a for a, b in zip(errors, errors[1:]))
 
 
 def test_multiclass_blobs(blob_data):
     x_train, y_train, x_test, y_test = blob_data
-    model = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0), seed=7)
+    model = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0))
     assert len(model.models) == 6
     accuracy = np.mean(predict_multiclass_batch(model, x_test) == y_test)
     assert accuracy >= 0.99
@@ -240,8 +240,8 @@ def test_multiclass_blobs(blob_data):
 
 def test_multiclass_determinism(blob_data):
     x_train, y_train, x_test, _ = blob_data
-    a = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0), seed=7)
-    b = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0), seed=7)
+    a = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0))
+    b = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0))
     assert np.array_equal(
         predict_multiclass_batch(a, x_test), predict_multiclass_batch(b, x_test)
     )
@@ -300,7 +300,7 @@ def test_vote_tie_returns_lowest_code():
 
 def test_model_file_roundtrip(tmp_path, blob_data):
     x_train, y_train, x_test, _ = blob_data
-    model = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0), seed=7)
+    model = train_multiclass((x_train, y_train), SvmParams(c=10.0, gamma=1.0))
     path = tmp_path / "model.svm"
     save_model(model, path)
     loaded = load_model(path)
@@ -328,89 +328,118 @@ def _batch_problems(rng, count):
         c = 0.02 if b % 4 == 0 else 10.0 ** rng.uniform(-1.0, 3.0)
         cap = int(rng.integers(1, 6)) if b % 5 == 0 else 10 * n
         kmat = rbf_kernel_matrix(x, x, 10.0 ** rng.uniform(-2.0, 1.0))
-        problems.append((kmat, y, c, cap, 1000 + b))
+        problems.append((kmat, y, c, cap))
     return problems
 
 
 def _solve_padded(problems, tolerance):
-    width = max(len(y) for _, y, _, _, _ in problems)
+    width = max(len(y) for _, y, _, _ in problems)
     kmats = np.zeros((len(problems), width, width))
     ys = np.zeros((len(problems), width))
-    for b, (kmat, y, _, _, _) in enumerate(problems):
+    for b, (kmat, y, _, _) in enumerate(problems):
         kmats[b, : len(y), : len(y)] = kmat
         ys[b, : len(y)] = y
     return svm.solve_dual_batch(
         kmats,
         ys,
-        [c for _, _, c, _, _ in problems],
+        [c for _, _, c, _ in problems],
         tolerance,
-        [cap for _, _, _, cap, _ in problems],
-        [np.random.default_rng(seed) for *_, seed in problems],
+        [cap for _, _, _, cap in problems],
     )
+
+
+def _stalling_problem():
+    """A dual built to stop STALLED on its second step. Rows 0 (+1) and 1
+    (-1) are nearly the same point, so the first step, which takes row 0
+    over the tied row 2, gives both a multiplier of about 1000. Row 2 (+1)
+    has a kernel diagonal of 1e16: the next step pairs it with row 0 or 1,
+    and its analytic move of about 1e-16 is below the last bit of 1000."""
+    kmat = np.array([[1.0, 0.999, 0.0], [0.999, 1.0, 0.0], [0.0, 0.0, 1e16]])
+    return kmat, np.array([1.0, -1.0, 1.0]), 1e6, 30
 
 
 @pytest.mark.parametrize("tolerance", [1e-3, 1e-15])
 def test_batch_dual_bit_identical_to_scalar(tolerance):
-    # 1e-15 runs the duals until a pair update no longer moves, so the
-    # stalled stop is exercised as well as convergence and the cap
-    problems = _batch_problems(np.random.default_rng(21), 90)
+    # 1e-15 runs the generated duals to the limit of their arithmetic; the
+    # last problem is built to end on a pair update that no longer moves, so
+    # the stalled stop is exercised as well as convergence and the cap
+    problems = _batch_problems(np.random.default_rng(21), 90) + [_stalling_problem()]
     alpha, bias, steps, stops = _solve_padded(problems, tolerance)
-    for b, (kmat, y, c, cap, seed) in enumerate(problems):
+    for b, (kmat, y, c, cap) in enumerate(problems):
         n = len(y)
-        ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, tolerance, cap, np.random.default_rng(seed))
+        ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, tolerance, cap)
         assert np.array_equal(alpha[b, :n], ref_alpha)
         assert (alpha[b, n:] == 0.0).all()
         assert bias[b] == ref_bias
         # the step count is the shortest cap that reproduces the solve
-        again, again_bias = svm.solve_dual(
-            kmat, y, c, tolerance, int(steps[b]), np.random.default_rng(seed)
-        )
+        again, again_bias = svm.solve_dual(kmat, y, c, tolerance, int(steps[b]))
         assert np.array_equal(again, ref_alpha) and again_bias == ref_bias
         if steps[b] > 0:
-            shorter, _ = svm.solve_dual(
-                kmat, y, c, tolerance, int(steps[b]) - 1, np.random.default_rng(seed)
-            )
+            shorter, _ = svm.solve_dual(kmat, y, c, tolerance, int(steps[b]) - 1)
             assert not np.array_equal(shorter, ref_alpha)
         assert (steps[b] == cap) == (stops[b] == svm.CAPPED)
-    covered = {svm.CONVERGED, svm.CAPPED} | ({svm.STALLED} if tolerance < 1e-12 else set())
-    assert covered <= set(stops)
-    assert any((alpha[b] == c).any() for b, (_, _, c, _, _) in enumerate(problems))
+    assert {svm.CONVERGED, svm.CAPPED, svm.STALLED} <= set(stops)
+    assert stops[-1] == svm.STALLED and steps[-1] == 1
+    assert any((alpha[b] == c).any() for b, (_, _, c, _) in enumerate(problems))
 
 
 def test_batch_dual_zero_cap_and_single_problem():
-    kmat, y, c, _, seed = _batch_problems(np.random.default_rng(4), 1)[0]
-    alpha, bias, steps, stops = svm.solve_dual_batch(
-        kmat[None], y[None], c, 1e-3, 0, [np.random.default_rng(seed)]
-    )
-    ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, 1e-3, 0, np.random.default_rng(seed))
+    kmat, y, c, _ = _batch_problems(np.random.default_rng(4), 1)[0]
+    alpha, bias, steps, stops = svm.solve_dual_batch(kmat[None], y[None], c, 1e-3, 0)
+    ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, 1e-3, 0)
     assert np.array_equal(alpha[0], ref_alpha) and bias[0] == ref_bias
     assert steps[0] == 0 and stops[0] == svm.CAPPED
+
+
+def test_exact_ties_go_to_the_lowest_index(monkeypatch):
+    # three copies of one point labelled -1 and three of another labelled
+    # +1: at step 0 every alpha is 0 and e = -y, so each side of the
+    # working set is an exact three-way tie, and the first step must move
+    # the lowest +1 row (2) and the lowest -1 row (0)
+    y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    x = np.where(y[:, None] > 0, [[1.0, 0.0]], [[0.0, 1.0]])
+    kmat = rbf_kernel_matrix(x, x, 0.5)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the solvers draw no random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    one_step = svm.solve_dual(kmat, y, 10.0, 1e-3, 1)[0]
+    batch = svm.solve_dual_batch(kmat[None], y[None], 10.0, 1e-3, 1)[0][0]
+    assert np.flatnonzero(one_step).tolist() == [0, 2]
+    assert np.array_equal(batch, one_step)
+    # a full solve twice, and once in a batch, gives the same bits
+    first, first_bias = svm.solve_dual(kmat, y, 10.0, 1e-3, 60)
+    again, again_bias = svm.solve_dual(kmat, y, 10.0, 1e-3, 60)
+    alpha, bias, _, _ = svm.solve_dual_batch(kmat[None], y[None], 10.0, 1e-3, 60)
+    assert np.array_equal(first, again) and first_bias == again_bias
+    assert np.array_equal(alpha[0], first) and bias[0] == first_bias
 
 
 @pytest.mark.parametrize("tolerance", [1e-3, 1e-15])
 def test_solve_dual_equals_loop(tolerance):
     # duplicated rows (exact ties in the working-set choice), caps of a few
-    # steps, C = 0.02 and, at 1e-15, solves that end on a stalled pair
+    # steps, C = 0.02, a zero cap and a solve that ends on a stalled pair
     problems = _batch_problems(np.random.default_rng(33), 60)
-    kmat, y, c, _, seed = problems[0]
-    problems.append((kmat, y, c, 0, seed))  # a zero cap
-    for kmat, y, c, cap, seed in problems:
-        alpha, bias = svm.solve_dual(kmat, y, c, tolerance, cap, np.random.default_rng(seed))
-        ref_alpha, ref_bias = solve_dual_loop(kmat, y, c, tolerance, cap, np.random.default_rng(seed))
+    kmat, y, c, _ = problems[0]
+    problems += [(kmat, y, c, 0), _stalling_problem()]
+    for kmat, y, c, cap in problems:
+        alpha, bias = svm.solve_dual(kmat, y, c, tolerance, cap)
+        ref_alpha, ref_bias = solve_dual_loop(kmat, y, c, tolerance, cap)
         assert np.array_equal(alpha, ref_alpha)
         assert bias == ref_bias
 
 
 def test_solve_dual_per_row_box():
     rng = np.random.default_rng(17)
-    for kmat, y, c, cap, seed in _batch_problems(rng, 40):
+    for kmat, y, c, cap in _batch_problems(rng, 40):
         c_rows = c * rng.integers(1, 5, len(y))
-        alpha, _ = svm.solve_dual(kmat, y, c_rows, 1e-3, cap, np.random.default_rng(seed))
+        alpha, _ = svm.solve_dual(kmat, y, c_rows, 1e-3, cap)
         assert (alpha >= 0.0).all() and (alpha <= c_rows).all()
         assert abs(np.dot(alpha, y)) <= 1e-9 * max(1.0, c_rows.max())
         # one box for every row, given per row, is the scalar solve
-        same, bias = svm.solve_dual(kmat, y, np.full(len(y), c), 1e-3, cap, np.random.default_rng(seed))
-        ref, ref_bias = svm.solve_dual(kmat, y, c, 1e-3, cap, np.random.default_rng(seed))
+        same, bias = svm.solve_dual(kmat, y, np.full(len(y), c), 1e-3, cap)
+        ref, ref_bias = svm.solve_dual(kmat, y, c, 1e-3, cap)
         assert np.array_equal(same, ref) and bias == ref_bias
 
 
@@ -424,7 +453,7 @@ def test_non_finite_rows_rejected(bad, blob_data):
         train_binary(poisoned[:4], np.array([1.0, 1.0, -1.0, -1.0]), params)
     with pytest.raises(ParameterError):
         train_multiclass((poisoned, y_train), params)
-    model = train_multiclass((x_train, y_train), params, seed=7)
+    model = train_multiclass((x_train, y_train), params)
     queries = x_test[:3].copy()
     queries[1, 0] = bad
     with pytest.raises(ParameterError):
@@ -436,7 +465,7 @@ def test_kkt_max_violation_matches_loop(blob_data):
     mask = (y_train == 1) | (y_train == 2)
     x, y = x_train[mask], np.where(y_train[mask] == 1, 1.0, -1.0)
     for c, gamma, tolerance in ((10.0, 1.0, 1e-3), (0.05, 0.5, 1e-3), (100.0, 3.0, 0.5)):
-        model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=tolerance), seed=2)
+        model = train_binary(x, y, SvmParams(c=c, gamma=gamma, tolerance=tolerance))
         assert kkt_max_violation(model, x, y) == kkt_residual_loop(
             model.alpha, y * decision_values(model, x), c
         )
