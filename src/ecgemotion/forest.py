@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .types import DataFormatError, NUM_CLASSES, ParameterError
-from .utils import block_values, csv_text, fmt_float, query_rows, read_model, read_rows, training_rows
+from .utils import block_values, csv_text, query_rows, read_model, read_rows, training_rows
 from .utils import write_model
 
 DEFAULT_NUM_TREES = 90
@@ -190,7 +190,6 @@ class ForestModel:
     trees: list
     features_per_split: int
     feature_dim: int
-    oob_error: float | None = None
 
     @property
     def num_trees(self) -> int:
@@ -216,11 +215,10 @@ def train_forest(
     seed: int = 0,
     max_depth: int | None = None,
     min_leaf: int = 1,
-    bootstrap: bool = True,
 ) -> ForestModel:
-    """Grow a bagged forest. ``bootstrap=False`` (a test hook) trains every
-    tree on the full sample, which with all features per split makes the
-    trees identical."""
+    """Grow a bagged forest, each tree on its own n-draw bootstrap. It
+    estimates no out-of-bag error: rows drawn with replacement from a pool of
+    segments repeat, so most rows out of a bootstrap copy rows in it."""
     x, y = training_rows(x, y)
     d = x.shape[1]
     check_params(num_trees, features_per_split, max_depth, min_leaf, d)
@@ -229,27 +227,11 @@ def train_forest(
 
     n = len(y)
     ranks = _dense_ranks(x)
-    seeds = np.random.SeedSequence(seed).spawn(num_trees)
     trees = []
-    oob_votes = np.zeros((n, NUM_CLASSES), dtype=np.int64)
-    for tree_seed in seeds:
-        rng = np.random.default_rng(tree_seed)
-        if bootstrap:
-            rows, weights = np.unique(rng.integers(0, n, size=n), return_counts=True)
-        else:
-            rows, weights = np.arange(n), np.ones(n, dtype=np.int64)
-        tree = _grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, min_leaf)
-        trees.append(tree)
-        out_of_bag = np.delete(np.arange(n), rows)
-        oob_votes[out_of_bag, tree_predict(tree, x[out_of_bag])] += 1
-
-    oob_error = None
-    seen = oob_votes.sum(axis=1) > 0
-    if bootstrap and seen.any():
-        oob_pred = oob_votes[seen].argmax(axis=1)
-        oob_error = float(np.mean(oob_pred != y[seen]))
-
-    return ForestModel(trees, features_per_split, d, oob_error)
+    for rng in map(np.random.default_rng, np.random.SeedSequence(seed).spawn(num_trees)):
+        rows, weights = np.unique(rng.integers(0, n, size=n), return_counts=True)
+        trees.append(_grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, min_leaf))
+    return ForestModel(trees, features_per_split, d)
 
 
 def vote_matrix(model: ForestModel, x, num_trees: int | list[int] | None = None) -> np.ndarray:
@@ -296,12 +278,8 @@ def vote_error(votes: np.ndarray, y_true) -> float:
     return float(np.mean(vote_margins(votes, y_true) < 0))
 
 
-def generalization_error(model: ForestModel, data=None) -> float:
-    """Fraction of points with negative margin; without data, the OOB estimate."""
-    if data is None:
-        if model.oob_error is None:
-            raise ParameterError("model carries no out-of-bag estimate")
-        return model.oob_error
+def generalization_error(model: ForestModel, data) -> float:
+    """Fraction of the labeled points ``data = (x, y)`` with a negative margin."""
     x, y = data
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if len(x) == 0:
@@ -317,9 +295,8 @@ def save_model(model: ForestModel, path) -> None:
         ))
         for index, tree in enumerate(model.trees)
     )
-    oob = "" if model.oob_error is None else fmt_float(model.oob_error)
     write_model(path, "forest", body, trees=model.num_trees, features_per_split=model.features_per_split,
-                dim=model.feature_dim, oob=oob)
+                dim=model.feature_dim)
 
 
 def _node_row(cells) -> tuple:
@@ -334,24 +311,24 @@ def _node_row(cells) -> tuple:
 def _read_tree(rows, path, first_line, dim) -> DecisionTree:
     """The tree of node rows from line ``first_line`` on. A split needs a
     feature in [0, dim), a finite threshold and children after it, so that
-    prediction walks forward and ends."""
+    prediction walks forward and ends; a leaf needs class counts that are
+    non-negative and not all zero, as training counts them."""
     split, feature, threshold, left, right, counts = zip(*rows)
     feature, left, right, counts = (np.array(col, dtype=np.int64) for col in (feature, left, right, counts))
-    nodes, threshold = np.arange(len(rows)), np.array(threshold)
-    ok = (feature >= 0) & (feature < dim) & np.isfinite(threshold)
-    ok &= (nodes < left) & (left < len(rows)) & (nodes < right) & (right < len(rows))
-    bad = np.flatnonzero(np.array(split) & ~ok)
+    nodes, threshold, split = np.arange(len(rows)), np.array(threshold), np.array(split)
+    split_ok = (feature >= 0) & (feature < dim) & np.isfinite(threshold)
+    split_ok &= (nodes < left) & (left < len(rows)) & (nodes < right) & (right < len(rows))
+    leaf_ok = (counts.min(axis=1) >= 0) & (counts.max(axis=1) > 0)
+    bad = np.flatnonzero(~np.where(split, split_ok, leaf_ok))
     if len(bad):
-        raise DataFormatError(f"{path}:{first_line + bad[0]}: split node {bad[0]} out of range")
+        what = "split node {} out of range" if split[bad[0]] else "leaf {} needs non-negative counts, not all 0"
+        raise DataFormatError(f"{path}:{first_line + bad[0]}: " + what.format(bad[0]))
     return DecisionTree(feature, threshold, left, right, counts)
 
 
 def _read_trees(fh, path, fields) -> ForestModel:
     num_trees, features_per_split, dim = (int(fields[key]) for key in ("trees", "features_per_split", "dim"))
-    oob = float(fields["oob"]) if fields.get("oob") else None
     check_params(num_trees, features_per_split, None, 1, dim)
-    if not np.isfinite(oob or 0.0):
-        raise ValueError("the header needs a finite oob")
     trees, lineno = [], 2
     for index in range(num_trees):
         nodes = int(block_values(fh, path, lineno, f"tree {index} nodes=...")[0])
@@ -361,7 +338,7 @@ def _read_trees(fh, path, fields) -> ForestModel:
             raise DataFormatError(f"{path}:{lineno}: tree lists {len(rows)} of {nodes} nodes")
         trees.append(_read_tree(rows, path, lineno + 1, dim))
         lineno += nodes + 1
-    return ForestModel(trees, features_per_split, dim, oob)
+    return ForestModel(trees, features_per_split, dim)
 
 
 def load_model(path) -> ForestModel:

@@ -388,11 +388,11 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
     for name, text in (
         ("body.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\npair 0 1 bias nsv=0\n"),
         ("pairs.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + wrong_pairs),
-        ("body.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=\ntree 0 nodes\n"),
+        ("body.forest", "forest v1 trees=1 features_per_split=1 dim=1\ntree 0 nodes\n"),
         # the last block ends before its count of rows
         ("short.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n"
          + wrong_pairs.replace("3 4 bias=0.0 nsv=1", "2 3 bias=0.0 nsv=2")),
-        ("short.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=\ntree 0 nodes=2\nl,1,0,0,0\n"),
+        ("short.forest", "forest v1 trees=1 features_per_split=1 dim=1\ntree 0 nodes=2\nl,1,0,0,0\n"),
         ("body.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\nx,1.0\n"),
     ):
         (tmp_path / name).write_text(text)
@@ -401,7 +401,7 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
     # forest node layouts that would loop forever or index past the features
     two_csv = tmp_path / "two.csv"
     two_csv.write_text("label,f1,f2\n0,1.0,2.0\n")
-    forest_header = "forest v1 trees=1 features_per_split=1 dim={} oob=\n"
+    forest_header = "forest v1 trees=1 features_per_split=1 dim={}\n"
     for name, text, rows in (
         ("loop.forest", forest_header.format(1) + "tree 0 nodes=1\nn,0,0.5,0,0\n", good_csv),
         ("feature.forest", forest_header.format(2) + "tree 0 nodes=3\nn,7,0.5,1,2\nl,1,0,0,0\nl,0,1,0,0\n", two_csv),
@@ -416,6 +416,7 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         ("row.forest", forest_header.replace("trees=1", "trees=2").format(1)
          + "tree 0 nodes=1\nl,1,0,0,0\ntree 1 nodes=3\nn,0,0.5,1,2\nl,1,0,0,0\nx,0,1,0,0\n", 7),
         ("child.forest", forest_header.format(1) + "tree 0 nodes=3\nn,0,0.5,1,2\nn,0,0.5,0,2\nl,0,1,0,0\n", 4),
+        ("leaf.forest", forest_header.format(1) + "tree 0 nodes=3\nn,0,0.5,1,2\nl,1,0,0,0\nl,0,0,0,0\n", 5),
         ("label.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\nx,1.0\n", 3),
     ):
         (tmp_path / name).write_text(text)
@@ -529,7 +530,6 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         ("gamma.svm", "svm v1 classes=4 gamma=nan c=1.0 features=1\n" + six_pairs),
         ("coef.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs_nan),
         ("threshold.forest", forest_header.format(1) + "tree 0 nodes=3\nn,0,nan,1,2\nl,1,0,0,0\nl,0,1,0,0\n"),
-        ("oob.forest", "forest v1 trees=1 features_per_split=1 dim=1 oob=nan\ntree 0 nodes=1\nl,1,0,0,0\n"),
         ("k.knn", "knn v1 k=5 metric=euclidean\nlabel,f1\n0,1.0\n"),
         ("p.knn", "knn v1 k=1 metric=minkowski p=nan\nlabel,f1\n0,1.0\n"),
         ("metric.knn", "knn v1 k=1 metric=manhattan\nlabel,f1\n0,1.0\n"),
@@ -537,10 +537,10 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         ("c.svm", "svm v1 classes=4 gamma=0.5 c=-1 features=1\n" + six_pairs),
         # models that load but could not predict
         ("nsv.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs.replace("nsv=1\n1.0,0.5\n", "nsv=0\n", 1)),
-        ("trees.forest", "forest v1 trees=0 features_per_split=1 dim=1 oob=\n"),
+        ("trees.forest", "forest v1 trees=0 features_per_split=1 dim=1\n"),
         ("nodes.forest", forest_header.format(1) + "tree 0 nodes=0\n"),
-        ("split0.forest", "forest v1 trees=1 features_per_split=0 dim=1 oob=\ntree 0 nodes=1\nl,1,0,0,0\n"),
-        ("split2.forest", "forest v1 trees=1 features_per_split=2 dim=1 oob=\ntree 0 nodes=1\nl,1,0,0,0\n"),
+        ("split0.forest", "forest v1 trees=1 features_per_split=0 dim=1\ntree 0 nodes=1\nl,1,0,0,0\n"),
+        ("split2.forest", "forest v1 trees=1 features_per_split=2 dim=1\ntree 0 nodes=1\nl,1,0,0,0\n"),
     ):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")

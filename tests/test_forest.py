@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ecgemotion import forest
 from ecgemotion.forest import (
     DecisionTree,
     ForestModel,
@@ -19,10 +20,18 @@ from ecgemotion.forest import (
 from ecgemotion.types import DataFormatError, Emotion, ParameterError
 
 
+def full_sample_forest(x, y):
+    """A one-tree forest grown on every row once, all features at each split."""
+    n, d = x.shape
+    ones = np.ones(n, dtype=np.int64)
+    tree = _grow_tree(x, _dense_ranks(x), y, np.arange(n), ones, np.random.default_rng(0), d, None, 1)
+    return ForestModel([tree], d, d)
+
+
 def test_single_perfect_split():
     x = np.array([[0.0], [1.0]])
     y = np.array([0, 1])
-    model = train_forest(x, y, num_trees=1, seed=0, bootstrap=False)
+    model = full_sample_forest(x, y)
     tree = model.trees[0]
     assert tree.feature[0] == 0
     assert 0.0 < tree.threshold[0] < 1.0
@@ -44,15 +53,6 @@ def test_reference_configuration_trains():
     assert model.num_trees == 90
     assert model.feature_dim == 75
     assert model.features_per_split == 9  # ceil(sqrt(75))
-
-
-def test_no_bootstrap_votes_unanimous(blob_data):
-    x_train, y_train, x_test, _ = blob_data
-    model = train_forest(
-        x_train, y_train, num_trees=5, seed=3, bootstrap=False, features_per_split=2
-    )
-    votes = vote_matrix(model, x_test[:1])[0]
-    assert votes.max() == 5
 
 
 def leaf_tree(code):
@@ -99,18 +99,10 @@ def test_generalization_error_definition(blob_data):
 def test_ge_extremes():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 2, 3])
-    model = train_forest(x, y, num_trees=1, seed=0, bootstrap=False)
+    model = full_sample_forest(x, y)
     assert generalization_error(model, (x, y)) == 0.0
     wrong = (y + 1) % 4
     assert generalization_error(model, (x, wrong)) == 1.0
-
-
-def test_oob_estimate(blob_data):
-    x_train, y_train, _, _ = blob_data
-    model = train_forest(x_train, y_train, num_trees=30, seed=7)
-    assert model.oob_error is not None
-    assert 0.0 <= model.oob_error <= 1.0
-    assert generalization_error(model) == model.oob_error
 
 
 def test_prefix_stability(blob_data):
@@ -372,7 +364,6 @@ def test_model_file_roundtrip(tmp_path, blob_data):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.num_trees == 12
-    assert loaded.oob_error == model.oob_error
     assert np.array_equal(
         predict_forest_batch(loaded, x_test), predict_forest_batch(model, x_test)
     )
@@ -380,6 +371,28 @@ def test_model_file_roundtrip(tmp_path, blob_data):
         margins(loaded, x_test, np.zeros(len(x_test), dtype=int)),
         margins(model, x_test, np.zeros(len(x_test), dtype=int)),
     )
+
+
+def test_legacy_oob_header_key_is_ignored(tmp_path, blob_data):
+    # files of the earlier format carry an out-of-bag error in the header
+    x_train, y_train, x_test, _ = blob_data
+    path, legacy, again = (tmp_path / name for name in ("model.forest", "legacy.forest", "again.forest"))
+    save_model(train_forest(x_train, y_train, num_trees=5, seed=9), path)
+    header, body = path.read_text().split("\n", 1)
+    legacy.write_text(f"{header} oob=0.25\n{body}")
+    old = load_model(legacy)
+    save_model(old, again)
+    assert again.read_text() == path.read_text()
+    assert np.array_equal(predict_forest_batch(old, x_test), predict_forest_batch(load_model(path), x_test))
+
+
+def test_training_predicts_nothing(blob_data, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tree predicted while the forest trained")
+
+    monkeypatch.setattr(forest, "tree_predict", refuse)
+    x_train, y_train, _, _ = blob_data
+    assert train_forest(x_train, y_train, num_trees=5, seed=3).num_trees == 5
 
 
 @pytest.mark.parametrize(
@@ -391,12 +404,14 @@ def test_model_file_roundtrip(tmp_path, blob_data):
         ("dim=2", ["l,1,0,0,0", "n,0,0.5,0,2", "l,0,1,0,0"]),  # child before its parent
         ("dim=1", ["l,99999999999999999999,0,0,0"]),  # a count past int64
         ("dim=1", ["n,-1,nan,-1,-1"]),  # a split row with a leaf's values
+        ("dim=1", ["l,-5,0,0,0"]),  # a negative class count
+        ("dim=1", ["l,0,0,0,0"]),  # a leaf that counts no draw
     ],
 )
 def test_malformed_node_layout_is_a_data_error(tmp_path, header, nodes):
     path = tmp_path / "model.forest"
     path.write_text(
-        f"forest v1 trees=1 features_per_split=1 {header} oob=\ntree 0 nodes={len(nodes)}\n"
+        f"forest v1 trees=1 features_per_split=1 {header}\ntree 0 nodes={len(nodes)}\n"
         + "".join(line + "\n" for line in nodes)
     )
     with pytest.raises(DataFormatError):

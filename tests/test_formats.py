@@ -120,12 +120,11 @@ def test_forest_model_bytes(tmp_path):
               [(1, 4), (2, 3), (-1, -1), (-1, -1), (-1, -1)],
               [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4], [1, 1, 0, 0]]),
     ]
-    for oob, text in ((0.1 + 0.2, "0.30000000000000004"), (None, "")):
-        forest.save_model(forest.ForestModel(trees, 1, 2, oob), tmp_path / "m.forest")
-        expected = f"forest v1 trees=2 features_per_split=1 dim=2 oob={text}\n" + FOREST_TEXT
-        assert (tmp_path / "m.forest").read_text() == expected
-        forest.save_model(forest.load_model(tmp_path / "m.forest"), tmp_path / "again.forest")
-        assert (tmp_path / "again.forest").read_text() == expected
+    forest.save_model(forest.ForestModel(trees, 1, 2), tmp_path / "m.forest")
+    expected = "forest v1 trees=2 features_per_split=1 dim=2\n" + FOREST_TEXT
+    assert (tmp_path / "m.forest").read_text() == expected
+    forest.save_model(forest.load_model(tmp_path / "m.forest"), tmp_path / "again.forest")
+    assert (tmp_path / "again.forest").read_text() == expected
 
 
 def test_signal_csv_bytes(tmp_path):
