@@ -8,7 +8,9 @@ The binary trainer optimizes the dual of
 by repeatedly picking the pair of multipliers with the largest KKT
 violation (one from the "can increase" set, one from the "can decrease"
 set), solving the two-variable subproblem analytically, and clipping to
-the box [0, C]. Exact ties in the violation scores go to the lowest
+the box [0, C]. The scalar solver keeps both selection scores current
+from step to step, as Platt's SMO and LIBSVM keep the gradient, instead of
+rebuilding them. Exact ties in the violation scores go to the lowest
 index, as LIBSVM's argmax does, so training reads no seed. A training row
 that occurs m times is solved for once, with the box [0, m * C], so a model
 lists each distinct support vector once and ``num_support`` counts distinct
@@ -80,13 +82,6 @@ def _bias(alpha: np.ndarray, e: np.ndarray, y: np.ndarray, c) -> float:
     return 0.0
 
 
-def _pick(scores: np.ndarray) -> int:
-    """Index of the maximum of ``scores``, the lowest among exact ties, or
-    -1 when every score is -inf."""
-    k = int(scores.argmax())
-    return -1 if scores[k] == -np.inf else k
-
-
 def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: int):
     """Maximize the SVM dual for a precomputed kernel matrix.
 
@@ -100,23 +95,23 @@ def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: 
     c_rows = np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
     y_rows, c_list, diag = y.tolist(), c_rows.tolist(), kmat.diagonal().tolist()
     alpha = [0.0] * n
-    # e_i = f_i - y_i where f_i = sum_j alpha_j y_j K(x_j, x_i), bias excluded
+    # e_i = f_i - y_i where f_i = sum_j alpha_j y_j K(x_j, x_i), bias excluded,
+    # lives only in the working-set scores, kept current step by step: i
+    # maximizes g[0], which is -e over the can-increase set, and j maximizes
+    # g[1], which is e over the can-decrease set; -inf stands outside a set.
+    # -e - delta rounds exactly as -(e + delta), so the scores hold the same
+    # bits as an e vector updated by e += delta would.
     e = -y.astype(np.float64)
-    # The working sets as masks subtracted from the scores: i maximizes -e
-    # over the can-increase set (0 inside, -inf outside, so up - e), j
-    # maximizes e over the can-decrease set (0 inside, +inf outside, e - dn).
-    can_up, can_dn = _movable(y, np.zeros(n), c_rows)
-    up = np.where(can_up, 0.0, -np.inf)
-    dn = np.where(can_dn, 0.0, np.inf)
-    scores = np.empty(n)
+    g = np.where(_movable(y, np.zeros(n), c_rows), [-e, e], -np.inf)
+    g_up, g_dn = g
     row_i, row_j = np.empty(n), np.empty(n)
 
     for _ in range(max_steps):
-        i = _pick(np.subtract(up, e, out=scores))
-        j = _pick(np.subtract(e, dn, out=scores))
-        if i < 0 or j < 0:
+        i, j = g.argmax(axis=1).tolist()
+        neg_e_i, e_j = g_up.item(i), g_dn.item(j)
+        if neg_e_i == -np.inf or e_j == -np.inf:
             break
-        e_i, e_j = e.item(i), e.item(j)
+        e_i = -neg_e_i
         if e_j - e_i <= tolerance:
             break
 
@@ -151,15 +146,21 @@ def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: 
         np.multiply(kmat[i], (a1_new - a1) * y1, out=row_i)
         np.multiply(kmat[j], (a2_new - a2) * y2, out=row_j)
         np.add(row_i, row_j, out=row_i)
-        np.add(e, row_i, out=e)
+        np.subtract(g_up, row_i, out=g_up)
+        np.add(g_dn, row_i, out=g_dn)
         alpha[i] = a1_new
         alpha[j] = a2_new
-        for k, y_k, a_k, c_k in ((i, y1, a1_new, c1), (j, y2, a2_new, c2)):
+        # i was in the can-increase set and j in the can-decrease set, so
+        # their new e is read there; then each enters the sets it is now in
+        e_i, e_j = -g_up.item(i), g_dn.item(j)
+        for k, e_k, y_k, a_k, c_k in ((i, e_i, y1, a1_new, c1), (j, e_j, y2, a2_new, c2)):
             can_up_k, can_dn_k = _movable(y_k, a_k, c_k)
-            up[k] = 0.0 if can_up_k else -np.inf
-            dn[k] = 0.0 if can_dn_k else np.inf
+            g_up[k] = -e_k if can_up_k else -np.inf
+            g_dn[k] = e_k if can_dn_k else -np.inf
 
     alpha = np.array(alpha)
+    # every row the bias reads is in one of the sets, so e is known there
+    e = np.where(g_dn > -np.inf, g_dn, -g_up)
     return alpha, _bias(alpha, e, y, c_rows)
 
 
@@ -169,7 +170,8 @@ CONVERGED, CAPPED, STALLED = 0, 1, 2
 
 
 def _pick_rows(values, mask) -> np.ndarray:
-    """Row-wise ``_pick`` of ``values`` over ``mask``."""
+    """Per row, the index of the maximum of ``values`` over ``mask``, the
+    lowest among exact ties, or -1 when the mask is empty."""
     scores = np.where(mask, values, -np.inf)
     picks = scores.argmax(axis=1)
     picks[scores.max(axis=1) == -np.inf] = -1

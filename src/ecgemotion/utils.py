@@ -36,12 +36,12 @@ def check_finite(x: np.ndarray, what: str) -> None:
 
 def training_rows(x, codes) -> tuple[np.ndarray, np.ndarray]:
     """A training set as a contiguous float64 ``(n, d)`` array and int64
-    emotion codes: at least one row, one code per row, finite values and
-    codes in ``[0, NUM_CLASSES)``, or a ParameterError."""
+    emotion codes: at least one row and one column, one code per row,
+    finite values and codes in ``[0, NUM_CLASSES)``, or a ParameterError."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64).ravel()
-    if x.ndim != 2 or not len(x) or len(x) != len(codes):
-        raise ParameterError("training data must be (n, d), n >= 1, with one label per row")
+    if x.ndim != 2 or not x.size or len(x) != len(codes):
+        raise ParameterError("training data must be (n, d), n >= 1 and d >= 1, with one label per row")
     check_finite(x, "training rows")
     if codes.min() < 0 or codes.max() >= NUM_CLASSES:
         raise ParameterError(f"emotion codes must lie in [0, {NUM_CLASSES})")
@@ -49,7 +49,8 @@ def training_rows(x, codes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def query_rows(x, dim: int) -> np.ndarray:
-    """Rows to predict as a float64 ``(m, dim)`` array of finite values, or a ParameterError."""
+    """Rows to predict as a float64 ``(m, dim)`` array of finite values, or a
+    ParameterError; ``dim`` is a trained model's, so at least 1."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != dim:
         raise ParameterError(f"input dimension {x.shape[-1]} != training dimension {dim}")
@@ -58,15 +59,17 @@ def query_rows(x, dim: int) -> np.ndarray:
 
 
 def distinct_rows(x: np.ndarray):
-    """The distinct rows of a 2-D array in order of first occurrence: the
-    index of each one's first row, the distinct index of every row (so
-    ``x[first][copy]`` equals ``x``), and how often each row occurs. Rows
-    that differ only in the sign of a zero count as one."""
-    _, first, inverse, counts = np.unique(
-        x, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
+    """The distinct rows of a 2-D array of at least one column, in order of
+    first occurrence: the index of each one's first row, the distinct index
+    of every row (so ``x[first][copy]`` equals ``x``), and how often each row
+    occurs. Rows that differ only in the sign of a zero count as one."""
+    # adding 0.0 turns -0.0 into 0.0; then equal rows are equal bytes, and
+    # each contiguous row is one void item that a 1-D unique can group
+    x = np.ascontiguousarray(x, dtype=np.float64) + 0.0
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.ravel()], counts[order]
+    return first[order], np.argsort(order)[inverse], counts[order]
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -224,12 +224,14 @@ def _bias_loop(alpha, e, y, c) -> float:
     return 0.0
 
 
-def solve_dual_loop(kmat, y, c: float, tolerance: float, max_steps: int):
-    """``svm.solve_dual`` for a scalar C as it stood before its step was
-    trimmed: every step recomputes both working sets over all rows, masks
-    the scores with ``np.where`` and takes the lowest index among the tied
-    maxima (LIBSVM's plain argmax), on NumPy scalars."""
+def solve_dual_loop(kmat, y, c, tolerance: float, max_steps: int):
+    """``svm.solve_dual`` as it stood before its step was trimmed: every
+    step recomputes both working sets over all rows, masks the scores with
+    ``np.where`` and takes the lowest index among the tied maxima (LIBSVM's
+    plain argmax), on NumPy scalars. ``c`` is one box for all rows or one
+    per row."""
     n = len(y)
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
     alpha = np.zeros(n)
     e = -y.astype(np.float64)
     for _ in range(max_steps):
@@ -241,10 +243,11 @@ def solve_dual_loop(kmat, y, c: float, tolerance: float, max_steps: int):
 
         y1, y2 = y[i], y[j]
         a1, a2 = alpha[i], alpha[j]
+        c1, c2 = c[i], c[j]
         if y1 != y2:
-            low, high = max(0.0, a2 - a1), min(c, c + a2 - a1)
+            low, high = max(0.0, a2 - a1), min(c2, c1 + a2 - a1)
         else:
-            low, high = max(0.0, a1 + a2 - c), min(c, a1 + a2)
+            low, high = max(0.0, a1 + a2 - c1), min(c2, a1 + a2)
         if high - low < _SMO_EPS:
             break
 
@@ -258,12 +261,12 @@ def solve_dual_loop(kmat, y, c: float, tolerance: float, max_steps: int):
 
         if a1_new < _SMO_EPS:
             a1_new = 0.0
-        elif a1_new > c - _SMO_EPS:
-            a1_new = c
+        elif a1_new > c1 - _SMO_EPS:
+            a1_new = c1
         if a2_new < _SMO_EPS:
             a2_new = 0.0
-        elif a2_new > c - _SMO_EPS:
-            a2_new = c
+        elif a2_new > c2 - _SMO_EPS:
+            a2_new = c2
 
         d1 = (a1_new - a1) * y1
         d2 = (a2_new - a2) * y2
@@ -272,6 +275,17 @@ def solve_dual_loop(kmat, y, c: float, tolerance: float, max_steps: int):
         alpha[j] = a2_new
 
     return alpha, _bias_loop(alpha, e, y, c)
+
+
+def distinct_rows_structured(x):
+    """``utils.distinct_rows`` as it stood before rows were keyed by their
+    bytes: ``np.unique(axis=0)``, a field-by-field sort of the rows, then
+    the groups put in order of first occurrence."""
+    _, first, inverse, counts = np.unique(
+        x, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.ravel()], counts[order]
 
 
 def make_blobs(rng, points_per_class: int, std: float = 0.1, test_points: int = 0):

@@ -376,10 +376,11 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
     bad_csv.write_text("wrong,header\n1,2\n")
     model = tmp_path / "m.knn"
     model.write_text("knn v1 k=1 metric=euclidean\nlabel,f1\n0,1.0\n")
-    assert cli.main(["predict", "--model", str(model), "--features", str(bad_csv), "--out", str(tmp_path / "p.csv")]) == 3
+    out = str(tmp_path / "p.csv")
+    assert cli.main(["predict", "--model", str(model), "--features", str(bad_csv), "--out", out]) == 3
     bad_model = tmp_path / "bad.knn"
     bad_model.write_text("knn v1 k=3 metricX\nlabel,f1\n0,1.0\n")
-    assert cli.main(["predict", "--model", str(bad_model), "--features", str(bad_csv), "--out", str(tmp_path / "p.csv")]) == 3
+    assert cli.main(["predict", "--model", str(bad_model), "--features", str(bad_csv), "--out", out]) == 3
     # malformed model body lines, and an svm model whose pairs are not the six
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("label,f1\n0,1.0\n")
@@ -392,23 +393,27 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         # the last block ends before its count of rows
         ("short.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n"
          + wrong_pairs.replace("3 4 bias=0.0 nsv=1", "2 3 bias=0.0 nsv=2")),
-        ("short.forest", "forest v1 trees=1 features_per_split=1 dim=1\ntree 0 nodes=2\nl,1,0,0,0\n"),
+        ("short.forest",
+         "forest v1 trees=1 features_per_split=1 dim=1\ntree 0 nodes=2\nl,1,0,0,0\n"),
         ("body.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\nx,1.0\n"),
     ):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
-        assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]) == 3
+        argv = ["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]
+        assert cli.main(argv) == 3
     # forest node layouts that would loop forever or index past the features
     two_csv = tmp_path / "two.csv"
     two_csv.write_text("label,f1,f2\n0,1.0,2.0\n")
     forest_header = "forest v1 trees=1 features_per_split=1 dim={}\n"
     for name, text, rows in (
         ("loop.forest", forest_header.format(1) + "tree 0 nodes=1\nn,0,0.5,0,0\n", good_csv),
-        ("feature.forest", forest_header.format(2) + "tree 0 nodes=3\nn,7,0.5,1,2\nl,1,0,0,0\nl,0,1,0,0\n", two_csv),
+        ("feature.forest",
+         forest_header.format(2) + "tree 0 nodes=3\nn,7,0.5,1,2\nl,1,0,0,0\nl,0,1,0,0\n", two_csv),
     ):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
-        assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(rows), "--out", out]) == 3
+        argv = ["predict", "--model", str(tmp_path / name), "--features", str(rows), "--out", out]
+        assert cli.main(argv) == 3
     # a bad model body row is named by its file and line
     bad_sv = "".join(f"pair {a} {b} bias=0.0 nsv=1\n1.0,{'abc' if a else 0.5}\n" for a, b in svm.PAIRS)
     for name, text, line in (
@@ -476,7 +481,8 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
     for flags in (["--config", mini_cfg_file], ["--seed", "3"]):
         for argv in (
             ["predict", "--model", str(model), "--features", str(good_csv), "--out", str(tmp_path / "p.csv")],
-            ["evaluate", "--model", str(model), "--features", str(good_csv), "--out-prefix", str(tmp_path / "e")],
+            ["evaluate", "--model", str(model), "--features", str(good_csv),
+             "--out-prefix", str(tmp_path / "e")],
             ["report", "--runs", str(runs_csv), "--out-prefix", str(tmp_path / "r")],
         ):
             assert cli.main([*argv, *flags]) == 1
@@ -536,7 +542,8 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         ("row.knn", "knn v1 k=1 metric=euclidean\nlabel,f1\n0,nan\n"),
         ("c.svm", "svm v1 classes=4 gamma=0.5 c=-1 features=1\n" + six_pairs),
         # models that load but could not predict
-        ("nsv.svm", "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs.replace("nsv=1\n1.0,0.5\n", "nsv=0\n", 1)),
+        ("nsv.svm",
+         "svm v1 classes=4 gamma=0.5 c=1.0 features=1\n" + six_pairs.replace("nsv=1\n1.0,0.5\n", "nsv=0\n", 1)),
         ("trees.forest", "forest v1 trees=0 features_per_split=1 dim=1\n"),
         ("nodes.forest", forest_header.format(1) + "tree 0 nodes=0\n"),
         ("split0.forest", "forest v1 trees=1 features_per_split=0 dim=1\ntree 0 nodes=1\nl,1,0,0,0\n"),
@@ -544,7 +551,8 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
     ):
         (tmp_path / name).write_text(text)
         out = str(tmp_path / "p.csv")
-        assert cli.main(["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]) == 3
+        argv = ["predict", "--model", str(tmp_path / name), "--features", str(good_csv), "--out", out]
+        assert cli.main(argv) == 3
 
 
 def test_negative_counts_are_config_errors(mini_cfg_file, tmp_path, capsys):

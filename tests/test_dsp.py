@@ -30,7 +30,8 @@ def test_reference_design_clamps_to_57_6():
     "low, high, taps, window",
     [pytest.param(3, 40, 101, w, id=w) for w in ("hamming", "hanning", "blackman", "rectangular")]
     # high cutoffs clamped to 57.6 Hz: the reference design and the shortest filter
-    + [pytest.param(3, 100, 257, "hamming", id="reference"), pytest.param(0.5, 63.9, 3, "hamming", id="three-taps")],
+    + [pytest.param(3, 100, 257, "hamming", id="reference"),
+       pytest.param(0.5, 63.9, 3, "hamming", id="three-taps")],
 )
 def test_taps_symmetric(low, high, taps, window):
     # the FirFilter invariants, which only design_bandpass establishes

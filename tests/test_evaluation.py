@@ -377,7 +377,9 @@ def test_sweep_k_text_equals_chunked_broadcast(reference_corpus, metric, p, monk
     monkeypatch.setattr(
         knn,
         "_distance_matrix",
-        lambda metric, queries, train, p: oracles.chunked_distance_matrix(metric, queries, train, p, batch_rows=8),
+        lambda metric, queries, train, p: oracles.chunked_distance_matrix(
+            metric, queries, train, p, batch_rows=8
+        ),
     )
     assert render() == fast
 

@@ -146,7 +146,9 @@ def test_gini_split_matches_exhaustive_search():
         y = rng.integers(0, 4, size=n).astype(np.int64)
         if len(np.unique(y)) < 2:
             continue
-        chosen = _best_split(x, _dense_ranks(x), np.arange(n), np.ones(n, dtype=np.int64), y, np.array([0, 1]), 1)
+        chosen = _best_split(
+            x, _dense_ranks(x), np.arange(n), np.ones(n, dtype=np.int64), y, np.array([0, 1]), 1
+        )
         reference = exhaustive_best_split(x, y)
         if reference is None:
             assert chosen is None
@@ -219,7 +221,9 @@ def test_heavily_duplicated_bootstrap_trees_equal_per_feature_loop(min_leaf, fea
         sample = np.random.default_rng(seed).integers(0, 8, size=40)
         rows, weights = np.unique(sample, return_counts=True)
         assert weights.max() > min_leaf
-        tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split, None, min_leaf)
+        tree = _grow_tree(
+            x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split, None, min_leaf
+        )
         expected = oracles.grow_tree_loop(
             x[sample], y[sample], np.random.default_rng(seed), features_per_split, None, min_leaf
         )

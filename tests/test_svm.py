@@ -443,6 +443,73 @@ def test_solve_dual_per_row_box():
         assert np.array_equal(same, ref) and bias == ref_bias
 
 
+def _crossing_problems(rng, count):
+    """Small duals whose boxes are small next to the first steps' moves, so
+    a multiplier can go from 0 to its box, or back, in one step. Odd ones
+    have one box per row; every fifth has a cap of a few steps."""
+    problems = []
+    for b in range(count):
+        n = int(rng.integers(2, 12))
+        x = rng.normal(size=(n, 2))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        c = 10.0 ** rng.uniform(-1.5, 1.0)
+        if b % 2:
+            c = c * rng.integers(1, 4, n)
+        cap = int(rng.integers(1, 6)) if b % 5 == 0 else 10 * n
+        kmat = rbf_kernel_matrix(x, x, 10.0 ** rng.uniform(-2.0, 0.5))
+        problems.append((kmat, y, c, cap))
+    return problems
+
+
+def _box_crossings(kmat, y, c, tolerance, cap):
+    """(rises, falls): how many times one step of the oracle's solve took a
+    multiplier from 0 straight to its box, and from its box straight to 0.
+    Either move takes the row from one one-sided working set to the other:
+    at 0 a y = +1 row can only increase, at its box it can only decrease."""
+    c = np.broadcast_to(c, y.shape)
+    rises = falls = 0
+    before, _ = solve_dual_loop(kmat, y, c, tolerance, 0)
+    for steps in range(1, cap + 1):
+        after, _ = solve_dual_loop(kmat, y, c, tolerance, steps)
+        if np.array_equal(after, before):  # every step moves a multiplier, so the solve ended
+            break
+        rises += int(((before == 0.0) & (after == c)).sum())
+        falls += int(((before == c) & (after == 0.0)).sum())
+        before = after
+    return rises, falls
+
+
+@pytest.mark.parametrize("tolerance", [1e-3, 1e-15])
+def test_multipliers_that_change_working_set(tolerance):
+    # the kept-current scores must move a row between the one-sided sets
+    # exactly as a rebuild of both sets would; the stalling dual ends both
+    # groups on a pair that cannot move, and the short caps end on the cap
+    problems = _crossing_problems(np.random.default_rng(5), 60)
+    kmat, y, c, cap = _stalling_problem()
+    problems += [(kmat, y, c, cap), (kmat, y, np.full(len(y), c), cap)]
+    scalar = [b for b, problem in enumerate(problems) if np.ndim(problem[2]) == 0]
+    per_row = [b for b in range(len(problems)) if b not in scalar]
+    crossings = []
+    for kmat, y, c, cap in problems:
+        alpha, bias = svm.solve_dual(kmat, y, c, tolerance, cap)
+        ref_alpha, ref_bias = solve_dual_loop(kmat, y, c, tolerance, cap)
+        assert np.array_equal(alpha, ref_alpha)
+        assert bias == ref_bias
+        crossings.append(_box_crossings(kmat, y, c, tolerance, cap))
+    for group in (scalar, per_row):
+        assert any(crossings[b][0] for b in group) and any(crossings[b][1] for b in group)
+
+    # the batch solver takes one box per problem
+    alpha, bias, steps, stops = _solve_padded([problems[b] for b in scalar], tolerance)
+    for row, b in enumerate(scalar):
+        kmat, y, c, cap = problems[b]
+        ref_alpha, ref_bias = solve_dual_loop(kmat, y, c, tolerance, cap)
+        assert np.array_equal(alpha[row, : len(y)], ref_alpha)
+        assert bias[row] == ref_bias
+    assert {svm.CONVERGED, svm.CAPPED, svm.STALLED} <= set(stops)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_rejected(bad, blob_data):
     x_train, y_train, x_test, _ = blob_data

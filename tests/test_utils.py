@@ -6,6 +6,8 @@ from ecgemotion.config import PipelineConfig
 from ecgemotion.types import ParameterError
 from ecgemotion.utils import distinct_rows
 
+from oracles import distinct_rows_structured
+
 # the PSO subsample draws codes 0-3 only, two rows each
 TUNE_CFG = PipelineConfig(pso_subsample=8, pso_swarm_size=2, pso_iterations=0, pso_cv_folds=2, seed=0)
 
@@ -32,7 +34,9 @@ def test_learners_share_the_input_contract(name):
         bad[5] = bad_code
         with pytest.raises(ParameterError):
             fit(x, bad)
-    for rows, labels in ((poisoned, codes), (x, codes[:-1]), (x[:0], codes[:0])):
+    # rows with no columns: an SVM used to train on them silently, the forest
+    # to fail inside NumPy, and K-NN to predict class 0 for every row
+    for rows, labels in ((poisoned, codes), (x, codes[:-1]), (x[:0], codes[:0]), (x[:, :0], codes)):
         with pytest.raises(ParameterError):
             fit(rows, labels)
     if name == "pso":
@@ -65,3 +69,34 @@ def test_distinct_rows_first_occurrence_order_and_counts():
     assert counts.tolist() == [3, 2, 2]
     assert np.array_equal(x[first][copy], x)
 
+
+def _assert_same_groups(x):
+    ours, reference = distinct_rows(x), distinct_rows_structured(x)
+    for got, want in zip(ours, reference):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    first, copy, _ = ours
+    assert np.array_equal(x[first][copy], x)
+
+
+def test_distinct_rows_equals_structured_unique():
+    rng = np.random.default_rng(3)
+    for n, pool, d in ((4000, 1950, 75), (500, 7, 3), (60, 60, 2), (300, 1, 5)):
+        # heavy duplication: n rows drawn from `pool` distinct ones
+        base = rng.normal(size=(pool, d)).round(1)
+        _assert_same_groups(base[rng.integers(0, pool, n)])
+    # +-0.0 twins, in every position and both orders of first occurrence
+    signs = np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [-0.0, -1.0, -0.0],
+                      [0.0, -1.0, 0.0], [-0.0, 1.0, -0.0], [2.0, 0.0, 0.0]])
+    _assert_same_groups(signs)
+    assert distinct_rows(signs)[2].tolist() == [4, 2, 1]
+    # a column slice and a Fortran-order array, neither C-contiguous
+    wide = rng.normal(size=(200, 9)).round(0)
+    sliced = wide[:, 2:5]
+    assert not sliced.flags.c_contiguous
+    _assert_same_groups(sliced)
+    fortran = np.asfortranarray(wide[:, :4])
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    _assert_same_groups(fortran)
+    # one row
+    _assert_same_groups(np.array([[1.5, -0.0, 3.0]]))
+    assert [a.tolist() for a in distinct_rows(np.array([[1.5, -0.0]]))] == [[0], [0], [1]]
