@@ -120,11 +120,13 @@ class CvSvmFitness:
 
     Folds are stratified by class and fixed at construction; squared-distance
     matrices for every (fold, pair) subproblem are precomputed because they do
-    not depend on (C, gamma). Each dual stops at ``tolerance`` or after 10
-    steps per row: ``svm_max_passes`` caps only the final pair duals.
+    not depend on (C, gamma). Each dual stops at ``tolerance`` (checked by
+    the rule ``svm.SvmParams`` applies) or after 10 steps per row:
+    ``svm_max_passes`` caps only the final pair duals.
     """
 
     def __init__(self, x, codes, folds: int, seed: int, tolerance: float = 1e-3):
+        svm.check_positive(tolerance=tolerance)
         x, codes = training_rows(x, codes)
         counts = np.bincount(codes, minlength=NUM_CLASSES)
         if not 2 <= folds <= counts.min():

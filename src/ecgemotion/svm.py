@@ -8,14 +8,14 @@ The binary trainer optimizes the dual of
 by repeatedly picking the pair of multipliers with the largest KKT
 violation (one from the "can increase" set, one from the "can decrease"
 set), solving the two-variable subproblem analytically, and clipping to
-the box [0, C]. The scalar solver keeps both selection scores current
-from step to step, as Platt's SMO and LIBSVM keep the gradient, instead of
-rebuilding them. Exact ties in the violation scores go to the lowest
-index, as LIBSVM's argmax does, so training reads no seed. A training row
-that occurs m times is solved for once, with the box [0, m * C], so a model
-lists each distinct support vector once and ``num_support`` counts distinct
-rows. Multiclass is one-vs-one over the six
-emotion pairs with majority voting.
+the box [0, C]. Both solvers, the scalar one and the lockstep batch one,
+keep both selection scores current from step to step, as Platt's SMO and
+LIBSVM keep the gradient, instead of rebuilding them. Exact ties in the
+violation scores go to the lowest index, as LIBSVM's argmax does, so
+training reads no seed. A training row that occurs m times is solved for
+once, with the box [0, m * C], so a model lists each distinct support
+vector once and ``num_support`` counts distinct rows. Multiclass is
+one-vs-one over the six emotion pairs with majority voting.
 """
 
 from __future__ import annotations
@@ -42,11 +42,16 @@ class SvmParams:
     max_passes: int = 0  # 0 -> 10 * n_samples
 
     def __post_init__(self):
-        for name in ("c", "gamma", "tolerance"):
-            if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
-                raise ParameterError(f"{name} must be positive and finite")
+        check_positive(c=self.c, gamma=self.gamma, tolerance=self.tolerance)
         if self.max_passes and self.max_passes < 0:
             raise ParameterError("max_passes must be >= 0")
+
+
+def check_positive(**values) -> None:
+    """The rule for C, gamma and the KKT tolerance: each positive and finite."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:  # also rejects NaN
+            raise ParameterError(f"{name} must be positive and finite")
 
 
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -169,17 +174,10 @@ def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: 
 CONVERGED, CAPPED, STALLED = 0, 1, 2
 
 
-def _pick_rows(values, mask) -> np.ndarray:
-    """Per row, the index of the maximum of ``values`` over ``mask``, the
-    lowest among exact ties, or -1 when the mask is empty."""
-    scores = np.where(mask, values, -np.inf)
-    picks = scores.argmax(axis=1)
-    picks[scores.max(axis=1) == -np.inf] = -1
-    return picks
-
-
-def _snap(a, c):
-    return np.where(a < _EPS, 0.0, np.where(a > c - _EPS, c, a))
+def _lanes(owner, n):
+    """Flat offsets of the unfinished problems' rows in a (count, n) array,
+    and in the (2, A, n) scores, one row of offsets per plane."""
+    return owner * n, np.arange(len(owner)) * n + [[0], [len(owner) * n]]
 
 
 def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
@@ -188,81 +186,102 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
     ``kmats`` is (B, n, n) and ``y`` (B, n); a problem smaller than n is
     padded with y == 0, which keeps the padding out of every working set.
     ``c`` and ``max_steps`` give one value per problem. Every step applies
-    the scalar pair update, lowest-index tie rule included, to all
-    unfinished problems at once; a problem leaves the batch when it
-    converges, reaches its cap or stalls.
+    the scalar pair update, kept-current scores and lowest-index tie rule
+    included, to all unfinished problems at once; a problem leaves the batch
+    when it converges, reaches its cap or stalls.
 
     Returns (alpha (B, n), bias (B,), steps (B,), stop (B,)) where ``stop``
-    holds CONVERGED, CAPPED or STALLED. Row b's alpha, bias and step count
-    equal those of ``solve_dual`` on problem b bit for bit.
+    holds CONVERGED, CAPPED or STALLED. Row b's alpha and bias equal those of
+    ``solve_dual`` on problem b bit for bit, and ``steps[b]`` is the shortest
+    cap with which ``solve_dual`` gives that same result.
     """
-    kmats = np.asarray(kmats, dtype=np.float64)
-    y_all = np.asarray(y, dtype=np.float64)
+    kmats = np.ascontiguousarray(kmats, dtype=np.float64)
+    y_all = np.ascontiguousarray(y, dtype=np.float64)
     count, n = y_all.shape
     c_all = np.broadcast_to(np.asarray(c, dtype=np.float64), (count,))
     caps = np.broadcast_to(np.asarray(max_steps, dtype=np.int64), (count,))
-
-    alpha_out = np.zeros((count, n))
-    e_out = -y_all
+    # reads and writes go through flat views; the inputs are only read
+    k_rows, k_flat, y_flat = kmats.reshape(count * n, n), kmats.reshape(-1), y_all.reshape(-1)
+    alpha = np.zeros((count, n))
+    alpha_flat = alpha.reshape(-1)
+    e_out = np.empty((count, n))
     steps_out = np.zeros(count, dtype=np.int64)
     stop_out = np.zeros(count, dtype=np.int64)
 
-    # state of the unfinished problems; owner maps a row to its problem
-    owner = np.arange(count)
-    yb, cb, capb = y_all.copy(), c_all.copy(), caps.copy()
-    alpha = np.zeros((count, n))
+    # The unfinished problems, owner[a] being row a's problem. Their scores
+    # are kept current as in solve_dual: g[0, a] is -e over the problem's
+    # can-increase set and g[1, a] is e over its can-decrease set, -inf
+    # elsewhere. alpha is written in place, so a finished problem's row is
+    # its output; only g and the per-problem vectors shrink. g stays
+    # C-contiguous (compress, not fancy indexing), so g_flat is a view.
+    owner, cb, capb = np.arange(count), c_all, caps
     e = -y_all
-    can_up, can_dn = _movable(yb, alpha, cb[:, None])
+    g = np.where(_movable(y_all, 0.0, c_all[:, None]), [-e, e], -np.inf)
+    g_flat = g.reshape(-1)
+    own_n, g_at = _lanes(owner, n)
     step = 0
     while len(owner):
-        rows = np.arange(len(owner))
-        i = _pick_rows(-e, can_up)
-        j = _pick_rows(e, can_dn)
-        e_i, e_j = e[rows, i], e[rows, j]
-        y1, y2 = yb[rows, i], yb[rows, j]
-        a1, a2 = alpha[rows, i], alpha[rows, j]
+        ij = g.argmax(axis=2)  # (2, A): i over g[0], j over g[1]
+        neg_e_i, e_j = g_flat.take(g_at + ij)
+        e_i = -neg_e_i
+        at = own_n + ij
+        y12, a12 = y_flat.take(at), alpha_flat.take(at)
+        (y1, y2), (a1, a2) = y12, a12
         same = y1 == y2
         low = np.where(same, np.maximum(0.0, a1 + a2 - cb), np.maximum(0.0, a2 - a1))
         high = np.where(same, np.minimum(cb, a1 + a2), np.minimum(cb, cb + a2 - a1))
-        eta = kmats[owner, i, i] + kmats[owner, j, j] - 2.0 * kmats[owner, i, j]
+        k_ii, k_jj = k_flat.take(at * n + ij)
+        eta = k_ii + k_jj - 2.0 * k_flat.take(at[0] * n + ij[1])
         eta = np.where(eta < _EPS, _EPS, eta)
-        a2_new = np.clip(a2 + y2 * (e_i - e_j) / eta, low, high)
+        gap = e_j - e_i
+        # an empty set makes the gap -inf; a converged problem's move is
+        # never used, and 0 keeps inf out of it
+        converged = (gap == -np.inf) | (gap <= tolerance)
+        move = y2 * np.where(converged, 0.0, e_i - e_j) / eta
+        a2_new = np.minimum(np.maximum(a2 + move, low), high)
 
-        # later assignments win: the scalar loop tests the cap first, then
-        # convergence, then the two stalls
-        stop = np.full(len(owner), -1)
-        stop[a2_new == a2] = STALLED
-        stop[high - low < _EPS] = STALLED
-        stop[(i < 0) | (j < 0) | (e_j - e_i <= tolerance)] = CONVERGED
-        stop[capb <= step] = CAPPED
-        done = stop >= 0
+        # the scalar loop tests the cap first, then convergence, then the
+        # two stalls
+        capped = capb <= step
+        done = capped | converged | (high - low < _EPS) | (a2_new == a2)
         if done.any():
             gone = owner[done]
-            alpha_out[gone] = alpha[done]
-            e_out[gone] = e[done]
             steps_out[gone] = step
-            stop_out[gone] = stop[done]
+            stop_out[gone] = np.where(capped[done], CAPPED, np.where(converged[done], CONVERGED, STALLED))
+            g_up, g_dn = g.compress(done, axis=1)
+            # every row the bias reads is in one of the sets, so e is known there
+            e_out[gone] = np.where(g_dn > -np.inf, g_dn, -g_up)
             keep = ~done
-            owner, yb, cb, capb = owner[keep], yb[keep], cb[keep], capb[keep]
-            alpha, e, can_up, can_dn = alpha[keep], e[keep], can_up[keep], can_dn[keep]
-            i, j, y1, y2, a1, a2 = i[keep], j[keep], y1[keep], y2[keep], a1[keep], a2[keep]
-            a2_new = a2_new[keep]
-            rows = np.arange(len(owner))
+            owner, cb, capb = owner[keep], cb[keep], capb[keep]
+            if not len(owner):
+                break
+            g = g.compress(keep, axis=1)
+            g_flat = g.reshape(-1)
+            own_n, g_at = _lanes(owner, n)
+            ij, a2_new = ij.compress(keep, axis=1), a2_new[keep]
+            y12, a12 = y12.compress(keep, axis=1), a12.compress(keep, axis=1)
+            at = own_n + ij
+            (y1, y2), (a1, a2) = y12, a12
 
-        a1_new = _snap(a1 + y1 * y2 * (a2 - a2_new), cb)
-        a2_new = _snap(a2_new, cb)
-        d1 = (a1_new - a1) * y1
-        d2 = (a2_new - a2) * y2
-        e += d1[:, None] * kmats[owner, i] + d2[:, None] * kmats[owner, j]
-        alpha[rows, i] = a1_new
-        alpha[rows, j] = a2_new
-        for col, y_col, a_col in ((i, y1, a1_new), (j, y2, a2_new)):
-            can_up[rows, col], can_dn[rows, col] = _movable(y_col, a_col, cb)
+        # snap to the box so the support set stays exact
+        a_new = np.stack([a1 + y1 * y2 * (a2 - a2_new), a2_new])
+        a_new = np.where(a_new < _EPS, 0.0, np.where(a_new > cb - _EPS, cb, a_new))
+        rows = k_rows.take(at, axis=0)  # (2, A, n): kernel rows i and j
+        rows *= ((a_new - a12) * y12)[:, :, None]
+        delta = np.add(rows[0], rows[1], out=rows[0])
+        g[0] -= delta
+        g[1] += delta
+        alpha_flat.put(at, a_new)
+        # i was in the can-increase set and j in the can-decrease set, so
+        # their new e is read there; then each enters the sets it is now in
+        e_new = g_flat.take(g_at + ij)
+        e_new[0] *= -1.0
+        g_flat.put(g_at[:, None] + ij, np.where(_movable(y12, a_new, cb), [-e_new, e_new], -np.inf))
         step += 1
 
     bias = np.array([_bias(a, e_row, y_row, c_row)
-                     for a, e_row, y_row, c_row in zip(alpha_out, e_out, y_all, c_all)])
-    return alpha_out, bias, steps_out, stop_out
+                     for a, e_row, y_row, c_row in zip(alpha, e_out, y_all, c_all)])
+    return alpha, bias, steps_out, stop_out
 
 
 @dataclass(eq=False)

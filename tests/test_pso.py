@@ -239,6 +239,18 @@ def test_cv_fitness_requires_enough_samples():
         CvSvmFitness(x, y, folds=2, seed=0)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, np.nan, np.inf])
+def test_cv_fitness_rejects_what_svm_params_rejects(tolerance):
+    # inf would end every dual at step 0 and score chance; 0, -1 and NaN
+    # would send every dual to its cap or a stall
+    rng = np.random.default_rng(3)
+    x, y = make_blobs(rng, 10, std=0.1)
+    with pytest.raises(ParameterError, match="tolerance"):
+        svm.SvmParams(c=1.0, gamma=1.0, tolerance=tolerance)
+    with pytest.raises(ParameterError, match="tolerance"):
+        CvSvmFitness(x, y, folds=2, seed=0, tolerance=tolerance)
+
+
 def test_optimize_tunes_blobs():
     rng = np.random.default_rng(12)
     x, y = make_blobs(rng, 10, std=0.1)

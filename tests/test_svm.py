@@ -332,20 +332,38 @@ def _batch_problems(rng, count):
     return problems
 
 
-def _solve_padded(problems, tolerance):
+def _padded(problems):
+    """The problems as one batch padded to the widest: (kmats, ys, cs, caps)."""
     width = max(len(y) for _, y, _, _ in problems)
     kmats = np.zeros((len(problems), width, width))
     ys = np.zeros((len(problems), width))
     for b, (kmat, y, _, _) in enumerate(problems):
         kmats[b, : len(y), : len(y)] = kmat
         ys[b, : len(y)] = y
-    return svm.solve_dual_batch(
-        kmats,
-        ys,
-        [c for _, _, c, _ in problems],
-        tolerance,
-        [cap for _, _, _, cap in problems],
-    )
+    return kmats, ys, [c for _, _, c, _ in problems], [cap for _, _, _, cap in problems]
+
+
+def _solve_padded(problems, tolerance):
+    kmats, ys, cs, caps = _padded(problems)
+    return svm.solve_dual_batch(kmats, ys, cs, tolerance, caps)
+
+
+def _assert_rows_equal_scalar(problems, solved, tolerance):
+    """Row b of a batch solve is ``solve_dual`` on problem b, bit for bit, and
+    its step count is the shortest cap that reproduces that solve."""
+    alpha, bias, steps, stops = solved
+    for b, (kmat, y, c, cap) in enumerate(problems):
+        n = len(y)
+        ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, tolerance, cap)
+        assert np.array_equal(alpha[b, :n], ref_alpha)
+        assert (alpha[b, n:] == 0.0).all()
+        assert bias[b] == ref_bias
+        again, again_bias = svm.solve_dual(kmat, y, c, tolerance, int(steps[b]))
+        assert np.array_equal(again, ref_alpha) and again_bias == ref_bias
+        if steps[b] > 0:
+            shorter, _ = svm.solve_dual(kmat, y, c, tolerance, int(steps[b]) - 1)
+            assert not np.array_equal(shorter, ref_alpha)
+        assert (steps[b] == cap) == (stops[b] == svm.CAPPED)
 
 
 def _stalling_problem():
@@ -364,23 +382,46 @@ def test_batch_dual_bit_identical_to_scalar(tolerance):
     # last problem is built to end on a pair update that no longer moves, so
     # the stalled stop is exercised as well as convergence and the cap
     problems = _batch_problems(np.random.default_rng(21), 90) + [_stalling_problem()]
-    alpha, bias, steps, stops = _solve_padded(problems, tolerance)
-    for b, (kmat, y, c, cap) in enumerate(problems):
-        n = len(y)
-        ref_alpha, ref_bias = svm.solve_dual(kmat, y, c, tolerance, cap)
-        assert np.array_equal(alpha[b, :n], ref_alpha)
-        assert (alpha[b, n:] == 0.0).all()
-        assert bias[b] == ref_bias
-        # the step count is the shortest cap that reproduces the solve
-        again, again_bias = svm.solve_dual(kmat, y, c, tolerance, int(steps[b]))
-        assert np.array_equal(again, ref_alpha) and again_bias == ref_bias
-        if steps[b] > 0:
-            shorter, _ = svm.solve_dual(kmat, y, c, tolerance, int(steps[b]) - 1)
-            assert not np.array_equal(shorter, ref_alpha)
-        assert (steps[b] == cap) == (stops[b] == svm.CAPPED)
+    alpha, bias, steps, stops = solved = _solve_padded(problems, tolerance)
+    _assert_rows_equal_scalar(problems, solved, tolerance)
     assert {svm.CONVERGED, svm.CAPPED, svm.STALLED} <= set(stops)
     assert stops[-1] == svm.STALLED and steps[-1] == 1
     assert any((alpha[b] == c).any() for b, (_, _, c, _) in enumerate(problems))
+
+
+def _pso_scale_problems(rng, count=600):
+    """Duals at the PSO fitness's batch shape (20 particles x 5 folds x 6
+    pairs, padded to 48 rows): two overlapping clusters of 40 to 48 points,
+    at C and gamma drawn from the swarm's search box. Every ninth has a cap
+    of a few dozen steps; five are the stalling dual."""
+    problems = []
+    for b in range(count):
+        n = int(rng.integers(40, 49))
+        y = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+        x = rng.normal(size=(n, 6)) + 0.6 * y[:, None]
+        kmat = rbf_kernel_matrix(x, x, 10.0 ** rng.uniform(-4.0, 1.0))
+        cap = int(rng.integers(5, 60)) if b % 9 == 0 else 10 * n
+        problems.append((kmat, y, 10.0 ** rng.uniform(-1.0, 3.0), cap))
+    for b in np.linspace(1, count - 1, 5).astype(int):
+        problems[b] = _stalling_problem()
+    return problems
+
+
+def test_batch_dual_bit_identical_to_scalar_at_pso_scale():
+    problems = _pso_scale_problems(np.random.default_rng(24))
+    kmats, ys, cs, caps = _padded(problems)
+    inputs = kmats.copy(), ys.copy()
+    solved = svm.solve_dual_batch(kmats, ys, cs, 1e-3, caps)
+    assert kmats.shape == (600, 48, 48)
+    # the solver reads and writes through flat views; its inputs stay as they were
+    assert np.array_equal(kmats, inputs[0]) and np.array_equal(ys, inputs[1])
+    _assert_rows_equal_scalar(problems, solved, 1e-3)
+    _, _, steps, stops = solved
+    assert np.bincount(stops, minlength=3)[svm.STALLED] == 5
+    # short caps and full ones end CAPPED, so duals leave the batch all through the run
+    capped = stops == svm.CAPPED
+    assert capped.sum() >= 50 and (capped & (np.array(caps) >= 400)).any()
+    assert len(np.unique(steps)) >= 150
 
 
 def test_batch_dual_zero_cap_and_single_problem():
