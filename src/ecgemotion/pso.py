@@ -14,12 +14,14 @@ the velocity zeroed on any clamped axis.
 
 Fitness is the mean k-fold cross-validation accuracy of a one-vs-one SVM
 trained at the particle's (C, gamma) on the training split only. The fold
-geometry and all kernel-independent distance matrices are precomputed once.
-Fitness is evaluated one generation at a time: the initial swarm, then each
-moved swarm, has all of its particles' fold-and-pair duals (20 particles x
-5 folds x 6 pairs = 600 by default) solved together by
-``svm.solve_dual_batch`` (in chunks under a memory bound), which gives
-every dual the result ``solve_dual`` would.
+geometry and all kernel-independent distances are computed once and stored
+once. Fitness is scored one generation at a time, in whole-array steps: the
+initial swarm, then each moved swarm, has all of its particles'
+fold-and-pair duals (20 particles x 5 folds x 6 pairs = 600 by default)
+filled from one distance stack and solved together by
+``svm.solve_dual_batch`` (in chunks under a memory bound), which gives every
+dual the result ``solve_dual`` would; one batched product per (fold, pair)
+gives every particle's decisions, and each fold votes once.
 """
 
 from __future__ import annotations
@@ -118,11 +120,14 @@ def step(position, velocity, best_position, global_best, config: PsoConfig, rng)
 class CvSvmFitness:
     """Mean k-fold CV accuracy of the one-vs-one SVM at (C, gamma).
 
-    Folds are stratified by class and fixed at construction; squared-distance
-    matrices for every (fold, pair) subproblem are precomputed because they do
-    not depend on (C, gamma). Each dual stops at ``tolerance`` (checked by
-    the rule ``svm.SvmParams`` applies) or after 10 steps per row:
-    ``svm_max_passes`` caps only the final pair duals.
+    Folds are stratified by class and fixed at construction. The squared
+    distances of every (fold, pair) problem do not depend on (C, gamma), so
+    they are stored once, fold by fold in ``svm.PAIRS`` order: ``d2_fit``
+    and ``y`` stack the fit rows' distances and labels, padded to the widest
+    pair, and ``d2_val`` lists the validation distances. A 4000-row split
+    (``pso_subsample=0``) takes 922 MB. Each dual stops at ``tolerance``
+    (checked by the rule ``svm.SvmParams`` applies) or after 10 steps per
+    row: ``svm_max_passes`` caps only the final pair duals.
     """
 
     def __init__(self, x, codes, folds: int, seed: int, tolerance: float = 1e-3):
@@ -142,62 +147,65 @@ class CvSvmFitness:
 
         # every class has at least ``folds`` rows, so every fit fold holds
         # every class and every pair has rows of both classes
-        self.folds = []
+        fits, self.val_codes, self.d2_val = [], [], []
         for fold in range(folds):
             val = np.flatnonzero(fold_of == fold)
             fit = np.flatnonzero(fold_of != fold)
-            pairs = []
+            self.val_codes.append(codes[val])
             for a, b in svm.PAIRS:
                 rows, y_pair = svm.pair_labels(codes[fit], a, b)
-                rows = fit[rows]
-                d2_fit = pairwise_sq_dists(x[rows], x[rows])
-                d2_val = pairwise_sq_dists(x[val], x[rows])
-                pairs.append((a, b, y_pair, d2_fit, d2_val))
-            self.folds.append((codes[val], pairs))
+                fits.append((fit[rows], y_pair))
+                self.d2_val.append(pairwise_sq_dists(x[val], x[fit[rows]]))
+        # padding: distance +inf, whose kernel value exp(-gamma * inf) is an
+        # exact 0, and label 0, which keeps it out of every dual
+        self.sizes = np.array([len(y_pair) for _, y_pair in fits])
+        width = self.sizes.max()
+        self.d2_fit, self.y = np.full((len(fits), width, width), np.inf), np.zeros((len(fits), width))
+        for problem, (rows, y_pair) in enumerate(fits):
+            self.d2_fit[problem, : len(rows), : len(rows)] = pairwise_sq_dists(x[rows], x[rows])
+            self.y[problem, : len(rows)] = y_pair
 
     def __call__(self, position: np.ndarray) -> float:
         return self.evaluate([position])[0][0]
 
     def evaluate(self, positions) -> tuple[list[float], np.ndarray]:
-        """Fitness of every position. Their duals are solved in batches padded
-        to the widest pair, as many per call as keep the stacked kernels within
-        ``FITNESS_BATCH_BYTES``; the precomputed fold distances (about 0.9 GB
-        for a 4000-row training split) are a fixed cost on top.
+        """Fitness of every position, in whole-array steps. The duals are
+        solved in batches, as many per call as keep the stacked kernels within
+        ``FITNESS_BATCH_BYTES``: one ``take`` from ``d2_fit``, scaled by each
+        dual's -gamma and exponentiated in place. Each (fold, pair) then gives
+        all P particles' decisions with one (P, v, m) @ (P, m, 1) product
+        (205 MB for 20 particles at a 4000-row split), and each fold votes
+        once. The stored distances (922 MB there) are a fixed cost on top.
 
         Returns the fitness values and the number of duals that stopped for
         each reason (indexed by ``svm.CONVERGED``, ``CAPPED``, ``STALLED``).
         """
-        params = [(10.0 ** float(p[0]), 10.0 ** float(p[1])) for p in positions]
-        problems = [pair for _, pairs in self.folds for pair in pairs]
-        batch = [(c, gamma, y_pair, d2_fit) for c, gamma in params for _, _, y_pair, d2_fit, _ in problems]
-        width = max(len(pair[2]) for pair in problems)
+        # powers of Python floats: an array power can differ in the last bit
+        c, gamma = np.array([(10.0 ** float(p[0]), 10.0 ** float(p[1])) for p in positions]).reshape(-1, 2).T
+        problems, width = self.y.shape
+        duals = len(c) * problems
         chunk = max(1, FITNESS_BATCH_BYTES // (8 * width * width))
-        solved, stops = [], np.zeros(3, dtype=np.int64)
-        for part in (batch[start : start + chunk] for start in range(0, len(batch), chunk)):
-            kmats, y = np.zeros((len(part), width, width)), np.zeros((len(part), width))
-            for k, (_, gamma, y_pair, d2_fit) in enumerate(part):
-                kmats[k, : len(y_pair), : len(y_pair)] = np.exp(-gamma * d2_fit)
-                y[k, : len(y_pair)] = y_pair
-            alpha, bias, _, part_stops = svm.solve_dual_batch(
-                kmats, y, [c for c, *_ in part], self.tolerance,
-                [10 * len(y_pair) for _, _, y_pair, _ in part],
+        alpha, bias, stops = np.empty((duals, width)), np.empty(duals), np.zeros(3, dtype=np.int64)
+        for start in range(0, duals, chunk):
+            part = slice(start, min(start + chunk, duals))
+            particle, problem = np.divmod(np.arange(part.start, part.stop), problems)
+            kmats = self.d2_fit.take(problem, axis=0)
+            kmats *= -gamma[particle, None, None]
+            alpha[part], bias[part], _, part_stops = svm.solve_dual_batch(
+                np.exp(kmats, out=kmats), self.y[problem], c[particle], self.tolerance, 10 * self.sizes[problem]
             )
-            solved += zip(alpha, bias)
             stops += np.bincount(part_stops, minlength=3)
-        solved = iter(solved)
-        values = []
-        for _, gamma in params:
-            accuracies = []
-            for val_codes, pairs in self.folds:
-                decisions = []
-                for _, _, y_pair, _, d2_val in pairs:
-                    pair_alpha, pair_bias = next(solved)
-                    weights = pair_alpha[: len(y_pair)] * y_pair
-                    decisions.append(np.exp(-gamma * d2_val) @ weights + float(pair_bias))
-                predicted = svm.vote(decisions)
-                accuracies.append(float(np.mean(predicted == val_codes)))
-            values.append(float(np.mean(accuracies)))
-        return values, stops
+        weights = (alpha.reshape(len(c), problems, width) * self.y)[..., None]  # (P, problems, width, 1)
+        bias = bias.reshape(len(c), problems, 1, 1)
+        accuracies = np.empty((len(c), len(self.val_codes)))
+        for fold, val_codes in enumerate(self.val_codes):
+            decisions = []
+            for problem in range(fold * len(svm.PAIRS), (fold + 1) * len(svm.PAIRS)):
+                kernels = np.multiply.outer(-gamma, self.d2_val[problem])  # (P, v, m)
+                values = np.matmul(np.exp(kernels, out=kernels), weights[:, problem, : self.sizes[problem]])
+                decisions.append((values + bias[:, problem]).reshape(-1))
+            accuracies[:, fold] = (svm.vote(decisions).reshape(len(c), -1) == val_codes).mean(axis=1)
+        return accuracies.mean(axis=1).tolist(), stops
 
 
 def _generation_scorer(fitness_fn):

@@ -12,10 +12,13 @@ the box [0, C]. Both solvers, the scalar one and the lockstep batch one,
 keep both selection scores current from step to step, as Platt's SMO and
 LIBSVM keep the gradient, instead of rebuilding them. Exact ties in the
 violation scores go to the lowest index, as LIBSVM's argmax does, so
-training reads no seed. A training row that occurs m times is solved for
-once, with the box [0, m * C], so a model lists each distinct support
-vector once and ``num_support`` counts distinct rows. Multiclass is
-one-vs-one over the six emotion pairs with majority voting.
+training reads no seed. Both take the bias by one rule, ``_biases``: the
+mean of y - f over the free multipliers, or the midpoint of the feasible
+interval when none is free, for a whole batch of finished solves at once
+(the scalar solver passes a batch of one). A training row that occurs m
+times is solved for once, with the box [0, m * C], so a model lists each
+distinct support vector once and ``num_support`` counts distinct rows.
+Multiclass is one-vs-one over the six emotion pairs with majority voting.
 """
 
 from __future__ import annotations
@@ -68,23 +71,28 @@ def _movable(y, alpha, c):
     return can_up, can_dn
 
 
-def _bias(alpha: np.ndarray, e: np.ndarray, y: np.ndarray, c) -> float:
-    """Bias of a finished solve: the mean of y - f over the free multipliers,
-    or the midpoint of the feasible interval when none is free."""
+def _biases(alpha, e, y, c) -> np.ndarray:
+    """Bias of each finished solve, one per row of the (B, n) arrays: the mean
+    of y - f over the row's free multipliers, or the midpoint of its feasible
+    interval when none is free. ``c`` broadcasts to (B, n)."""
+    neg_e, c = -e, np.broadcast_to(c, alpha.shape)  # y - f == -e
     free = (alpha > _EPS) & (alpha < c - _EPS)
-    if free.any():
-        return float(np.mean(-e[free]))  # y - f == -e
-    can_up, can_dn = _movable(y, alpha, c)
-    neg_e = -e
-    lo_bound = neg_e[can_up].max() if can_up.any() else None
-    hi_bound = neg_e[can_dn].min() if can_dn.any() else None
-    if lo_bound is not None and hi_bound is not None:
-        return float(0.5 * (lo_bound + hi_bound))
-    if lo_bound is not None:
-        return float(lo_bound)
-    if hi_bound is not None:
-        return float(hi_bound)
-    return 0.0
+    counts, bias = free.sum(axis=1), np.empty(len(alpha))
+    # rows with k free multipliers: one C-contiguous (rows, k) block, summed
+    # along axis 1 as np.mean sums one row's free entries
+    for k in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == k)
+        bias[rows] = neg_e[rows][free[rows]].reshape(-1, k).sum(axis=1) / k
+    rows = np.flatnonzero(counts == 0)
+    neg_e, (can_up, can_dn) = neg_e[rows], _movable(y[rows], alpha[rows], c[rows])
+    lo = neg_e.max(axis=1, where=can_up, initial=-np.inf)
+    hi = neg_e.min(axis=1, where=can_dn, initial=np.inf)
+    # a missing end takes the other's value (0 if both are missing), so
+    # 0.5 * (lo + hi) never adds -inf to inf
+    has_dn = can_dn.any(axis=1)
+    lo = np.where(can_up.any(axis=1), lo, np.where(has_dn, hi, 0.0))
+    bias[rows] = 0.5 * (lo + np.where(has_dn, hi, lo))
+    return bias
 
 
 def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: int):
@@ -166,7 +174,7 @@ def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: 
     alpha = np.array(alpha)
     # every row the bias reads is in one of the sets, so e is known there
     e = np.where(g_dn > -np.inf, g_dn, -g_up)
-    return alpha, _bias(alpha, e, y, c_rows)
+    return alpha, float(_biases(alpha[None], e[None], y[None], c_rows)[0])
 
 
 # Why a dual solve stopped: no pair violates by more than the tolerance,
@@ -202,6 +210,7 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
     caps = np.broadcast_to(np.asarray(max_steps, dtype=np.int64), (count,))
     # reads and writes go through flat views; the inputs are only read
     k_rows, k_flat, y_flat = kmats.reshape(count * n, n), kmats.reshape(-1), y_all.reshape(-1)
+    k_diag = kmats.diagonal(axis1=1, axis2=2).ravel()
     alpha = np.zeros((count, n))
     alpha_flat = alpha.reshape(-1)
     e_out = np.empty((count, n))
@@ -214,7 +223,7 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
     # elsewhere. alpha is written in place, so a finished problem's row is
     # its output; only g and the per-problem vectors shrink. g stays
     # C-contiguous (compress, not fancy indexing), so g_flat is a view.
-    owner, cb, capb = np.arange(count), c_all, caps
+    owner, cb, cb_eps, capb = np.arange(count), c_all, c_all - _EPS, caps
     e = -y_all
     g = np.where(_movable(y_all, 0.0, c_all[:, None]), [-e, e], -np.inf)
     g_flat = g.reshape(-1)
@@ -227,12 +236,11 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
         at = own_n + ij
         y12, a12 = y_flat.take(at), alpha_flat.take(at)
         (y1, y2), (a1, a2) = y12, a12
-        same = y1 == y2
-        low = np.where(same, np.maximum(0.0, a1 + a2 - cb), np.maximum(0.0, a2 - a1))
-        high = np.where(same, np.minimum(cb, a1 + a2), np.minimum(cb, cb + a2 - a1))
-        k_ii, k_jj = k_flat.take(at * n + ij)
-        eta = k_ii + k_jj - 2.0 * k_flat.take(at[0] * n + ij[1])
-        eta = np.where(eta < _EPS, _EPS, eta)
+        same, a_sum = y1 == y2, a1 + a2
+        low = np.maximum(0.0, np.where(same, a_sum - cb, a2 - a1))
+        high = np.minimum(cb, np.where(same, a_sum, cb + a2 - a1))
+        k_ii, k_jj = k_diag.take(at)
+        eta = np.maximum(k_ii + k_jj - 2.0 * k_flat.take(at[0] * n + ij[1]), _EPS)
         gap = e_j - e_i
         # an empty set makes the gap -inf; a converged problem's move is
         # never used, and 0 keeps inf out of it
@@ -252,7 +260,7 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
             # every row the bias reads is in one of the sets, so e is known there
             e_out[gone] = np.where(g_dn > -np.inf, g_dn, -g_up)
             keep = ~done
-            owner, cb, capb = owner[keep], cb[keep], capb[keep]
+            owner, cb, cb_eps, capb = owner[keep], cb[keep], cb_eps[keep], capb[keep]
             if not len(owner):
                 break
             g = g.compress(keep, axis=1)
@@ -264,8 +272,8 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
             (y1, y2), (a1, a2) = y12, a12
 
         # snap to the box so the support set stays exact
-        a_new = np.stack([a1 + y1 * y2 * (a2 - a2_new), a2_new])
-        a_new = np.where(a_new < _EPS, 0.0, np.where(a_new > cb - _EPS, cb, a_new))
+        a_new = np.array([a1 + y1 * y2 * (a2 - a2_new), a2_new])
+        a_new = np.where(a_new < _EPS, 0.0, np.where(a_new > cb_eps, cb, a_new))
         rows = k_rows.take(at, axis=0)  # (2, A, n): kernel rows i and j
         rows *= ((a_new - a12) * y12)[:, :, None]
         delta = np.add(rows[0], rows[1], out=rows[0])
@@ -274,14 +282,15 @@ def solve_dual_batch(kmats, y, c, tolerance: float, max_steps):
         alpha_flat.put(at, a_new)
         # i was in the can-increase set and j in the can-decrease set, so
         # their new e is read there; then each enters the sets it is now in
+        # (the _movable rule, with y never 0 at i or j)
         e_new = g_flat.take(g_at + ij)
         e_new[0] *= -1.0
-        g_flat.put(g_at[:, None] + ij, np.where(_movable(y12, a_new, cb), [-e_new, e_new], -np.inf))
+        below_c, above_0 = a_new < cb_eps, a_new > _EPS
+        movable = np.where(y12 > 0, [below_c, above_0], [above_0, below_c])
+        g_flat.put(g_at[:, None] + ij, np.where(movable, [-e_new, e_new], -np.inf))
         step += 1
 
-    bias = np.array([_bias(a, e_row, y_row, c_row)
-                     for a, e_row, y_row, c_row in zip(alpha, e_out, y_all, c_all)])
-    return alpha, bias, steps_out, stop_out
+    return alpha, _biases(alpha, e_out, y_all, c_all[:, None]), steps_out, stop_out
 
 
 @dataclass(eq=False)

@@ -207,7 +207,12 @@ def _movable_loop(y, alpha, c):
     return can_up, can_dn
 
 
-def _bias_loop(alpha, e, y, c) -> float:
+def bias_loop(alpha, e, y, c) -> float:
+    """The bias of one finished solve as ``svm.solve_dual`` computed it, one
+    row and one set at a time: ``np.mean`` of y - f (which is -e) over the
+    free multipliers, or the midpoint of the feasible interval the two sets
+    bound when none is free, its one end when only one set is non-empty,
+    and 0 when neither is."""
     free = (alpha > _SMO_EPS) & (alpha < c - _SMO_EPS)
     if free.any():
         return float(np.mean(-e[free]))
@@ -274,7 +279,7 @@ def solve_dual_loop(kmat, y, c, tolerance: float, max_steps: int):
         alpha[i] = a1_new
         alpha[j] = a2_new
 
-    return alpha, _bias_loop(alpha, e, y, c)
+    return alpha, bias_loop(alpha, e, y, c)
 
 
 def distinct_rows_structured(x):
@@ -305,10 +310,10 @@ def per_pair_cv_fitness(fitness, position) -> float:
     """A ``CvSvmFitness`` value computed one dual at a time.
 
     This is the fitness loop as it stood before duals were batched: it reads
-    the fitness object's precomputed folds and solves each (fold, pair) dual
-    on its own with the scalar ``svm.solve_dual``, so it checks the batched
-    path against the scalar solver rather than against an independent
-    method.
+    the fitness object's stored fold distances and labels and solves each
+    (fold, pair) dual on its own with the scalar ``svm.solve_dual``, so it
+    checks the batched path against the scalar solver rather than against
+    an independent method.
     """
     from ecgemotion import svm
     from ecgemotion.types import NUM_CLASSES
@@ -316,12 +321,15 @@ def per_pair_cv_fitness(fitness, position) -> float:
     c = 10.0 ** float(position[0])
     gamma = 10.0 ** float(position[1])
     accuracies = []
-    for val_codes, pairs in fitness.folds:
+    for fold, val_codes in enumerate(fitness.val_codes):
         votes = np.zeros((len(val_codes), NUM_CLASSES), dtype=np.int64)
-        for a, b, y_pair, d2_fit, d2_val in pairs:
-            kmat = np.exp(-gamma * d2_fit)
+        for k, (a, b) in enumerate(svm.PAIRS):
+            problem = fold * len(svm.PAIRS) + k
+            size = fitness.sizes[problem]
+            y_pair = fitness.y[problem, :size]
+            kmat = np.exp(-gamma * fitness.d2_fit[problem, :size, :size])
             alpha, bias = svm.solve_dual(kmat, y_pair, c, fitness.tolerance, 10 * len(y_pair))
-            decisions = np.exp(-gamma * d2_val) @ (alpha * y_pair) + bias
+            decisions = np.exp(-gamma * fitness.d2_val[problem]) @ (alpha * y_pair) + bias
             votes[:, a] += decisions >= 0
             votes[:, b] += decisions < 0
         predicted = votes.argmax(axis=1)

@@ -206,7 +206,7 @@ def test_cv_fitness_chunks_equal_one_batch(monkeypatch):
     values, stops = fitness.evaluate(positions)
     assert len(calls) == 1
 
-    width = max(len(y_pair) for _, pairs in fitness.folds for _, _, y_pair, _, _ in pairs)
+    width = fitness.y.shape[1]
     budget = 5 * 8 * width**2 + 100  # five duals per call
     monkeypatch.setattr(pso, "FITNESS_BATCH_BYTES", budget)
     calls.clear()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from ecgemotion.svm import (
 )
 from ecgemotion.types import DataFormatError, Emotion, ParameterError
 
-from oracles import dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix, solve_dual_loop
+from oracles import bias_loop, dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix, solve_dual_loop
 
 
 def rbf_kernel(x, y, gamma):
@@ -455,6 +457,53 @@ def test_exact_ties_go_to_the_lowest_index(monkeypatch):
     alpha, bias, _, _ = svm.solve_dual_batch(kmat[None], y[None], 10.0, 1e-3, 60)
     assert np.array_equal(first, again) and first_bias == again_bias
     assert np.array_equal(alpha[0], first) and bias[0] == first_bias
+
+
+def _finished_rows(rng, c=2.0, n=48):
+    """Hand-built finished duals (alpha, e, y) of width n, padded as the
+    batch solver pads: y = 0, alpha = 0 and e = +inf past each row's size.
+    First rows with 1, 7, 8, 9, 20 and 48 free multipliers, three of each
+    at scattered places, across NumPy's 8-wide pairwise-sum unroll; at 20
+    and 48 every multiplier is free. Then rows with none free: both movable
+    sets non-empty, only can-increase, only can-decrease, and an
+    all-padding row in neither."""
+    rows = []
+    for free in (1, 7, 8, 9, 20, 48) * 3:
+        size = free if free >= 20 else int(rng.integers(12, n + 1))
+        y = np.where(rng.random(size) < 0.5, 1.0, -1.0)
+        alpha = np.where(rng.random(size) < 0.5, 0.0, c)
+        alpha[rng.choice(size, free, replace=False)] = rng.uniform(0.1, c - 0.1, free)
+        rows.append((alpha, y, size))
+    y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+    rows += [(np.where(y > 0, 0.0, c) * (np.arange(20) % 4 < 2), y, 20),
+             (np.where(y > 0, 0.0, c), y, 20),
+             (np.where(y > 0, c, 0.0), y, 20),
+             (np.zeros(0), np.zeros(0), 0)]
+    alpha_all, y_all = np.zeros((len(rows), n)), np.zeros((len(rows), n))
+    e_all = np.full((len(rows), n), np.inf)
+    for r, (alpha, y, size) in enumerate(rows):
+        alpha_all[r, :size], y_all[r, :size] = alpha, y
+        # y - f spread over six decades, so the order of a sum shows
+        e_all[r, :size] = rng.normal(size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    return alpha_all, e_all, y_all
+
+
+def test_bias_rows_equal_the_per_row_loop():
+    c = 2.0
+    alpha, e, y = _finished_rows(np.random.default_rng(31), c)
+    free = ((alpha > 1e-12) & (alpha < c - 1e-12)).sum(axis=1)
+    assert {1, 7, 8, 9, 20, 48} <= set(free.tolist()) and (free == 0).sum() == 4
+    can_up, can_dn = svm._movable(y[-4:], alpha[-4:], c)
+    assert can_up.any(axis=1).tolist() == [True, True, False, False]
+    assert can_dn.any(axis=1).tolist() == [True, False, True, False]
+    expected = np.array([bias_loop(*row, c) for row in zip(alpha, e, y)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no -inf + inf on the no-free rows
+        batch = svm._biases(alpha, e, y, c)
+        one_at_a_time = np.array([svm._biases(*(row[None] for row in rows), c)[0] for rows in zip(alpha, e, y)])
+    assert batch.tobytes() == expected.tobytes()
+    assert one_at_a_time.tobytes() == expected.tobytes()
+    assert expected[-1] == 0.0  # the all-padding row
 
 
 @pytest.mark.parametrize("tolerance", [1e-3, 1e-15])
