@@ -1,12 +1,18 @@
-"""The reference protocol at the CI chain's small config, pinned to files.
+"""The reference protocol and the forest, pinned to files.
 
 ``tests/golden/tiny/`` holds the config the CI chain runs
 (``tiny.cfg``: 24 s records, a 120/60 split, 30 features, one run, two
 swarm iterations) and what ``scripts/run_reference_experiment.py`` wrote
 for it: ``runs.csv``, ``report.csv``, ``confusion_run0.csv`` and
 ``pso_trace.csv``, plus the tuned (C, gamma) as ``ecgemotion tune
---params-out`` writes it (``tuned.cfg``). A change that means to move a
-result updates these files and says why; every other change keeps them.
+--params-out`` writes it (``tuned.cfg``). ``tests/golden/tiny/forest/``
+holds the same protocol's files with ``classifier=forest`` and what
+``scripts/run_sweeps.py`` writes for the learning-cycle sweep at
+``tiny.cfg`` (``trees_rate.csv``, ``trees_ge.csv``).
+``tests/golden/reference/`` holds the seed-12345 run of the bundled
+reference configuration: ``runs.csv``, ``report.csv``, the ten
+confusions and the tuned point. A change that means to move a result
+updates these files and says why; every other change keeps them.
 """
 
 from pathlib import Path
@@ -19,6 +25,8 @@ from ecgemotion.config import PipelineConfig
 from ecgemotion.utils import fmt_float
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tiny"
+FOREST_GOLDEN = GOLDEN / "forest"
+REFERENCE_GOLDEN = GOLDEN.parent / "reference"
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +34,38 @@ def tiny_run():
     return evaluation.run_protocol(PipelineConfig.from_file(GOLDEN / "tiny.cfg"))
 
 
+def assert_reports_equal(result, golden, runs):
+    assert evaluation.runs_csv(result.report) == (golden / "runs.csv").read_text()
+    assert evaluation.report_csv(result.report) == (golden / "report.csv").read_text()
+    assert len(result.confusions) == runs
+    for run, cm in enumerate(result.confusions):
+        assert evaluation.confusion_csv(cm) == (golden / f"confusion_run{run}.csv").read_text()
+
+
+def tuned_text(pso_result):
+    return f"svm_c={fmt_float(pso_result.c)}\nsvm_gamma={fmt_float(pso_result.gamma)}\n"
+
+
 def test_tiny_reports_equal_golden(tiny_run):
-    assert evaluation.runs_csv(tiny_run.report) == (GOLDEN / "runs.csv").read_text()
-    assert evaluation.report_csv(tiny_run.report) == (GOLDEN / "report.csv").read_text()
-    assert len(tiny_run.confusions) == 1
-    assert evaluation.confusion_csv(tiny_run.confusions[0]) == (GOLDEN / "confusion_run0.csv").read_text()
+    assert_reports_equal(tiny_run, GOLDEN, 1)
+
+
+def test_tiny_forest_protocol_and_tree_sweep_equal_golden():
+    cfg = PipelineConfig.from_file(GOLDEN / "tiny.cfg").replace(classifier="forest")
+    assert_reports_equal(evaluation.run_protocol(cfg), FOREST_GOLDEN, 1)
+    curve, ge_points = evaluation.sweep_trees(cfg)
+    assert evaluation.curve_csv("trees", curve.points) == (FOREST_GOLDEN / "trees_rate.csv").read_text()
+    assert evaluation.ge_curve_csv(ge_points) == (FOREST_GOLDEN / "trees_ge.csv").read_text()
+
+
+def test_reference_run_equals_golden():
+    """The seed-12345 reference run: the runs, the report, the ten
+    confusions and the tuned point match exactly. Its PSO trace and taps are
+    not pinned: their last digits moved with the BLAS kernel and NumPy SIMD
+    level (ROADMAP Finding 7), while these files did not."""
+    result = evaluation.run_protocol(PipelineConfig(seed=12345))
+    assert_reports_equal(result, REFERENCE_GOLDEN, 10)
+    assert tuned_text(result.pso_result) == (REFERENCE_GOLDEN / "tuned.cfg").read_text()
 
 
 def _columns(text):
@@ -47,8 +82,7 @@ def test_tiny_pso_trace_and_tuned_point_equal_golden(tiny_run):
     per-fold accuracies over 24 validation rows, so one flipped vote moves
     it by 1/120. Here at most 3 values may differ, each by at most 1/60."""
     pso_result = tiny_run.pso_result
-    tuned = f"svm_c={fmt_float(pso_result.c)}\nsvm_gamma={fmt_float(pso_result.gamma)}\n"
-    assert tuned == (GOLDEN / "tuned.cfg").read_text()
+    assert tuned_text(pso_result) == (GOLDEN / "tuned.cfg").read_text()
 
     got = _columns(evaluation.pso_trace_csv(pso_result))
     want = _columns((GOLDEN / "pso_trace.csv").read_text())
