@@ -95,8 +95,6 @@ class PipelineConfig:
     # random forest
     forest_trees: int = 90
     forest_features_per_split: int = 0  # 0 -> ceil(sqrt(d))
-    forest_max_depth: int = 0  # 0 -> unlimited
-    forest_min_leaf: int = 1
 
     # K-NN
     knn_k: int = 3
@@ -144,8 +142,7 @@ class PipelineConfig:
             check_sampling(self.record_duration_s, self.sample_rate_hz)
             self.noise_spec(self.seed).check(self.sample_rate_hz)
             self.fir_filter()
-            forest.check_params(self.forest_trees, self.forest_features_per_split or None,
-                                self.forest_max_depth or None, self.forest_min_leaf, self.feature_count)
+            forest.check_params(self.forest_trees, self.forest_features_per_split or None, self.feature_count)
             knn.check_metric(self.knn_metric, self.knn_minkowski_p)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc

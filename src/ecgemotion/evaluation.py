@@ -237,8 +237,7 @@ def _fit_svm(train, cfg: PipelineConfig, seed: int):
 
 def _fit_forest(train, cfg: PipelineConfig, seed: int):
     return forest.train_forest(*train, num_trees=cfg.forest_trees, seed=derive_seed(seed, "forest"),
-                               features_per_split=cfg.forest_features_per_split or None,
-                               max_depth=cfg.forest_max_depth or None, min_leaf=cfg.forest_min_leaf)
+                               features_per_split=cfg.forest_features_per_split or None)
 
 
 def _fit_knn(train, cfg: PipelineConfig, seed: int):

@@ -1,19 +1,21 @@
 """Bagged decision-tree ensemble with voting margins.
 
-Each tree is grown on an n-sample bootstrap; at every split a random subset
-of features is considered and the split maximizing the Gini impurity
-decrease is taken (candidate thresholds at midpoints of consecutive sorted
-unique values). A tree is grown over its bootstrap's distinct rows, each
-weighted by its number of draws (about 37% of the draws repeat a row). A
-node orders all its sampled features with one sort of integer keys (the
-value's dense rank in its training column, then the row's position), the
-order a stable sort of the values gives, and counts classes with one
-cumulative sum of draw weights packed into per-class bit lanes; so the
-trees equal those of a per-feature stable argsort search over the expanded
-bootstrap. Training rows and the rows it predicts must be finite. Per-tree
-seeds derive from the master seed by tree index, so growing a larger forest
-never changes the trees already built: the learning-cycle sweep evaluates
-sub-ensembles of one forest.
+Each tree is grown to full size, unpruned, on an n-sample bootstrap, as in
+Breiman's random forest: a node splits unless it is pure or none of its
+sampled features varies on it. At every split a random subset of features
+is considered and the split maximizing the Gini impurity decrease is taken
+(candidate thresholds at midpoints of consecutive sorted unique values).
+A tree is grown over its bootstrap's distinct rows, each weighted by its
+number of draws (about 37% of the draws repeat a row). A node orders all
+its sampled features with one sort of integer keys (the value's dense rank
+in its training column, then the row's position), the order a stable sort
+of the values gives, and counts classes with one cumulative sum of draw
+weights packed into per-class bit lanes; so the trees equal those of a
+per-feature stable argsort search over the expanded bootstrap. Training
+rows and the rows it predicts must be finite. Per-tree seeds derive from
+the master seed by tree index, so growing a larger forest never changes
+the trees already built: the learning-cycle sweep evaluates sub-ensembles
+of one forest.
 
 The voting margin of a point is the fraction of trees voting its true class
 minus the largest fraction voting any other class; the generalization error
@@ -54,7 +56,7 @@ def _dense_ranks(x: np.ndarray) -> np.ndarray:
     return np.stack([np.unique(column, return_inverse=True)[1] for column in x.T], dtype=np.int64)
 
 
-def _best_split(x, ranks, rows, weights, y, feature_ids, min_leaf):
+def _best_split(x, ranks, rows, weights, y, feature_ids):
     """Best (feature, threshold, score) over the sampled features of the node
     holding the distinct ``rows`` of ``x``, drawn ``weights`` times each;
     ``ranks`` are ``_dense_ranks(x)`` and ``y`` the rows' labels.
@@ -66,7 +68,8 @@ def _best_split(x, ranks, rows, weights, y, feature_ids, min_leaf):
     sum(L_c^2)/n_left + sum(R_c^2)/n_right for class counts L and R, an
     affine transform of the negated weighted Gini impurity; computed from
     exact integers, so ties resolve identically in any evaluation order. The
-    first maximum in (feature, position) order wins; None if no split meets min_leaf.
+    first maximum in (feature, position) order wins; None if no sampled feature
+    varies on the node.
 
     One cumsum of weights in per-class bit lanes of an int64 (as wide as the
     node's draw count needs; more words when four lanes do not fit) gives k,
@@ -85,8 +88,6 @@ def _best_split(x, ranks, rows, weights, y, feature_ids, min_leaf):
     total = int(n_left[0, -1] + w[0, -1])
     # cut j puts sorted rows 0..j on the left, so each side holds a draw
     invalid = keys[:, :-1] == keys[:, 1:]
-    if min_leaf > 1:
-        invalid |= (n_left < min_leaf) | (n_left > total - min_leaf)
 
     bits = total.bit_length()
     lanes = 63 // bits  # sign bit left clear
@@ -114,11 +115,11 @@ def _best_split(x, ranks, rows, weights, y, feature_ids, min_leaf):
     return f, float(threshold), float(scores[k, cut])
 
 
-def _grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, min_leaf):
-    """Grow one tree on a bootstrap given as its distinct ``rows`` of ``x``
-    and their draw counts ``weights``; leaf counts, purity and the min_leaf
-    rule count draws. Nodes index ``x`` through subsets of ``rows``, so no
-    per-tree copy of ``x`` or ``ranks`` is made."""
+def _grow_tree(x, ranks, y, rows, weights, rng, features_per_split):
+    """Grow one full-size tree on a bootstrap given as its distinct ``rows``
+    of ``x`` and their draw counts ``weights``; leaf counts and purity count
+    draws. Nodes index ``x`` through subsets of ``rows``, so no per-tree copy
+    of ``x`` or ``ranks`` is made."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -127,10 +128,10 @@ def _grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, m
 
     d = x.shape[1]
     m = min(features_per_split, d)
-    # stack holds (row_indices, weights, depth, parent_node, is_left_child)
-    stack = [(rows, weights, 0, -1, False)]
+    # stack holds (row_indices, weights, parent_node, is_left_child)
+    stack = [(rows, weights, -1, False)]
     while stack:
-        rows, weights, depth, parent, is_left = stack.pop()
+        rows, weights, parent, is_left = stack.pop()
         node = len(feature)
         if parent >= 0:
             (left if is_left else right)[parent] = node
@@ -138,13 +139,10 @@ def _grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, m
         y_node = y[rows]
         node_counts = np.bincount(y_node, weights, minlength=NUM_CLASSES).astype(np.int64)
         tallies = node_counts.tolist()
-        drawn = sum(tallies)
-        pure = max(tallies) == drawn
-        depth_capped = max_depth is not None and depth >= max_depth
         split = None
-        if not pure and not depth_capped and drawn >= 2 * min_leaf:
+        if max(tallies) < sum(tallies):  # not pure
             chosen = np.sort(rng.choice(d, size=m, replace=False))
-            split = _best_split(x, ranks, rows, weights, y_node, chosen, min_leaf)
+            split = _best_split(x, ranks, rows, weights, y_node, chosen)
 
         f, thr = split[:2] if split else (-1, np.nan)
         feature.append(f)
@@ -155,8 +153,8 @@ def _grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, m
         if split:
             go_left = x[rows, f] <= thr
             # push right first so the left subtree is laid out next (pre-order)
-            stack.append((rows[~go_left], weights[~go_left], depth + 1, node, False))
-            stack.append((rows[go_left], weights[go_left], depth + 1, node, True))
+            stack.append((rows[~go_left], weights[~go_left], node, False))
+            stack.append((rows[go_left], weights[go_left], node, True))
 
     return DecisionTree(
         np.array(feature, dtype=np.int64),
@@ -196,13 +194,11 @@ class ForestModel:
         return len(self.trees)
 
 
-def check_params(num_trees: int, features_per_split: int | None, max_depth: int | None, min_leaf: int, d: int):
+def check_params(num_trees: int, features_per_split: int | None, d: int):
     """The forest settings for ``d`` features; ``None`` selects the default
-    features per split, ceil(sqrt(d)), or an unlimited depth."""
-    if num_trees < 1 or min_leaf < 1:
-        raise ParameterError("num_trees and min_leaf must be >= 1")
-    if max_depth is not None and max_depth < 0:
-        raise ParameterError("max_depth must be >= 0 (None for unlimited)")
+    features per split, ceil(sqrt(d))."""
+    if num_trees < 1:
+        raise ParameterError("num_trees must be >= 1")
     if features_per_split is not None and not 1 <= features_per_split <= d:
         raise ParameterError(f"features_per_split must lie in [1, {d}]")
 
@@ -213,15 +209,13 @@ def train_forest(
     num_trees: int = DEFAULT_NUM_TREES,
     features_per_split: int | None = None,
     seed: int = 0,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
 ) -> ForestModel:
     """Grow a bagged forest, each tree on its own n-draw bootstrap. It
     estimates no out-of-bag error: rows drawn with replacement from a pool of
     segments repeat, so most rows out of a bootstrap copy rows in it."""
     x, y = training_rows(x, y)
     d = x.shape[1]
-    check_params(num_trees, features_per_split, max_depth, min_leaf, d)
+    check_params(num_trees, features_per_split, d)
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(d)))
 
@@ -230,7 +224,7 @@ def train_forest(
     trees = []
     for rng in map(np.random.default_rng, np.random.SeedSequence(seed).spawn(num_trees)):
         rows, weights = np.unique(rng.integers(0, n, size=n), return_counts=True)
-        trees.append(_grow_tree(x, ranks, y, rows, weights, rng, features_per_split, max_depth, min_leaf))
+        trees.append(_grow_tree(x, ranks, y, rows, weights, rng, features_per_split))
     return ForestModel(trees, features_per_split, d)
 
 
@@ -328,7 +322,7 @@ def _read_tree(rows, path, first_line, dim) -> DecisionTree:
 
 def _read_trees(fh, path, fields) -> ForestModel:
     num_trees, features_per_split, dim = (int(fields[key]) for key in ("trees", "features_per_split", "dim"))
-    check_params(num_trees, features_per_split, None, 1, dim)
+    check_params(num_trees, features_per_split, dim)
     trees, lineno = [], 2
     for index in range(num_trees):
         nodes = int(block_values(fh, path, lineno, f"tree {index} nodes=...")[0])

@@ -48,10 +48,8 @@ def test_bad_value_rejected():
 @pytest.mark.parametrize(
     "text",
     [
-        "forest_max_depth=-2\n",
         "forest_trees=0\n",
         "forest_features_per_split=-3\n",
-        "forest_min_leaf=0\n",
         "forest_features_per_split=500\n",  # above the 75 features
         "knn_k=-3\n",
         "feature_count=0\n",
@@ -106,8 +104,19 @@ def test_out_of_range_forest_settings_rejected(tmp_path, text):
     path = tmp_path / "forest.cfg"
     path.write_text(text)
     assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
-    # 0 still selects the default depth and features per split
-    PipelineConfig.from_text("forest_max_depth=0\nforest_features_per_split=0\n")
+    # 0 still selects the default features per split
+    PipelineConfig.from_text("forest_features_per_split=0\n")
+
+
+@pytest.mark.parametrize("key", ["forest_max_depth=0", "forest_min_leaf=1"])
+def test_retired_keys_are_unknown(tmp_path, key):
+    """Every tree grows to full size, so the depth and leaf-size limits are
+    gone; a config that still names them fails at load."""
+    with pytest.raises(ConfigError, match="unknown key"):
+        PipelineConfig.from_text(key + "\n")
+    path = tmp_path / "retired.cfg"
+    path.write_text(key + "\n")
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
 @pytest.mark.parametrize("side", ["train_subjects", "test_subjects"])

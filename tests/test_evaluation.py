@@ -341,8 +341,8 @@ def test_sweep_trees_text_equals_per_feature_loop(mini_config, mini_corpus, monk
     monkeypatch.setattr(
         forest,
         "_grow_tree",
-        lambda x, ranks, y, rows, weights, rng, *rules: oracles.grow_tree_loop(
-            x[np.repeat(rows, weights)], y[np.repeat(rows, weights)], rng, *rules
+        lambda x, ranks, y, rows, weights, rng, features_per_split: oracles.grow_tree_loop(
+            x[np.repeat(rows, weights)], y[np.repeat(rows, weights)], rng, features_per_split, None, 1
         ),
     )
     assert render() == fast

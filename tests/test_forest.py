@@ -24,7 +24,7 @@ def full_sample_forest(x, y):
     """A one-tree forest grown on every row once, all features at each split."""
     n, d = x.shape
     ones = np.ones(n, dtype=np.int64)
-    tree = _grow_tree(x, _dense_ranks(x), y, np.arange(n), ones, np.random.default_rng(0), d, None, 1)
+    tree = _grow_tree(x, _dense_ranks(x), y, np.arange(n), ones, np.random.default_rng(0), d)
     return ForestModel([tree], d, d)
 
 
@@ -117,7 +117,7 @@ def test_prefix_stability(blob_data):
         assert np.array_equal(a.class_counts, b.class_counts)
 
 
-def exhaustive_best_split(x, y, min_leaf=1):
+def exhaustive_best_split(x, y):
     """Brute-force search over all (feature, midpoint) candidates, mirroring
     the implementation's score formula and tie rule."""
     n = len(y)
@@ -128,8 +128,6 @@ def exhaustive_best_split(x, y, min_leaf=1):
             threshold = 0.5 * (lo + hi)
             left = x[:, f] <= threshold
             nl, nr = int(left.sum()), int(n - left.sum())
-            if nl < min_leaf or nr < min_leaf:
-                continue
             lc = np.bincount(y[left], minlength=4)
             rc = np.bincount(y[~left], minlength=4)
             score = float((lc**2).sum()) / nl + float((rc**2).sum()) / nr
@@ -146,9 +144,7 @@ def test_gini_split_matches_exhaustive_search():
         y = rng.integers(0, 4, size=n).astype(np.int64)
         if len(np.unique(y)) < 2:
             continue
-        chosen = _best_split(
-            x, _dense_ranks(x), np.arange(n), np.ones(n, dtype=np.int64), y, np.array([0, 1]), 1
-        )
+        chosen = _best_split(x, _dense_ranks(x), np.arange(n), np.ones(n, dtype=np.int64), y, np.array([0, 1]))
         reference = exhaustive_best_split(x, y)
         if reference is None:
             assert chosen is None
@@ -190,28 +186,24 @@ def split_search_cases():
 
 
 @pytest.mark.parametrize("x,y", split_search_cases())
-@pytest.mark.parametrize("min_leaf,max_depth", [(1, None), (3, None), (1, 3), (2, 2)])
 @pytest.mark.parametrize("features_per_split", [1, 5])
-def test_rank_keyed_trees_equal_per_feature_loop(x, y, min_leaf, max_depth, features_per_split):
+def test_rank_keyed_trees_equal_per_feature_loop(x, y, features_per_split):
     ranks = _dense_ranks(x)
     for seed in range(3):
         sample = np.random.default_rng(seed).integers(0, len(y), size=len(y))  # bootstrap duplicates
         rows, weights = np.unique(sample, return_counts=True)
-        tree = _grow_tree(
-            x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split, max_depth, min_leaf
-        )
+        tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split)
         # the loop grows over the expanded bootstrap, in draw order
         expected = oracles.grow_tree_loop(
-            x[sample], y[sample], np.random.default_rng(seed), features_per_split, max_depth, min_leaf
+            x[sample], y[sample], np.random.default_rng(seed), features_per_split, None, 1
         )
         assert_same_tree(tree, expected)
 
 
-@pytest.mark.parametrize("min_leaf", [2, 3])
 @pytest.mark.parametrize("features_per_split", [1, 3])
-def test_heavily_duplicated_bootstrap_trees_equal_per_feature_loop(min_leaf, features_per_split):
+def test_heavily_duplicated_bootstrap_trees_equal_per_feature_loop(features_per_split):
     """40 draws from at most 8 distinct rows: most rows carry several draws,
-    so the min_leaf bound falls inside a row's group of draws."""
+    so leaf counts and split scores weigh each row by its draws."""
     rng = np.random.default_rng(30)
     x = np.round(rng.normal(size=(8, 3)), 1)
     x[:, 2] = np.round(x[:, 2])  # ties between distinct rows
@@ -220,28 +212,14 @@ def test_heavily_duplicated_bootstrap_trees_equal_per_feature_loop(min_leaf, fea
     for seed in range(6):
         sample = np.random.default_rng(seed).integers(0, 8, size=40)
         rows, weights = np.unique(sample, return_counts=True)
-        assert weights.max() > min_leaf
-        tree = _grow_tree(
-            x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split, None, min_leaf
-        )
+        assert weights.max() > 2
+        tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split)
         expected = oracles.grow_tree_loop(
-            x[sample], y[sample], np.random.default_rng(seed), features_per_split, None, min_leaf
+            x[sample], y[sample], np.random.default_rng(seed), features_per_split, None, 1
         )
         assert_same_tree(tree, expected)
-        split = _best_split(x, ranks, rows, weights, y[rows], np.arange(3), min_leaf)
-        assert split == oracles.best_split_loop(x[sample], y[sample], np.arange(3), min_leaf)
-
-
-def test_min_leaf_bound_inside_a_row_group():
-    # draws 1 + 4 + 1: every cut leaves one draw on one side
-    x = np.array([[0.0], [1.0], [2.0]])
-    y = np.array([0, 1, 2])
-    rows, weights = np.arange(3), np.array([1, 4, 1])
-    assert _best_split(x, _dense_ranks(x), rows, weights, y, np.array([0]), 2) is None
-    expanded = np.repeat(rows, weights)
-    assert oracles.best_split_loop(x[expanded], y[expanded], np.array([0]), 2) is None
-    split = _best_split(x, _dense_ranks(x), rows, weights, y, np.array([0]), 1)
-    assert split == oracles.best_split_loop(x[expanded], y[expanded], np.array([0]), 1)
+        split = _best_split(x, ranks, rows, weights, y[rows], np.arange(3))
+        assert split == oracles.best_split_loop(x[sample], y[sample], np.arange(3), 1)
 
 
 def test_class_lanes_widen_past_16_bits():
@@ -255,16 +233,16 @@ def test_class_lanes_widen_past_16_bits():
     rows, weights = np.unique(sample, return_counts=True)
     assert np.bincount(y[sample]).max() > 2**16
     ranks = _dense_ranks(x)
-    split = _best_split(x, ranks, rows, weights, y[rows], np.array([0]), 1)
+    split = _best_split(x, ranks, rows, weights, y[rows], np.array([0]))
     assert split == oracles.best_split_loop(x[sample], y[sample], np.array([0]), 1)
-    tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(1), 1, 1, 1)
-    assert_same_tree(tree, oracles.grow_tree_loop(x[sample], y[sample], np.random.default_rng(1), 1, 1, 1))
+    tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(1), 1)
+    assert_same_tree(tree, oracles.grow_tree_loop(x[sample], y[sample], np.random.default_rng(1), 1, None, 1))
 
 
 def test_copied_column_tie_goes_to_lower_feature():
     x = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0], [3.0, 5.0, 3.0]])
     y = np.array([0, 0, 1, 1])
-    split = _best_split(x, _dense_ranks(x), np.arange(4), np.ones(4, dtype=np.int64), y, np.array([0, 1, 2]), 1)
+    split = _best_split(x, _dense_ranks(x), np.arange(4), np.ones(4, dtype=np.int64), y, np.array([0, 1, 2]))
     assert split == oracles.best_split_loop(x, y, np.array([0, 1, 2]), 1)
     assert split[:2] == (0, 1.5)
 
@@ -281,9 +259,8 @@ def test_best_split_equals_per_feature_loop_on_node_subsets():
         sample = rng.choice(60, size=size, replace=trial % 2 == 0)
         rows, weights = np.unique(sample, return_counts=True)
         chosen = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
-        min_leaf = int(rng.integers(1, 4))
-        got = _best_split(x, ranks, rows, weights, y[rows], chosen, min_leaf)
-        assert got == oracles.best_split_loop(x[sample], y[sample], chosen, min_leaf)
+        got = _best_split(x, ranks, rows, weights, y[rows], chosen)
+        assert got == oracles.best_split_loop(x[sample], y[sample], chosen, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -318,26 +295,6 @@ def test_vote_matrix_prefixes_equal_separate_counts(blob_data):
             vote_matrix(model, x_test, bad)
 
 
-def test_min_leaf_respected():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(40, 3))
-    y = rng.integers(0, 4, size=40)
-    model = train_forest(x, y, num_trees=5, seed=1, min_leaf=4)
-    for tree in model.trees:
-        leaves = tree.feature == -1
-        assert (tree.class_counts[leaves].sum(axis=1) >= 4).all()
-
-
-def test_max_depth_respected():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(60, 3))
-    y = rng.integers(0, 4, size=60)
-    model = train_forest(x, y, num_trees=3, seed=1, max_depth=2)
-    for tree in model.trees:
-        # depth <= 2 means at most 1 + 2 + 4 = 7 nodes
-        assert tree.num_nodes <= 7
-
-
 def test_errors():
     with pytest.raises(ParameterError):
         train_forest(np.empty((0, 2)), np.empty(0, dtype=int), num_trees=5)
@@ -350,15 +307,6 @@ def test_errors():
     model = train_forest(x, y, num_trees=1, seed=0)
     with pytest.raises(ParameterError):
         predict_forest_batch(model, np.zeros((3, 2)))
-
-
-def test_negative_max_depth_rejected():
-    x = np.array([[0.0], [1.0], [2.0]])
-    y = np.array([0, 1, 2])
-    with pytest.raises(ParameterError):
-        train_forest(x, y, num_trees=3, max_depth=-1)
-    # depth 0 keeps the root as the only leaf
-    assert [tree.num_nodes for tree in train_forest(x, y, num_trees=3, max_depth=0).trees] == [1, 1, 1]
 
 
 def test_model_file_roundtrip(tmp_path, blob_data):
