@@ -75,7 +75,6 @@ class PipelineConfig:
     svm_c: float = 100.3
     svm_gamma: float = 0.016
     svm_tolerance: float = 1e-3
-    svm_max_passes: int = 0  # 0 -> 10 * n
     svm_tune: bool = True
 
     # PSO tuning
@@ -137,7 +136,7 @@ class PipelineConfig:
             raise ConfigError("sweeps need 1 <= min <= max, steps >= 1 and sweep_features_max <= segment_len")
         try:
             self.pso_config(self.seed)
-            svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance, self.svm_max_passes)
+            svm.SvmParams(self.svm_c, self.svm_gamma, self.svm_tolerance)
             self.profiles()
             check_sampling(self.record_duration_s, self.sample_rate_hz)
             self.noise_spec(self.seed).check(self.sample_rate_hz)

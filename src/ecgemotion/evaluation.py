@@ -231,7 +231,7 @@ def tune_svm(train_arrays, cfg: PipelineConfig) -> pso.PsoResult:
 
 
 def _fit_svm(train, cfg: PipelineConfig, seed: int):
-    params = svm.SvmParams(cfg.svm_c, cfg.svm_gamma, cfg.svm_tolerance, cfg.svm_max_passes)
+    params = svm.SvmParams(cfg.svm_c, cfg.svm_gamma, cfg.svm_tolerance)
     return svm.train_multiclass(train, params)
 
 

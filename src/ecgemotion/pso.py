@@ -127,7 +127,7 @@ class CvSvmFitness:
     pair, and ``d2_val`` lists the validation distances. A 4000-row split
     (``pso_subsample=0``) takes 922 MB. Each dual stops at ``tolerance``
     (checked by the rule ``svm.SvmParams`` applies) or after 10 steps per
-    row: ``svm_max_passes`` caps only the final pair duals.
+    row, as the final pair duals do.
     """
 
     def __init__(self, x, codes, folds: int, seed: int, tolerance: float = 1e-3):

@@ -43,10 +43,10 @@ class EmotionProfile:
     def __post_init__(self):
         if not 30.0 <= self.mean_hr_bpm <= 220.0:
             raise ParameterError("mean_hr_bpm must lie in [30, 220]")
-        if self.hr_std_bpm < 0:
-            raise ParameterError("hr_std_bpm must be >= 0")
-        if self.qrs_amp_scale <= 0 or self.t_amp_scale <= 0:
-            raise ParameterError("amplitude scales must be positive")
+        if not 0 <= self.hr_std_bpm < np.inf:  # also rejects NaN
+            raise ParameterError("hr_std_bpm must be finite and >= 0")
+        if not (0 < self.qrs_amp_scale < np.inf and 0 < self.t_amp_scale < np.inf):
+            raise ParameterError("amplitude scales must be positive and finite")
 
 
 @dataclass
@@ -73,8 +73,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("baseline_drift_amp", "powerline_amp", "emg_amp", "electrode_amp"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:  # also rejects NaN
+                raise ParameterError(f"{name} must be finite and >= 0")
 
     def sources(self) -> tuple:
         """(name, amplitude, frequencies) per source in sub-seed order: a
@@ -98,10 +98,10 @@ class NoiseSpec:
 
 def check_sampling(duration_s: float, sample_rate_hz: float) -> None:
     """The record length and sampling rate the generator accepts."""
-    if duration_s <= 0:
-        raise ParameterError("duration_s must be positive")
-    if sample_rate_hz < 100:
-        raise ParameterError("sample_rate_hz must be >= 100")
+    if not 0 < duration_s < np.inf:  # also rejects NaN
+        raise ParameterError("duration_s must be positive and finite")
+    if not 100 <= sample_rate_hz < np.inf:
+        raise ParameterError("sample_rate_hz must be finite and >= 100")
 
 
 def generate_clean(

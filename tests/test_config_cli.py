@@ -58,7 +58,6 @@ def test_bad_value_rejected():
         "pso_swarm_size=0\n",
         "pso_cv_folds=1\n",
         "pso_subsample=-1\n",
-        "svm_max_passes=-5\n",
         "svm_c=-1\n",
         "svm_gamma=0\n",
         # non-finite settings, which the PSO, SVM and K-NN stages would run with
@@ -80,6 +79,16 @@ def test_bad_value_rejected():
         "profile_happy_hr=500\n",
         "profile_calm_hr_std=-1\n",
         "noise_baseline_amp=-1\n",
+        # non-finite synthesis settings: a NaN length crashed synth, a NaN
+        # amplitude dropped its noise source and a NaN spread fixed the heart rate
+        "record_duration_s=nan\n",
+        "record_duration_s=inf\n",
+        "sample_rate_hz=inf\n",
+        "noise_emg_amp=nan\n",
+        "noise_baseline_amp=inf\n",
+        "profile_happy_hr_std=nan\n",
+        "profile_happy_qrs_scale=nan\n",
+        "profile_happy_qrs_scale=inf\n",
         "fir_window=foo\n",
         "fir_num_taps=4\n",
         "fir_low_hz=0\n",
@@ -108,10 +117,11 @@ def test_out_of_range_forest_settings_rejected(tmp_path, text):
     PipelineConfig.from_text("forest_features_per_split=0\n")
 
 
-@pytest.mark.parametrize("key", ["forest_max_depth=0", "forest_min_leaf=1"])
+@pytest.mark.parametrize("key", ["forest_max_depth=0", "forest_min_leaf=1", "svm_max_passes=0"])
 def test_retired_keys_are_unknown(tmp_path, key):
-    """Every tree grows to full size, so the depth and leaf-size limits are
-    gone; a config that still names them fails at load."""
+    """Every tree grows to full size and every SVM dual stops at the
+    tolerance or after 10 steps per drawn row, so the depth, leaf-size and
+    step limits are gone; a config that still names them fails at load."""
     with pytest.raises(ConfigError, match="unknown key"):
         PipelineConfig.from_text(key + "\n")
     path = tmp_path / "retired.cfg"
@@ -569,14 +579,14 @@ def test_negative_counts_are_config_errors(mini_cfg_file, tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     for key, command in (
         ("pso_subsample=-5", ["tune", "--trace-out", str(tmp_path / "trace.csv")]),
-        ("svm_max_passes=-1", ["train", "--classifier", "svm", "--model", str(tmp_path / "m.svm")]),
+        ("forest_trees=-1", ["train", "--classifier", "forest", "--model", str(tmp_path / "m.forest")]),
     ):
         overlay = tmp_path / "negative.cfg"
         overlay.write_text(key + "\n")
         configs = ["--config", mini_cfg_file, "--config", str(overlay)]
         assert cli.main([*command, *configs, "--features", missing]) == 4
         assert capsys.readouterr().err.startswith("error:config:")
-    assert not (tmp_path / "m.svm").exists()
+    assert not (tmp_path / "m.forest").exists()
 
 
 def test_sweeps_with_zero_runs_are_usage_errors(mini_cfg_file, tmp_path, capsys):

@@ -79,6 +79,17 @@ def test_generate_parameter_errors():
         EmotionProfile(20, 0)
     with pytest.raises(ParameterError):
         EmotionProfile(60, -1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            generate_clean(EmotionProfile(60, 0), bad, 128, seed=0)
+        with pytest.raises(ParameterError):
+            EmotionProfile(60, bad)
+        with pytest.raises(ParameterError):
+            EmotionProfile(60, 0, qrs_amp_scale=bad)
+        with pytest.raises(ParameterError):
+            EmotionProfile(60, 0, t_amp_scale=bad)
+    with pytest.raises(ParameterError):
+        generate_clean(EmotionProfile(60, 0), 10, np.inf, seed=0)
 
 
 def test_inject_identity_when_all_zero():
@@ -125,8 +136,9 @@ def test_band_validation():
         inject_noise(record, NoiseSpec(electrode_amp=1.0, electrode_band_hz=(1.0, 70.0), seed=0))
     with pytest.raises(ParameterError):
         inject_noise(record, NoiseSpec(baseline_drift_amp=1.0, baseline_drift_hz=0.0, seed=0))
-    with pytest.raises(ParameterError):
-        NoiseSpec(emg_amp=-0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            NoiseSpec(emg_amp=bad)
 
 
 def test_default_profiles_separable_rr():
