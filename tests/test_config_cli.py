@@ -29,8 +29,11 @@ def test_reference_defaults_carry_reported_values():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_text("not_a_knob=1\n")
+    # the depth, leaf-size and step limits are retired: trees grow to full
+    # size and every SVM dual stops at the tolerance or 10 steps per drawn row
+    for text in ("not_a_knob=1\n", "forest_max_depth=0\n", "forest_min_leaf=1\n", "svm_max_passes=0\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            PipelineConfig.from_text(text)
 
 
 def test_bad_value_rejected():
@@ -115,18 +118,6 @@ def test_out_of_range_forest_settings_rejected(tmp_path, text):
     assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     # 0 still selects the default features per split
     PipelineConfig.from_text("forest_features_per_split=0\n")
-
-
-@pytest.mark.parametrize("key", ["forest_max_depth=0", "forest_min_leaf=1", "svm_max_passes=0"])
-def test_retired_keys_are_unknown(tmp_path, key):
-    """Every tree grows to full size and every SVM dual stops at the
-    tolerance or after 10 steps per drawn row, so the depth, leaf-size and
-    step limits are gone; a config that still names them fails at load."""
-    with pytest.raises(ConfigError, match="unknown key"):
-        PipelineConfig.from_text(key + "\n")
-    path = tmp_path / "retired.cfg"
-    path.write_text(key + "\n")
-    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
 @pytest.mark.parametrize("side", ["train_subjects", "test_subjects"])
