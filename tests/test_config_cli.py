@@ -108,6 +108,10 @@ def test_bad_value_rejected():
         "sweep_features_max=300\n",  # above the 256-sample segment
         "train_subjects=\n",
         "test_subjects=\n",
+        # retired keys: a line copied from an old config fails as unknown
+        "forest_max_depth=-2\n",
+        "forest_min_leaf=0\n",
+        "svm_max_passes=-5\n",
     ],
 )
 def test_out_of_range_forest_settings_rejected(tmp_path, text):

@@ -186,8 +186,10 @@ def split_search_cases():
 
 
 @pytest.mark.parametrize("x,y", split_search_cases())
+# the loop oracle's limits that grow a full-size tree, as the forest does
+@pytest.mark.parametrize("min_leaf,max_depth", [(1, None)])
 @pytest.mark.parametrize("features_per_split", [1, 5])
-def test_rank_keyed_trees_equal_per_feature_loop(x, y, features_per_split):
+def test_rank_keyed_trees_equal_per_feature_loop(x, y, min_leaf, max_depth, features_per_split):
     ranks = _dense_ranks(x)
     for seed in range(3):
         sample = np.random.default_rng(seed).integers(0, len(y), size=len(y))  # bootstrap duplicates
@@ -195,7 +197,7 @@ def test_rank_keyed_trees_equal_per_feature_loop(x, y, features_per_split):
         tree = _grow_tree(x, ranks, y, rows, weights, np.random.default_rng(seed), features_per_split)
         # the loop grows over the expanded bootstrap, in draw order
         expected = oracles.grow_tree_loop(
-            x[sample], y[sample], np.random.default_rng(seed), features_per_split, None, 1
+            x[sample], y[sample], np.random.default_rng(seed), features_per_split, max_depth, min_leaf
         )
         assert_same_tree(tree, expected)
 
