@@ -58,13 +58,10 @@ class PipelineConfig:
     fir_low_hz: float = 3.0
     fir_high_hz: float = 100.0
     fir_num_taps: int = 257
-    fir_window: str = "hamming"
 
     # segmentation and features
     segment_len: int = 256
-    segment_stride: int = 256
     feature_count: int = 75
-    zscore: bool = False
 
     # dataset sizes
     train_size: int = 4000
@@ -126,8 +123,8 @@ class PipelineConfig:
             raise ConfigError("feature_count must lie in [1, segment_len]")
         if self.pso_subsample < 0:
             raise ConfigError("pso_subsample must be >= 0 (0 for the full training split)")
-        if self.segment_len < dsp.MIN_SEGMENT_LEN or self.segment_stride < 1:
-            raise ConfigError(f"segment_len must be >= {dsp.MIN_SEGMENT_LEN} and segment_stride >= 1")
+        if self.segment_len < dsp.MIN_SEGMENT_LEN:
+            raise ConfigError(f"segment_len must be >= {dsp.MIN_SEGMENT_LEN}")
         if min(self.sweep_features_step, self.sweep_trees_step) < 1 or not (
             1 <= self.sweep_features_min <= self.sweep_features_max <= self.segment_len
             and 1 <= self.sweep_trees_min <= self.sweep_trees_max
@@ -171,9 +168,7 @@ class PipelineConfig:
         )
 
     def fir_filter(self) -> dsp.FirFilter:
-        return dsp.design_bandpass(
-            self.fir_low_hz, self.fir_high_hz, self.sample_rate_hz, self.fir_num_taps, self.fir_window
-        )
+        return dsp.design_bandpass(self.fir_low_hz, self.fir_high_hz, self.sample_rate_hz, self.fir_num_taps)
 
     def pso_config(self, seed: int) -> PsoConfig:
         return PsoConfig(

@@ -1,7 +1,7 @@
 """Window-method FIR band-pass design, filtering, and segmentation.
 
 The denoising stage: an ideal band-pass impulse response (difference of two
-sinc low-passes) is shaped by a taper window, normalized to unit gain at the
+sinc low-passes) is shaped by a Hamming window, normalized to unit gain at the
 band's geometric-mean frequency, and applied by zero-padded convolution with
 the group delay compensated.
 """
@@ -15,12 +15,8 @@ import numpy as np
 from .types import ParameterError, SignalRecord
 from .utils import fmt_float
 
-WINDOW_KINDS = ("hamming", "hanning", "blackman", "rectangular")
-
 DEFAULT_NUM_TAPS = 257
-DEFAULT_WINDOW = "hamming"
 DEFAULT_SEGMENT_LEN = 256
-DEFAULT_SEGMENT_STRIDE = 256
 
 # Designs requesting a high cutoff at or beyond this fraction of the sample
 # rate are clamped so the transition band stays below Nyquist.
@@ -29,24 +25,11 @@ HIGH_CUT_CLAMP_FRACTION = 0.45
 MIN_SEGMENT_LEN = 80  # must exceed the largest feature count in the sweeps
 
 
-def window_taps(kind: str, n: int) -> np.ndarray:
-    if kind == "hamming":
-        return np.hamming(n)
-    if kind == "hanning":
-        return np.hanning(n)
-    if kind == "blackman":
-        return np.blackman(n)
-    if kind == "rectangular":
-        return np.ones(n)
-    raise ParameterError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
-
-
 @dataclass(eq=False)
 class FirFilter:
     """Linear-phase FIR band-pass; ``design_bandpass`` ensures odd symmetric taps and 0 < low < high < fs/2."""
 
     taps: np.ndarray
-    window_kind: str
     low_cut_hz: float
     high_cut_hz: float
     sample_rate_hz: float
@@ -71,9 +54,8 @@ def design_bandpass(
     high_hz: float,
     sample_rate_hz: float,
     num_taps: int = DEFAULT_NUM_TAPS,
-    window_kind: str = DEFAULT_WINDOW,
 ) -> FirFilter:
-    """Design a window-method band-pass filter.
+    """Design a Hamming-window band-pass filter.
 
     A high cutoff at or above 0.45*fs is clamped to 0.45*fs and the design
     carries a warning instead of failing, so configurations written for a
@@ -102,14 +84,14 @@ def design_bandpass(
     fl = low_hz / sample_rate_hz
     fh = high_hz / sample_rate_hz
     ideal = 2.0 * fh * np.sinc(2.0 * fh * k) - 2.0 * fl * np.sinc(2.0 * fl * k)
-    taps = ideal * window_taps(window_kind, num_taps)
+    taps = ideal * np.hamming(num_taps)
     taps = 0.5 * (taps + taps[::-1])  # enforce exact symmetry
 
     center_hz = float(np.sqrt(low_hz * high_hz))
     gain = float(np.abs(frequency_response(taps, center_hz, sample_rate_hz))[0])
     taps = taps / gain
 
-    return FirFilter(taps, window_kind, float(low_hz), float(high_hz), float(sample_rate_hz), warning)
+    return FirFilter(taps, float(low_hz), float(high_hz), float(sample_rate_hz), warning)
 
 
 def apply(fir: FirFilter, record: SignalRecord) -> SignalRecord:
@@ -124,28 +106,24 @@ def apply(fir: FirFilter, record: SignalRecord) -> SignalRecord:
     return SignalRecord(out, record.sample_rate_hz, record.label, record.subject_id)
 
 
-def segment(
-    record: SignalRecord, length: int = DEFAULT_SEGMENT_LEN, stride: int = DEFAULT_SEGMENT_STRIDE
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cut a record into fixed-length windows: a read-only (k, length) view of
-    its samples and the k start offsets. A record shorter than one window
-    yields k = 0."""
+def segment(record: SignalRecord, length: int = DEFAULT_SEGMENT_LEN) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a record into consecutive fixed-length windows: a read-only
+    (k, length) view of its samples and the k start offsets. A tail shorter
+    than one window is dropped, so a record shorter than one window yields
+    k = 0."""
     if length < MIN_SEGMENT_LEN:
         raise ParameterError(f"segment length must be >= {MIN_SEGMENT_LEN}")
-    if stride < 1:
-        raise ParameterError("stride must be >= 1")
-    n = len(record.samples)
-    if n < length:
-        return np.empty((0, length)), np.empty(0, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(record.samples, length)[::stride]
-    return windows, np.arange(0, n - length + 1, stride)
+    k = len(record.samples) // length
+    windows = record.samples[: k * length].reshape(k, length)
+    windows.flags.writeable = False
+    return windows, np.arange(k) * length
 
 
 def save_taps(fir: FirFilter, path) -> None:
     with open(path, "w") as fh:
         fh.write(
             f"# fs={fmt_float(fir.sample_rate_hz)},low={fmt_float(fir.low_cut_hz)},"
-            f"high={fmt_float(fir.high_cut_hz)},window={fir.window_kind}\n"
+            f"high={fmt_float(fir.high_cut_hz)},window=hamming\n"
         )
         for tap in fir.taps:
             fh.write(fmt_float(tap) + "\n")

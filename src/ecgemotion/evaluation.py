@@ -168,7 +168,7 @@ class FeatureCache:
         other_rates = {record.sample_rate_hz for record in records} - {cfg.sample_rate_hz}
         if other_rates:
             raise ParameterError(f"record sample rate {min(other_rates)} != config's {cfg.sample_rate_hz}")
-        cuts = [dsp.segment(record, cfg.segment_len, cfg.segment_stride) for record in records]
+        cuts = [dsp.segment(record, cfg.segment_len) for record in records]
         counts = [len(starts) for _, starts in cuts]
         if not sum(counts):
             raise ParameterError("corpus yielded no segments")
@@ -192,9 +192,6 @@ class FeatureCache:
         train = features.sample_balanced(self.pools["train"], self.cfg.train_size, rng, "train")
         test = features.sample_balanced(self.pools["test"], self.cfg.test_size, rng, "test")
         x = self.coeffs[:, :n]
-        if self.cfg.zscore:
-            # every cached row, scaled by the training sample's statistics
-            _, x = features.standardize(x[train], x)
         return Dataset(x[train], self.labels[train], self.sources[train],
                        x[test], self.labels[test], self.sources[test])
 

@@ -47,14 +47,6 @@ def dct(x) -> np.ndarray:
     return dct_matrix(len(x)) @ x
 
 
-def standardize(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z-score both splits using per-feature statistics of the training split."""
-    mean = x_train.mean(axis=0)
-    std = x_train.std(axis=0)
-    std[std == 0.0] = 1.0
-    return (x_train - mean) / std, (x_test - mean) / std
-
-
 def balanced_counts(total: int, classes: int = len(EMOTIONS)) -> list[int]:
     """Split a total across classes, lower class codes taking the remainder."""
     base, rem = divmod(total, classes)

@@ -163,6 +163,8 @@ def votes(sorted_labels: np.ndarray, sorted_dists: np.ndarray, ks) -> np.ndarray
 def classify(dists: np.ndarray, train_y: np.ndarray, ks) -> np.ndarray:
     """Class codes of every query row (rows of ``dists``) for every k in
     ``ks``, shape (len(ks), rows): one neighbor ranking serves all k."""
+    if min(ks) < 1 or max(ks) > len(train_y):
+        raise ParameterError(f"k must lie in [1, {len(train_y)}]")
     order = nearest(dists, max(ks))
     return votes(train_y[order], np.take_along_axis(dists, order, axis=1), ks)
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,15 @@ def mini_corpus(mini_config):
     records = evaluation.synth_corpus(mini_config)
     filtered, _ = evaluation.filter_corpus(records, mini_config)
     return filtered
+
+
+@pytest.fixture(scope="session")
+def reference_run():
+    """The seed-12345 protocol of the bundled reference configuration, run
+    once per session: ``(result, seconds)``, where ``seconds`` times the
+    ``run_protocol`` call alone."""
+    from ecgemotion import evaluation
+
+    start = time.perf_counter()
+    result = evaluation.run_protocol(PipelineConfig())
+    return result, time.perf_counter() - start

@@ -29,18 +29,24 @@ def test_reference_defaults_carry_reported_values():
 
 
 def test_unknown_key_rejected():
-    # the depth, leaf-size and step limits are retired: trees grow to full
-    # size and every SVM dual stops at the tolerance or 10 steps per drawn row
-    for text in ("not_a_knob=1\n", "forest_max_depth=0\n", "forest_min_leaf=1\n", "svm_max_passes=0\n"):
+    # retired keys: trees grow to full size, every SVM dual stops at the
+    # tolerance or 10 steps per drawn row, and the pipeline has one Hamming
+    # filter, consecutive segments and unscaled DCT features
+    for text in ("not_a_knob=1\n", "forest_max_depth=0\n", "forest_min_leaf=1\n", "svm_max_passes=0\n",
+                 "fir_window=hamming\n", "segment_stride=256\n", "zscore=false\n"):
         with pytest.raises(ConfigError, match="unknown key"):
             PipelineConfig.from_text(text)
 
 
-def test_bad_value_rejected():
+def test_bad_value_rejected(tmp_path):
     with pytest.raises(ConfigError):
         PipelineConfig.from_text("runs=ten\n")
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_text("zscore=maybe\n")
+    # the retired zscore key: a line copied from an old config fails as unknown
+    path = tmp_path / "old.cfg"
+    path.write_text("zscore=maybe\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        PipelineConfig.from_file(path)
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     with pytest.raises(ConfigError):
         PipelineConfig.from_text("classifier=tree\n")
     for text in ("train_size=0\n", "train_size=-4\n", "test_size=0\n"):
@@ -92,11 +98,9 @@ def test_bad_value_rejected():
         "profile_happy_hr_std=nan\n",
         "profile_happy_qrs_scale=nan\n",
         "profile_happy_qrs_scale=inf\n",
-        "fir_window=foo\n",
         "fir_num_taps=4\n",
         "fir_low_hz=0\n",
         "segment_len=64\nfeature_count=30\n",  # below dsp.MIN_SEGMENT_LEN
-        "segment_stride=0\n",
         "sample_rate_hz=90\n",  # below the generator's 100 Hz
         "record_duration_s=0\n",
         "noise_powerline_hz=70\n",  # above the 64 Hz Nyquist of 128 Hz
@@ -112,6 +116,8 @@ def test_bad_value_rejected():
         "forest_max_depth=-2\n",
         "forest_min_leaf=0\n",
         "svm_max_passes=-5\n",
+        "fir_window=foo\n",
+        "segment_stride=0\n",
     ],
 )
 def test_out_of_range_forest_settings_rejected(tmp_path, text):

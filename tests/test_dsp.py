@@ -6,7 +6,6 @@ from ecgemotion.dsp import (
     design_bandpass,
     save_taps,
     segment,
-    window_taps,
 )
 from ecgemotion.synthgen import EmotionProfile, generate_clean
 from ecgemotion.types import Emotion, ParameterError, SignalRecord
@@ -20,47 +19,45 @@ def tone(freq_hz, duration_s=10.0, fs=128.0):
 
 
 def test_reference_design_clamps_to_57_6():
-    fir = design_bandpass(3, 100, 128, 257, "hamming")
+    fir = design_bandpass(3, 100, 128, 257)
     assert fir.high_cut_hz == pytest.approx(0.45 * 128)
     assert fir.warning is not None
     assert fir.num_taps == 257
 
 
 @pytest.mark.parametrize(
-    "low, high, taps, window",
-    [pytest.param(3, 40, 101, w, id=w) for w in ("hamming", "hanning", "blackman", "rectangular")]
-    # high cutoffs clamped to 57.6 Hz: the reference design and the shortest filter
-    + [pytest.param(3, 100, 257, "hamming", id="reference"),
-       pytest.param(0.5, 63.9, 3, "hamming", id="three-taps")],
+    "low, high, taps",
+    [pytest.param(3, 40, 101, id="hamming"),
+     # high cutoffs clamped to 57.6 Hz: the reference design and the shortest filter
+     pytest.param(3, 100, 257, id="reference"),
+     pytest.param(0.5, 63.9, 3, id="three-taps")],
 )
-def test_taps_symmetric(low, high, taps, window):
+def test_taps_symmetric(low, high, taps):
     # the FirFilter invariants, which only design_bandpass establishes
-    fir = design_bandpass(low, high, 128, taps, window)
+    fir = design_bandpass(low, high, 128, taps)
     assert np.allclose(fir.taps, fir.taps[::-1], rtol=0.0, atol=1e-12)
     assert fir.num_taps == taps and fir.num_taps % 2 == 1 and fir.num_taps >= 3
     assert 0 < fir.low_cut_hz < fir.high_cut_hz < fir.sample_rate_hz / 2
 
 
 def test_dc_blocked():
-    fir = design_bandpass(3, 57.6, 128, 257, "hamming")
+    fir = design_bandpass(3, 57.6, 128, 257)
     assert dft_magnitude(fir.taps, 0.0, 128) <= 0.01
 
 
 def test_center_gain_unity():
-    fir = design_bandpass(3, 57.6, 128, 257, "hamming")
+    fir = design_bandpass(3, 57.6, 128, 257)
     center = np.sqrt(3 * 57.6)
     assert dft_magnitude(fir.taps, center, 128) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_design_parameter_errors():
     with pytest.raises(ParameterError):
-        design_bandpass(3, 40, 128, 256, "hamming")  # even taps
+        design_bandpass(3, 40, 128, 256)  # even taps
     with pytest.raises(ParameterError):
-        design_bandpass(40, 3, 128, 257, "hamming")  # inverted cutoffs
+        design_bandpass(40, 3, 128, 257)  # inverted cutoffs
     with pytest.raises(ParameterError):
-        design_bandpass(60, 100, 128, 257, "hamming")  # low above clamped high
-    with pytest.raises(ParameterError):
-        design_bandpass(3, 40, 128, 101, "kaiser")  # unknown window
+        design_bandpass(60, 100, 128, 257)  # low above clamped high
 
 
 def test_apply_zero_signal():
@@ -121,32 +118,28 @@ def test_filter_linearity():
     assert np.allclose(combined, separate, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("window", ["hamming", "hanning", "blackman"])
+@pytest.mark.parametrize("window", ["hamming"])
 def test_window_tapers_monotonically(window):
-    taps = window_taps(window, 101)
+    # the taper the design puts on the ideal response, scaled to 1 at the center
+    fir = design_bandpass(3, 40, 128, 101)
     center = 50
-    first_half = taps[: center + 1]
-    assert (np.diff(first_half) >= -1e-15).all()
-    second_half = taps[center:]
-    assert (np.diff(second_half) <= 1e-15).all()
-
-
-def test_rectangular_keeps_ideal_shape():
-    fir_rect = design_bandpass(3, 40, 128, 101, "rectangular")
-    mid = 50
-    k = np.arange(101) - mid
+    k = np.arange(101) - center
     fl, fh = 3 / 128, 40 / 128
     ideal = 2 * fh * np.sinc(2 * fh * k) - 2 * fl * np.sinc(2 * fl * k)
-    ratio = fir_rect.taps / ideal
-    assert np.allclose(ratio, ratio[0], rtol=1e-9)
+    taper = fir.taps / ideal
+    taper /= taper[center]
+    assert np.allclose(taper, getattr(np, window)(101), rtol=1e-9, atol=0)
+    first_half = taper[: center + 1]
+    assert (np.diff(first_half) >= -1e-15).all()
+    second_half = taper[center:]
+    assert (np.diff(second_half) <= 1e-15).all()
 
 
 def test_segment_counts():
     record = SignalRecord(np.zeros(38400), 128, Emotion.CALM, 2)
-    assert len(segment(record, 256, 256)[0]) == 150
-    assert len(segment(record, 256, 128)[0]) == 299
+    assert len(segment(record, 256)[0]) == 150
     short = SignalRecord(np.zeros(255), 128, Emotion.CALM, 2)
-    windows, starts = segment(short, 256, 256)
+    windows, starts = segment(short, 256)
     assert windows.shape == (0, 256) and starts.shape == (0,)
 
 
@@ -155,25 +148,26 @@ def test_segment_provenance_and_errors():
     from ecgemotion.evaluation import FeatureCache
 
     record = SignalRecord(np.arange(600, dtype=float), 128, Emotion.TENSE, 7)
-    windows, starts = segment(record, 256, 128)
-    assert starts.tolist() == [0, 128, 256]
-    assert windows.shape == (3, 256)
-    assert np.array_equal(windows[1], np.arange(128, 384, dtype=float))
+    windows, starts = segment(record, 256)
+    # consecutive windows; the 88-sample tail is dropped
+    assert starts.tolist() == [0, 256]
+    assert windows.shape == (2, 256)
+    assert np.array_equal(windows[1], np.arange(256, 512, dtype=float))
+    # a read-only view of the record's samples, not a copy
+    assert np.shares_memory(windows, record.samples) and not windows.flags.writeable
     # the record's label and subject reach every window's cache row
-    cfg = PipelineConfig(segment_len=256, segment_stride=128, train_subjects=(7,), test_subjects=(8,))
+    cfg = PipelineConfig(segment_len=256, train_subjects=(7,), test_subjects=(8,))
     cache = FeatureCache([record], cfg)
-    assert list(zip(cache.subjects.tolist(), cache.starts.tolist())) == [(7, 0), (7, 128), (7, 256)]
+    assert list(zip(cache.subjects.tolist(), cache.starts.tolist())) == [(7, 0), (7, 256)]
     assert all(Emotion(code) is Emotion.TENSE for code in cache.labels)
     with pytest.raises(ParameterError):
-        segment(record, 64, 64)  # below the minimum segment length
-    with pytest.raises(ParameterError):
-        segment(record, 256, 0)
+        segment(record, 64)  # below the minimum segment length
 
 
 def test_taps_csv_roundtrip(tmp_path):
-    fir = design_bandpass(3, 100, 128, 257, "blackman")
+    fir = design_bandpass(3, 100, 128, 257)
     path = tmp_path / "taps.csv"
     save_taps(fir, path)
     header, *taps = path.read_text().splitlines()
-    assert header == "# fs=128.0,low=3.0,high=57.6,window=blackman"
+    assert header == "# fs=128.0,low=3.0,high=57.6,window=hamming"
     assert np.array_equal([float(tap) for tap in taps], fir.taps)

@@ -262,35 +262,21 @@ def test_feature_cache_rows_are_dct_prefix(mini_config, mini_corpus):
     from ecgemotion.features import dct
 
     records = {(r.subject_id, r.label): r.samples for r in mini_corpus}
-    length = mini_config.segment_len
-    n = mini_config.feature_count
-    # non-overlapping windows, then windows that overlap by half
-    for cfg in (mini_config, mini_config.replace(segment_stride=128)):
-        dataset = FeatureCache(mini_corpus, cfg).dataset(n, 777)
-        assert len(dataset.train) == cfg.train_size
-        assert len(dataset.test) == cfg.test_size
-        for side, subjects in ((dataset.train, cfg.train_subjects),
-                               (dataset.test, cfg.test_subjects)):
-            for fv in side:
-                subject, start = fv.source
-                assert subject in subjects and start % cfg.segment_stride == 0
-                segment = records[(subject, fv.label)][start : start + length]
-                assert len(segment) == length
-                assert np.allclose(fv.values, dct(segment)[:n], rtol=0, atol=1e-12)
-    assert {fv.source[1] % 256 for fv in dataset.train} == {0, 128}
-
-
-def test_feature_cache_zscore_scales_by_training_sample(mini_config, mini_corpus):
-    from ecgemotion.features import standardize
-
-    plain = FeatureCache(mini_corpus, mini_config).dataset(30, 5)
-    scaled = FeatureCache(mini_corpus, mini_config.replace(zscore=True)).dataset(30, 5)
-    x_train, x_test = standardize(plain.train_arrays()[0], plain.test_arrays()[0])
-    assert np.array_equal(scaled.train_arrays()[0], x_train)
-    assert np.array_equal(scaled.test_arrays()[0], x_test)
-    assert np.allclose(x_train.mean(axis=0), 0.0) and np.allclose(x_train.std(axis=0), 1.0)
-    for a, b in ((plain.train, scaled.train), (plain.test, scaled.test)):
-        assert [(fv.label, fv.source) for fv in a] == [(fv.label, fv.source) for fv in b]
+    cfg = mini_config
+    length = cfg.segment_len
+    n = cfg.feature_count
+    dataset = FeatureCache(mini_corpus, cfg).dataset(n, 777)
+    assert len(dataset.train) == cfg.train_size
+    assert len(dataset.test) == cfg.test_size
+    for side, subjects in ((dataset.train, cfg.train_subjects),
+                           (dataset.test, cfg.test_subjects)):
+        for fv in side:
+            # consecutive, non-overlapping windows
+            subject, start = fv.source
+            assert subject in subjects and start % length == 0
+            segment = records[(subject, fv.label)][start : start + length]
+            assert len(segment) == length
+            assert np.allclose(fv.values, dct(segment)[:n], rtol=0, atol=1e-12)
 
 
 def test_sweep_features_points_and_determinism(mini_config, mini_corpus):
@@ -353,6 +339,14 @@ def test_sweep_k_points(mini_config, mini_corpus):
     curve = sweep_k(cfg, records=mini_corpus, values=list(range(1, 11)), runs=1)
     assert curve.values() == list(range(1, 11))
     assert all(0.0 <= rate <= 1.0 for _, rate in curve.points)
+
+
+def test_sweep_k_above_the_training_rows_is_rejected(mini_config, mini_corpus):
+    # a k past the 8 training rows would repeat the k = 8 vote under its own label
+    cfg = mini_config.replace(classifier="knn", train_size=8, sweep_k_max=10)
+    with pytest.raises(ParameterError, match=r"k must lie in \[1, 8\]"):
+        sweep_k(cfg, records=mini_corpus, runs=1)
+    assert sweep_k(cfg.replace(sweep_k_max=8), records=mini_corpus, runs=1).values() == list(range(1, 9))
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ from ecgemotion.features import (
     load_features,
     sample_balanced,
     save_features,
-    standardize,
 )
 from ecgemotion.synthgen import EmotionProfile, generate_clean
 from ecgemotion.types import ConfigError, Emotion, FeatureVector, ParameterError, SignalRecord
@@ -67,7 +66,6 @@ def split_config(**overrides) -> PipelineConfig:
     subjects 1-4 for training and 5 for testing."""
     settings = dict(
         segment_len=256,
-        segment_stride=256,
         train_subjects=(1, 2, 3, 4),
         test_subjects=(5,),
         train_size=40,
@@ -100,7 +98,7 @@ def test_extract_constant():
         for subject in range(1, 6)
         for emotion in Emotion
     ]
-    cfg = split_config(segment_len=100, segment_stride=100, train_size=8, test_size=4)
+    cfg = split_config(segment_len=100, train_size=8, test_size=4)
     dataset = FeatureCache(records, cfg).dataset(5, 0)
     x, _ = dataset.train_arrays()
     assert np.allclose(x[:, 0], 3.0 * 10.0, rtol=0, atol=1e-12)
@@ -109,7 +107,7 @@ def test_extract_constant():
 
 def test_extract_full_invertible():
     records = random_corpus(np.random.default_rng(1), 512)
-    cfg = split_config(segment_len=128, segment_stride=128)
+    cfg = split_config(segment_len=128)
     dataset = FeatureCache(records, cfg).dataset(128, 4)
     for fv in dataset.train + dataset.test:
         assert np.allclose(dct_matrix(128).T @ fv.values, segment_of(records, fv, 128), rtol=1e-9, atol=1e-12)
@@ -223,15 +221,6 @@ def test_balanced_counts():
     assert balanced_counts(4000) == [1000, 1000, 1000, 1000]
     assert balanced_counts(6) == [2, 2, 1, 1]
     assert balanced_counts(4) == [1, 1, 1, 1]
-
-
-def test_standardize_uses_train_statistics():
-    x_train = np.array([[1.0, 10.0], [3.0, 30.0]])
-    x_test = np.array([[2.0, 20.0]])
-    scaled_train, scaled_test = standardize(x_train, x_test)
-    assert np.allclose(scaled_train.mean(axis=0), 0.0)
-    assert np.allclose(scaled_train.std(axis=0), 1.0)
-    assert np.allclose(scaled_test, 0.0)  # test point sits at the train mean
 
 
 def test_features_csv_roundtrip(tmp_path):
