@@ -359,6 +359,10 @@ def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepC
     for every k in one pass (``knn.classify``).
     """
     values = _sweep_values(values, cfg.sweep_k_values(), "k")
+    # every split has train_size rows; knn.classify would reject the k only
+    # after synthesis and the feature cache
+    if max(values) > cfg.train_size:
+        raise ParameterError(f"k must lie in [1, {cfg.train_size}]")
     runs = cfg.runs if runs is None else runs
     cache = _feature_cache(cfg, records)
 

@@ -58,7 +58,11 @@ def check_positive(**values) -> None:
 
 
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * pairwise_sq_dists(a, b))
+    # in place: the same bits as np.exp(-gamma * d2), without two more n x m
+    # temporaries
+    d2 = pairwise_sq_dists(a, b)
+    d2 *= -gamma
+    return np.exp(d2, out=d2)
 
 
 def _movable(y, alpha, c):
@@ -118,11 +122,14 @@ def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: 
     g = np.where(_movable(y, np.zeros(n), c_rows), [-e, e], -np.inf)
     g_up, g_dn = g
     row_i, row_j = np.empty(n), np.empty(n)
+    # bound once: a step is short enough that attribute lookups show
+    argmax, up_item, dn_item, k_item = g.argmax, g_up.item, g_dn.item, kmat.item
+    k_rows, multiply, add, subtract, neg_inf = list(kmat), np.multiply, np.add, np.subtract, -np.inf
 
     for _ in range(max_steps):
-        i, j = g.argmax(axis=1).tolist()
-        neg_e_i, e_j = g_up.item(i), g_dn.item(j)
-        if neg_e_i == -np.inf or e_j == -np.inf:
+        i, j = argmax(axis=1).tolist()
+        neg_e_i, e_j = up_item(i), dn_item(j)
+        if neg_e_i == neg_inf or e_j == neg_inf:
             break
         e_i = -neg_e_i
         if e_j - e_i <= tolerance:
@@ -138,7 +145,7 @@ def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: 
         if high - low < _EPS:
             break
 
-        eta = diag[i] + diag[j] - 2.0 * kmat.item(i, j)
+        eta = diag[i] + diag[j] - 2.0 * k_item(i, j)
         if eta < _EPS:
             eta = _EPS
         a2_new = min(max(a2 + y2 * (e_i - e_j) / eta, low), high)
@@ -156,20 +163,25 @@ def solve_dual(kmat: np.ndarray, y: np.ndarray, c, tolerance: float, max_steps: 
         elif a2_new > c2 - _EPS:
             a2_new = c2
 
-        np.multiply(kmat[i], (a1_new - a1) * y1, out=row_i)
-        np.multiply(kmat[j], (a2_new - a2) * y2, out=row_j)
-        np.add(row_i, row_j, out=row_i)
-        np.subtract(g_up, row_i, out=g_up)
-        np.add(g_dn, row_i, out=g_dn)
+        multiply(k_rows[i], (a1_new - a1) * y1, out=row_i)
+        multiply(k_rows[j], (a2_new - a2) * y2, out=row_j)
+        add(row_i, row_j, out=row_i)
+        subtract(g_up, row_i, out=g_up)
+        add(g_dn, row_i, out=g_dn)
         alpha[i] = a1_new
         alpha[j] = a2_new
         # i was in the can-increase set and j in the can-decrease set, so
         # their new e is read there; then each enters the sets it is now in
-        e_i, e_j = -g_up.item(i), g_dn.item(j)
-        for k, e_k, y_k, a_k, c_k in ((i, e_i, y1, a1_new, c1), (j, e_j, y2, a2_new, c2)):
-            can_up_k, can_dn_k = _movable(y_k, a_k, c_k)
-            g_up[k] = -e_k if can_up_k else -np.inf
-            g_dn[k] = e_k if can_dn_k else -np.inf
+        # (the _movable rule, with y never 0 at i or j)
+        e_i, e_j = -up_item(i), dn_item(j)
+        below_c, above_0 = a1_new < c1 - _EPS, a1_new > _EPS
+        up, dn = (below_c, above_0) if y1 > 0 else (above_0, below_c)
+        g_up[i] = -e_i if up else neg_inf
+        g_dn[i] = e_i if dn else neg_inf
+        below_c, above_0 = a2_new < c2 - _EPS, a2_new > _EPS
+        up, dn = (below_c, above_0) if y2 > 0 else (above_0, below_c)
+        g_up[j] = -e_j if up else neg_inf
+        g_dn[j] = e_j if dn else neg_inf
 
     alpha = np.array(alpha)
     # every row the bias reads is in one of the sets, so e is known there

@@ -230,7 +230,7 @@ def bias_loop(alpha, e, y, c) -> float:
 
 
 def solve_dual_loop(kmat, y, c, tolerance: float, max_steps: int):
-    """``svm.solve_dual`` as it stood before its step was trimmed: every
+    """``svm.solve_dual`` in its plain form, before any step was trimmed: every
     step recomputes both working sets over all rows, masks the scores with
     ``np.where`` and takes the lowest index among the tied maxima (LIBSVM's
     plain argmax), on NumPy scalars. ``c`` is one box for all rows or one
@@ -280,6 +280,75 @@ def solve_dual_loop(kmat, y, c, tolerance: float, max_steps: int):
         alpha[j] = a2_new
 
     return alpha, bias_loop(alpha, e, y, c)
+
+
+def solve_dual_kept_current(kmat, y, c, tolerance: float, max_steps: int):
+    """``svm.solve_dual`` as it stood before its step lost its attribute
+    lookups and per-step set tuples: both working-set scores are kept
+    current, on Python floats, and after each step rows i and j re-enter
+    the sets through ``_movable_loop``, one tuple per row. The bias is
+    ``bias_loop``'s."""
+    n = len(y)
+    c_rows = np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
+    y_rows, c_list, diag = y.tolist(), c_rows.tolist(), kmat.diagonal().tolist()
+    alpha = [0.0] * n
+    e = -y.astype(np.float64)
+    g = np.where(_movable_loop(y, np.zeros(n), c_rows), [-e, e], -np.inf)
+    g_up, g_dn = g
+    row_i, row_j = np.empty(n), np.empty(n)
+
+    for _ in range(max_steps):
+        i, j = g.argmax(axis=1).tolist()
+        neg_e_i, e_j = g_up.item(i), g_dn.item(j)
+        if neg_e_i == -np.inf or e_j == -np.inf:
+            break
+        e_i = -neg_e_i
+        if e_j - e_i <= tolerance:
+            break
+
+        y1, y2 = y_rows[i], y_rows[j]
+        a1, a2 = alpha[i], alpha[j]
+        c1, c2 = c_list[i], c_list[j]
+        if y1 != y2:
+            low, high = max(0.0, a2 - a1), min(c2, c1 + a2 - a1)
+        else:
+            low, high = max(0.0, a1 + a2 - c1), min(c2, a1 + a2)
+        if high - low < _SMO_EPS:
+            break
+
+        eta = diag[i] + diag[j] - 2.0 * kmat.item(i, j)
+        if eta < _SMO_EPS:
+            eta = _SMO_EPS
+        a2_new = min(max(a2 + y2 * (e_i - e_j) / eta, low), high)
+        if a2_new == a2:
+            break
+        a1_new = a1 + y1 * y2 * (a2 - a2_new)
+
+        if a1_new < _SMO_EPS:
+            a1_new = 0.0
+        elif a1_new > c1 - _SMO_EPS:
+            a1_new = c1
+        if a2_new < _SMO_EPS:
+            a2_new = 0.0
+        elif a2_new > c2 - _SMO_EPS:
+            a2_new = c2
+
+        np.multiply(kmat[i], (a1_new - a1) * y1, out=row_i)
+        np.multiply(kmat[j], (a2_new - a2) * y2, out=row_j)
+        np.add(row_i, row_j, out=row_i)
+        np.subtract(g_up, row_i, out=g_up)
+        np.add(g_dn, row_i, out=g_dn)
+        alpha[i] = a1_new
+        alpha[j] = a2_new
+        e_i, e_j = -g_up.item(i), g_dn.item(j)
+        for k, e_k, y_k, a_k, c_k in ((i, e_i, y1, a1_new, c1), (j, e_j, y2, a2_new, c2)):
+            can_up_k, can_dn_k = _movable_loop(y_k, a_k, c_k)
+            g_up[k] = -e_k if can_up_k else -np.inf
+            g_dn[k] = e_k if can_dn_k else -np.inf
+
+    alpha = np.array(alpha)
+    e = np.where(g_dn > -np.inf, g_dn, -g_up)
+    return alpha, bias_loop(alpha, e, y, c_rows)
 
 
 def distinct_rows_structured(x):

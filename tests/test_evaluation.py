@@ -341,11 +341,17 @@ def test_sweep_k_points(mini_config, mini_corpus):
     assert all(0.0 <= rate <= 1.0 for _, rate in curve.points)
 
 
-def test_sweep_k_above_the_training_rows_is_rejected(mini_config, mini_corpus):
+def test_sweep_k_above_the_training_rows_is_rejected(mini_config, mini_corpus, monkeypatch):
     # a k past the 8 training rows would repeat the k = 8 vote under its own label
     cfg = mini_config.replace(classifier="knn", train_size=8, sweep_k_max=10)
     with pytest.raises(ParameterError, match=r"k must lie in \[1, 8\]"):
         sweep_k(cfg, records=mini_corpus, runs=1)
+    # the range is rejected before any corpus is synthesized or cached
+    with monkeypatch.context() as patched:
+        for stage in ("synth_corpus", "FeatureCache"):
+            patched.setattr(evaluation, stage, lambda *args, stage=stage: pytest.fail(f"{stage} reached"))
+        with pytest.raises(ParameterError, match=r"k must lie in \[1, 8\]"):
+            sweep_k(cfg, runs=1)
     assert sweep_k(cfg.replace(sweep_k_max=8), records=mini_corpus, runs=1).values() == list(range(1, 9))
 
 

@@ -11,7 +11,8 @@ holds the same protocol's files with ``classifier=forest`` and what
 ``tiny.cfg`` (``trees_rate.csv``, ``trees_ge.csv``).
 ``tests/golden/reference/`` holds the seed-12345 run of the bundled
 reference configuration: ``runs.csv``, ``report.csv``, the ten
-confusions, ``pso_trace.csv`` and the tuned point. A change that means to move a result
+confusions, ``pso_trace.csv``, the tuned point and the FIR design it
+filters with (``taps.csv``). A change that means to move a result
 updates these files and says why; every other change keeps them.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgemotion import evaluation
+from ecgemotion import dsp, evaluation
 from ecgemotion.config import PipelineConfig
 from ecgemotion.utils import fmt_float
 
@@ -91,12 +92,31 @@ def test_reference_run_equals_golden(reference_run):
     ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"`` (five
     combinations), at most 3 of the 620 fitness values moved, each by at
     most two votes (1/60); the bound is twice that: 6 values, each by at
-    most 1/30. Its taps are not pinned: their last digits move with the
-    BLAS kernel."""
+    most 1/30. Its taps are pinned by ``test_reference_taps_equal_golden``."""
     result, _ = reference_run
     assert_reports_equal(result, REFERENCE_GOLDEN, 10)
     assert tuned_text(result.pso_result) == (REFERENCE_GOLDEN / "tuned.cfg").read_text()
     assert_trace_equals_golden(result.pso_result, REFERENCE_GOLDEN, 620, 6, 1 / 30)
+
+
+def test_reference_taps_equal_golden(tmp_path):
+    """The reference configuration's FIR design as ``dsp.save_taps`` writes
+    it: the header matches exactly, and every tap lies within 9.8e-16 of its
+    golden value, relative to that value. The taps are divided by the gain
+    at the band's centre, a complex matrix-vector product that BLAS rounds
+    by kernel (ROADMAP Finding 7), so all taps may move by one common
+    last-bit factor. Designed under ``OPENBLAS_CORETYPE=Prescott``, 193 of
+    the 257 taps moved, by at most 2.2e-16 of their value; under
+    ``SandyBridge``, all 257 moved, by at most 4.9e-16. The bound is twice
+    the larger."""
+    path = tmp_path / "taps.csv"
+    dsp.save_taps(PipelineConfig().fir_filter(), path)
+    header, *taps = path.read_text().splitlines()
+    want_header, *want = (REFERENCE_GOLDEN / "taps.csv").read_text().splitlines()
+    assert header == want_header
+    taps, want = np.array(taps, dtype=float), np.array(want, dtype=float)
+    assert len(taps) == len(want) == 257
+    assert (np.abs(taps - want) <= 9.8e-16 * np.abs(want)).all()
 
 
 def test_tiny_pso_trace_and_tuned_point_equal_golden(tiny_run):

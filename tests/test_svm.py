@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ecgemotion import svm
+from ecgemotion import evaluation, svm
+from ecgemotion.config import PipelineConfig
 from ecgemotion.svm import (
     BinarySvmModel,
     MulticlassSvmModel,
@@ -18,8 +19,10 @@ from ecgemotion.svm import (
     train_multiclass,
 )
 from ecgemotion.types import DataFormatError, Emotion, ParameterError
+from ecgemotion.utils import distinct_rows, pairwise_sq_dists
 
-from oracles import bias_loop, dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix, solve_dual_loop
+from oracles import bias_loop, dual_objective, kkt_residual_loop, maximize_dual, rbf_matrix
+from oracles import solve_dual_kept_current, solve_dual_loop
 
 
 def rbf_kernel(x, y, gamma):
@@ -509,15 +512,59 @@ def test_bias_rows_equal_the_per_row_loop():
 @pytest.mark.parametrize("tolerance", [1e-3, 1e-15])
 def test_solve_dual_equals_loop(tolerance):
     # duplicated rows (exact ties in the working-set choice), caps of a few
-    # steps, C = 0.02, a zero cap and a solve that ends on a stalled pair
+    # steps, C = 0.02, a zero cap and a solve that ends on a stalled pair;
+    # both oracles, the rebuilt working sets and the previous kept-current step
     problems = _batch_problems(np.random.default_rng(33), 60)
     kmat, y, c, _ = problems[0]
     problems += [(kmat, y, c, 0), _stalling_problem()]
     for kmat, y, c, cap in problems:
         alpha, bias = svm.solve_dual(kmat, y, c, tolerance, cap)
-        ref_alpha, ref_bias = solve_dual_loop(kmat, y, c, tolerance, cap)
-        assert np.array_equal(alpha, ref_alpha)
+        for oracle in (solve_dual_loop, solve_dual_kept_current):
+            ref_alpha, ref_bias = oracle(kmat, y, c, tolerance, cap)
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert bias == ref_bias
+
+
+@pytest.fixture(scope="module")
+def reference_pair():
+    """The (happy, calm) dual of the reference protocol's run 0 as
+    ``train_binary`` hands it to the solver: the distinct (row, label) pairs
+    of the 2,000 drawn rows, their draw counts and the drawn-row count."""
+    cfg = PipelineConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the clamped cutoff, the resampled pools
+        _, (x, codes), _ = next(evaluation._feature_cache(cfg).splits(cfg.feature_count, cfg.seed, "run", 1))
+    rows, y = svm.pair_labels(codes, *svm.PAIRS[1])
+    first, _, counts = distinct_rows(np.column_stack([x[rows], y]))
+    return x[rows][first], y[first], counts, len(rows)
+
+
+@pytest.mark.parametrize("c, gamma", [(100.3, 0.016), (1.87, 0.219)], ids=["fixed", "tuned"])
+def test_solve_dual_equals_kept_current_at_reference_size(reference_pair, c, gamma):
+    # the reference config's fixed point, where this dual runs to its
+    # 20,000-step cap, and the tuned point, where it converges in about
+    # 2,700 steps; rows drawn m times get the box m * C, as in train_binary
+    x, y, counts, drawn = reference_pair
+    assert len(y) > 900 and counts.max() > 1
+    kmat = rbf_kernel_matrix(x, x, gamma)
+    results = []
+    for cap in (10 * drawn, 50):
+        alpha, bias = svm.solve_dual(kmat, y, c * counts, 1e-3, cap)
+        ref_alpha, ref_bias = solve_dual_kept_current(kmat, y, c * counts, 1e-3, cap)
+        assert alpha.tobytes() == ref_alpha.tobytes()
         assert bias == ref_bias
+        results.append(alpha)
+    assert not np.array_equal(*results)  # the 50-step cap stopped the solve
+
+
+@pytest.mark.parametrize("rows, cols", [(40, None), (7, 30), (129, 5)])
+def test_rbf_kernel_matrix_equals_exp_of_scaled_distances(rows, cols):
+    rng = np.random.default_rng(rows)
+    a = rng.normal(size=(rows, 6))
+    b = a if cols is None else rng.normal(size=(cols, 6))
+    for gamma in (1e-4, 0.016, 0.219, 7.3):
+        expected = np.exp(-gamma * pairwise_sq_dists(a, b))
+        assert rbf_kernel_matrix(a, b, gamma).tobytes() == expected.tobytes()
 
 
 def test_solve_dual_per_row_box():
