@@ -7,8 +7,10 @@
     out/k_rate.csv          recognition rate vs K (1..10)
 
 The classifier hyperparameters stay fixed at the configured values across a
-sweep; only the swept parameter changes. At the default reference scale this
-is a long run; pass a smaller config for a quick look.
+sweep; only the swept parameter changes. The sweeps are paired: each run
+draws one train/test split and scores every value of the sweep on it. At the
+default reference scale this is a long run; pass a smaller config for a quick
+look.
 """
 
 import argparse
@@ -37,11 +39,11 @@ def main(argv=None) -> int:
         evaluation.curve_csv("features", feature_curve.points)
     )
 
-    tree_curve, ge_points = evaluation.sweep_trees(cfg.replace(classifier="forest"), records=records)
+    tree_curve, ge_points = evaluation.sweep_trees(cfg, records=records)
     (out / "trees_rate.csv").write_text(evaluation.curve_csv("trees", tree_curve.points))
     (out / "trees_ge.csv").write_text(evaluation.ge_curve_csv(ge_points))
 
-    k_curve = evaluation.sweep_k(cfg.replace(classifier="knn"), records=records)
+    k_curve = evaluation.sweep_k(cfg, records=records)
     (out / "k_rate.csv").write_text(evaluation.curve_csv("k", k_curve.points))
 
     print(

@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error:config: {exc}", file=sys.stderr)
         return 4
-    except DataFormatError as exc:
+    except (DataFormatError, UnicodeDecodeError) as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -225,8 +225,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, base: "PipelineConfig | None" = None) -> "PipelineConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read(), base=base)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_text(fh.read(), base=base)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
     @classmethod
     def from_files(cls, paths) -> "PipelineConfig":

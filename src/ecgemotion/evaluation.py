@@ -195,13 +195,13 @@ class FeatureCache:
         return Dataset(x[train], self.labels[train], self.sources[train],
                        x[test], self.labels[test], self.sources[test])
 
-    def splits(self, n: int, master: int, tag: str, runs: int):
+    def splits(self, n: int, tag: str, runs: int):
         """Yield ``(run_seed, (x, codes), (x_test, codes_test))`` for runs
-        0..runs-1, each drawn with ``run_seed = derive_seed(master, tag, run)``."""
+        0..runs-1, each drawn with ``run_seed = derive_seed(cfg.seed, tag, run)``."""
         if runs < 1:
             raise ParameterError("runs must be >= 1")
         for run in range(runs):
-            run_seed = derive_seed(master, tag, run)
+            run_seed = derive_seed(self.cfg.seed, tag, run)
             dataset = self.dataset(n, run_seed)
             yield run_seed, dataset.train_arrays(), dataset.test_arrays()
 
@@ -275,7 +275,7 @@ def _feature_cache(cfg: PipelineConfig, records=None) -> FeatureCache:
 def run_protocol(cfg: PipelineConfig, records=None) -> ProtocolResult:
     """The full reference experiment: synth -> filter -> features -> tune ->
     repeated train/score runs. PSO tunes on run 0's training split."""
-    splits = _feature_cache(cfg, records).splits(cfg.feature_count, cfg.seed, "run", cfg.runs)
+    splits = _feature_cache(cfg, records).splits(cfg.feature_count, "run", cfg.runs)
     pso_result = None
     if cfg.classifier == "svm" and cfg.svm_tune:
         first = next(splits)
@@ -302,10 +302,13 @@ class SweepCurve:
         return [v for v, _ in self.points]
 
 
-def _sweep_values(values, default, what: str) -> list:
+def _sweep_values(values, default, what: str, bound=None) -> list:
+    """The swept values, ``default`` when None, checked before any synthesis."""
     values = list(default if values is None else values)
-    if not values or any(v < 1 for v in values):
+    if not values or min(values) < 1:
         raise ParameterError(f"{what} sweep range must contain positive counts")
+    if bound is not None and max(values) > bound:
+        raise ParameterError(f"{what} must lie in [1, {bound}]")
     return values
 
 
@@ -315,17 +318,24 @@ def _curve(parameter: str, values, rates) -> SweepCurve:
     return SweepCurve(parameter, points, max(points, key=lambda point: point[1])[0])
 
 
+def _sweep(cfg: PipelineConfig, records, runs, n: int, tag: str, score) -> np.ndarray:
+    """The mean over runs of ``score(run_seed, x, y, x_test, y_test)``, which
+    rates every swept value on the run's one split of width ``n``: a paired curve."""
+    splits = _feature_cache(cfg, records).splits(n, tag, cfg.runs if runs is None else runs)
+    return np.mean([score(run_seed, *train, *test) for run_seed, train, test in splits], axis=0)
+
+
 def sweep_features(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepCurve:
     """Mean recognition rate per feature count, classifier fixed at the
-    configured hyperparameters."""
-    values = _sweep_values(values, cfg.sweep_features_values(), "feature")
-    runs = cfg.runs if runs is None else runs
-    cache = _feature_cache(cfg, records)
-    rates = []
-    for n in values:
-        splits = cache.splits(n, derive_seed(cfg.seed, "sweep-features", n), "run", runs)
-        rates.append(run_repeated(cfg, splits)[0].overall_average)
-    return _curve("features", values, rates)
+    configured hyperparameters. Each run draws its split at the largest
+    count; count n trains and predicts on the first n columns of its rows."""
+    values = _sweep_values(values, cfg.sweep_features_values(), "feature count", cfg.segment_len)
+
+    def score(run_seed, x, y, x_test, y_test):
+        widths = ((run_seed, (x[:, :n].copy(), y), (x_test[:, :n].copy(), y_test)) for n in values)
+        return run_repeated(cfg, widths)[0].per_run_overall()
+
+    return _curve("features", values, _sweep(cfg, records, runs, max(values), "sweep-features", score))
 
 
 def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
@@ -335,42 +345,28 @@ def sweep_trees(cfg: PipelineConfig, records=None, values=None, runs=None):
     its prefix sub-ensembles (per-tree seeds make prefixes stable), voted
     from one prediction per tree."""
     values = _sweep_values(values, cfg.sweep_trees_values(), "tree")
-    runs = cfg.runs if runs is None else runs
-    cache = _feature_cache(cfg, records)
-
     largest = cfg.replace(classifier="forest", forest_trees=max(values))
-    rate_rows = []
-    ge_rows = []
-    for run_seed, train, (x_test, y_test) in cache.splits(cfg.feature_count, cfg.seed, "sweep-trees", runs):
-        model = train_classifier(train, largest, run_seed)
-        votes = forest.vote_matrix(model, x_test, values)
-        rate_rows.append([_overall_rate(y_test, v.argmax(axis=1)) for v in votes])
-        ge_rows.append([forest.vote_error(v, y_test) for v in votes])
 
-    ge_points = [(int(v), float(g)) for v, g in zip(values, np.mean(ge_rows, axis=0))]
-    return _curve("trees", values, np.mean(rate_rows, axis=0)), ge_points
+    def score(run_seed, x, y, x_test, y_test):
+        votes = forest.vote_matrix(train_classifier((x, y), largest, run_seed), x_test, values)
+        return [(_overall_rate(y_test, v.argmax(axis=1)), forest.vote_error(v, y_test)) for v in votes]
+
+    rates, errors = _sweep(cfg, records, runs, cfg.feature_count, "sweep-trees", score).T
+    return _curve("trees", values, rates), [(int(v), float(e)) for v, e in zip(values, errors)]
 
 
 def sweep_k(cfg: PipelineConfig, records=None, values=None, runs=None) -> SweepCurve:
-    """Mean recognition rate per neighbor count.
+    """Mean recognition rate per neighbor count, each at most ``train_size``.
 
-    Each run computes one test-by-train distance matrix, ranks each test
-    row's nearest ``max(values)`` training rows once and votes the labels
-    for every k in one pass (``knn.classify``).
-    """
-    values = _sweep_values(values, cfg.sweep_k_values(), "k")
-    # every split has train_size rows; knn.classify would reject the k only
-    # after synthesis and the feature cache
-    if max(values) > cfg.train_size:
-        raise ParameterError(f"k must lie in [1, {cfg.train_size}]")
-    runs = cfg.runs if runs is None else runs
-    cache = _feature_cache(cfg, records)
+    Each run ranks each test row's nearest ``max(values)`` training rows
+    once and votes the labels for every k in one pass (``knn.classify``)."""
+    values = _sweep_values(values, cfg.sweep_k_values(), "k", cfg.train_size)
 
-    rate_rows = []
-    for _, (x, y), (x_test, y_test) in cache.splits(cfg.feature_count, cfg.seed, "sweep-k", runs):
+    def score(run_seed, x, y, x_test, y_test):
         dists = knn._distance_matrix(cfg.knn_metric, x_test, x, cfg.knn_minkowski_p)
-        rate_rows.append([_overall_rate(y_test, labels) for labels in knn.classify(dists, y, values)])
-    return _curve("k", values, np.mean(rate_rows, axis=0))
+        return [_overall_rate(y_test, labels) for labels in knn.classify(dists, y, values)]
+
+    return _curve("k", values, _sweep(cfg, records, runs, cfg.feature_count, "sweep-k", score))
 
 
 # ---------------------------------------------------------------------------

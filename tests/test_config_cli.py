@@ -575,6 +575,26 @@ def test_exit_codes(tmp_path, mini_cfg_file, capsys):
         assert cli.main(argv) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["train", "--config", "{bad}", "--features", "{bad}", "--model", "{out}"], 4),
+        (["predict", "--model", "{bad}", "--features", "{bad}", "--out", "{out}"], 3),
+        (["evaluate", "--features", "{bad}", "--predictions", "{bad}", "--out-prefix", "{out}"], 3),
+        (["report", "--runs", "{bad}", "--out-prefix", "{out}"], 3),
+    ],
+    ids=["train-config", "predict-model", "evaluate-features", "report-runs"],
+)
+def test_non_utf8_files_are_one_line_errors(tmp_path, capsys, argv, code):
+    # a UTF-16 file with its byte-order mark
+    bad = tmp_path / "utf16.csv"
+    bad.write_bytes(b"\xff\xfe" + "label,f1\n0,1.0\n".encode("utf-16-le"))
+    assert cli.main([arg.format(bad=bad, out=tmp_path / "out") for arg in argv]) == code
+    error = capsys.readouterr().err
+    assert len(error.splitlines()) == 1
+    assert error.startswith(f"error:config: {bad}: not UTF-8 text" if code == 4 else "error:data: ")
+
+
 def test_negative_counts_are_config_errors(mini_cfg_file, tmp_path, capsys):
     # the features file does not exist: exit 4, not 2, shows the config fails first
     missing = str(tmp_path / "missing.csv")

@@ -159,14 +159,15 @@ def test_run_repeated_requires_runs():
 
 def test_splits_draw_each_run_from_its_derived_seed(mini_config, mini_corpus):
     cache = FeatureCache(mini_corpus, mini_config)
-    splits = list(cache.splits(30, 7, "sweep-k", 3))
-    assert [run_seed for run_seed, _, _ in splits] == [derive_seed(7, "sweep-k", run) for run in range(3)]
+    splits = list(cache.splits(30, "sweep-k", 3))
+    seed = mini_config.seed
+    assert [run_seed for run_seed, _, _ in splits] == [derive_seed(seed, "sweep-k", run) for run in range(3)]
     for run_seed, train, test in splits:
         dataset = cache.dataset(30, run_seed)
         for got, want in ((train, dataset.train_arrays()), (test, dataset.test_arrays())):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
     with pytest.raises(ParameterError):
-        next(cache.splits(30, 7, "sweep-k", 0))
+        next(cache.splits(30, "sweep-k", 0))
 
 
 def test_runs_below_one_fail_before_any_training(mini_config, mini_corpus, monkeypatch):
@@ -295,11 +296,54 @@ def test_sweep_best_is_the_first_of_equal_rates():
     assert curve.best == 2
 
 
-def test_sweep_features_validates_range(mini_config, mini_corpus):
+def test_sweep_features_validates_range(mini_config, mini_corpus, monkeypatch):
     with pytest.raises(ParameterError):
         sweep_features(mini_config, records=mini_corpus, values=[], runs=1)
     with pytest.raises(ParameterError):
         sweep_features(mini_config, records=mini_corpus, values=[500], runs=1)
+    # a width past the 256-sample segment is rejected before any corpus is synthesized or cached
+    for stage in ("synth_corpus", "FeatureCache"):
+        monkeypatch.setattr(evaluation, stage, lambda *args, stage=stage: pytest.fail(f"{stage} reached"))
+    with pytest.raises(ParameterError, match=r"feature count must lie in \[1, 256\]"):
+        sweep_features(mini_config, values=[20, 500], runs=1)
+
+
+@pytest.mark.parametrize("classifier", ["svm", "forest", "knn"])
+def test_sweep_features_is_paired(mini_config, mini_corpus, classifier, monkeypatch):
+    """Every width of a run trains on the same rows and codes, cut to the
+    first n of the largest width's columns, and each point is the mean over
+    runs of the protocol's rate at ``feature_count=n`` on the sweep's splits."""
+    cfg = mini_config.replace(classifier=classifier)
+    values, runs = [8, 20, 14], 2
+    trained = []
+    train_classifier = evaluation.train_classifier
+
+    def spy(train, cfg, seed):
+        trained.append((seed, *train))
+        return train_classifier(train, cfg, seed)
+
+    monkeypatch.setattr(evaluation, "train_classifier", spy)
+    curve = sweep_features(cfg, records=mini_corpus, values=values, runs=runs)
+    monkeypatch.undo()
+    assert len(trained) == runs * len(values)
+    by_run = {}
+    for seed, x, codes in trained:
+        by_run.setdefault(seed, {})[x.shape[1]] = (x, codes)
+    assert len(by_run) == runs  # one run seed trains every width
+    for widths in by_run.values():
+        assert sorted(widths) == sorted(values)
+        widest, codes = widths[max(values)]
+        for n, (x, width_codes) in widths.items():
+            assert np.array_equal(width_codes, codes)
+            assert x.flags.c_contiguous and np.array_equal(x, widest[:, :n])
+
+    cache = FeatureCache(mini_corpus, cfg)
+    predict = evaluation.CLASSIFIERS[classifier][1]
+    for n, point in curve.points:
+        at_n = cfg.replace(feature_count=n)
+        rates = [evaluation._overall_rate(y_test, predict(train_classifier(train, at_n, seed), x_test))
+                 for seed, train, (x_test, y_test) in cache.splits(n, "sweep-features", runs)]
+        assert point == np.mean(rates)
 
 
 def test_sweep_trees_curves(mini_config, mini_corpus):

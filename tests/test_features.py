@@ -240,7 +240,7 @@ def test_splits_build_no_feature_vector(monkeypatch):
     built = []
     monkeypatch.setattr(FeatureVector, "__post_init__", lambda fv: built.append(fv))
     cache = FeatureCache(corpus(), split_config())
-    for _, (x, codes), (x_test, codes_test) in cache.splits(30, 5, "run", 2):
+    for _, (x, codes), (x_test, codes_test) in cache.splits(30, "run", 2):
         assert x.shape == (40, 30) and x_test.shape == (20, 30)
     assert built == []
     assert len(cache.dataset(30, 5).train) == 40  # the view builds its vectors when read

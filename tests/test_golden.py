@@ -8,7 +8,9 @@ for it: ``runs.csv``, ``report.csv``, ``confusion_run0.csv`` and
 --params-out`` writes it (``tuned.cfg``). ``tests/golden/tiny/forest/``
 holds the same protocol's files with ``classifier=forest`` and what
 ``scripts/run_sweeps.py`` writes for the learning-cycle sweep at
-``tiny.cfg`` (``trees_rate.csv``, ``trees_ge.csv``).
+``tiny.cfg`` (``trees_rate.csv``, ``trees_ge.csv``). ``tests/golden/tiny/``
+also holds the script's feature and K sweeps (``features_rate.csv``,
+``k_rate.csv``), where each run scores every swept value on one split.
 ``tests/golden/reference/`` holds the seed-12345 run of the bundled
 reference configuration: ``runs.csv``, ``report.csv``, the ten
 confusions, ``pso_trace.csv``, the tuned point and the FIR design it
@@ -57,6 +59,15 @@ def test_tiny_forest_protocol_and_tree_sweep_equal_golden():
     curve, ge_points = evaluation.sweep_trees(cfg)
     assert evaluation.curve_csv("trees", curve.points) == (FOREST_GOLDEN / "trees_rate.csv").read_text()
     assert evaluation.ge_curve_csv(ge_points) == (FOREST_GOLDEN / "trees_ge.csv").read_text()
+
+
+def test_tiny_feature_and_k_sweeps_equal_golden():
+    cfg = PipelineConfig.from_file(GOLDEN / "tiny.cfg")
+    records, _ = evaluation.filter_corpus(evaluation.synth_corpus(cfg), cfg)
+    features = evaluation.sweep_features(cfg, records=records)
+    assert evaluation.curve_csv("features", features.points) == (GOLDEN / "features_rate.csv").read_text()
+    k_curve = evaluation.sweep_k(cfg, records=records)
+    assert evaluation.curve_csv("k", k_curve.points) == (GOLDEN / "k_rate.csv").read_text()
 
 
 def _columns(text):

@@ -533,7 +533,7 @@ def reference_pair():
     cfg = PipelineConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the clamped cutoff, the resampled pools
-        _, (x, codes), _ = next(evaluation._feature_cache(cfg).splits(cfg.feature_count, cfg.seed, "run", 1))
+        _, (x, codes), _ = next(evaluation._feature_cache(cfg).splits(cfg.feature_count, "run", 1))
     rows, y = svm.pair_labels(codes, *svm.PAIRS[1])
     first, _, counts = distinct_rows(np.column_stack([x[rows], y]))
     return x[rows][first], y[first], counts, len(rows)
